@@ -3,11 +3,18 @@ hidden layers, sigmoid output, binary cross-entropy, Adam.
 
 Weights initialize He-style uniform (+-sqrt(6/fan_in)) from the spec seed;
 each epoch reshuffles with the same generator stream, so training is fully
-reproducible. The parameters are exposed as one flat vector so gradients
-can be checked against finite differences.
+reproducible. The trainable parameters live in one flat float64 buffer,
+``net.params``: per hidden layer ``W`` (fan_in x h), ``b``, ``gamma`` and
+``beta``, then the output ``W`` (fan_in x 1) and ``b``. The arrays in
+``net.layers`` and ``net.out`` are views into it; the running batch-norm
+statistics, which Adam does not train, are separate arrays. ``backward``
+returns a gradient in the same layout, so one ``Adam`` steps the whole
+buffer; ``Adam`` and ``train_minibatch`` also train the LSTM stacker.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,6 +31,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
                     np.exp(z) / (1.0 + np.exp(z)))
 
 
+def flat_buffer(shapes: list[tuple[int, ...]]
+                ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A zeroed float64 buffer and one view into it per shape, in order."""
+    sizes = [math.prod(shape) for shape in shapes]
+    buffer = np.zeros(sum(sizes))
+    parts = np.split(buffer, np.cumsum(sizes)[:-1])
+    return buffer, [part.reshape(shape) for part, shape in zip(parts, shapes)]
+
+
+_LAYER_KEYS = ("W", "b", "gamma", "beta")
+
+
 class MlpNetwork:
     """The bare network; training state lives in the model wrapper."""
 
@@ -34,54 +53,33 @@ class MlpNetwork:
         self.hidden = tuple(int(h) for h in hidden)
         self.bn_momentum = bn_momentum
         self.bn_eps = bn_eps
-        self.layers: list[dict] = []
-        fan_in = d_in
+        self.params, self.layers, self.out = self._buffer()
+        for layer, h in zip(self.layers, self.hidden):
+            layer["gamma"][:] = 1.0
+            layer["run_mean"] = np.zeros(h)
+            layer["run_var"] = np.ones(h)
+        if rng is not None:
+            for holder in self.layers + [self.out]:
+                lim = np.sqrt(6.0 / holder["W"].shape[0])
+                holder["W"][:] = rng.uniform(-lim, lim, size=holder["W"].shape)
+
+    def _buffer(self) -> tuple[np.ndarray, list[dict], dict]:
+        """A zeroed buffer laid out like ``params``, with the per-hidden-layer
+        dicts and the output dict of views into it."""
+        shapes, fan_in = [], self.d_in
         for h in self.hidden:
-            lim = np.sqrt(6.0 / fan_in)
-            W = rng.uniform(-lim, lim, size=(fan_in, h)) if rng is not None \
-                else np.zeros((fan_in, h))
-            self.layers.append({
-                "W": W, "b": np.zeros(h),
-                "gamma": np.ones(h), "beta": np.zeros(h),
-                "run_mean": np.zeros(h), "run_var": np.ones(h),
-            })
+            shapes += [(fan_in, h), (h,), (h,), (h,)]
             fan_in = h
-        lim = np.sqrt(6.0 / fan_in)
-        W_out = rng.uniform(-lim, lim, size=(fan_in, 1)) if rng is not None \
-            else np.zeros((fan_in, 1))
-        self.out = {"W": W_out, "b": np.zeros(1)}
-
-    # -- parameter flattening (gradient checks, serialization) --------------
-
-    def _param_refs(self) -> list[tuple[dict, str]]:
-        refs = []
-        for layer in self.layers:
-            for key in ("W", "b", "gamma", "beta"):
-                refs.append((layer, key))
-        refs.append((self.out, "W"))
-        refs.append((self.out, "b"))
-        return refs
+        buffer, views = flat_buffer(shapes + [(fan_in, 1), (1,)])
+        layers = [dict(zip(_LAYER_KEYS, views[i:i + 4]))
+                  for i in range(0, len(views) - 2, 4)]
+        return buffer, layers, {"W": views[-2], "b": views[-1]}
 
     def param_vector(self) -> np.ndarray:
-        return np.concatenate([holder[key].ravel()
-                               for holder, key in self._param_refs()])
+        return self.params.copy()
 
     def set_param_vector(self, v: np.ndarray) -> None:
-        pos = 0
-        for holder, key in self._param_refs():
-            size = holder[key].size
-            holder[key] = v[pos:pos + size].reshape(holder[key].shape).copy()
-            pos += size
-        assert pos == len(v)
-
-    def grads_vector(self, grads: list[dict]) -> np.ndarray:
-        flat = []
-        for i, layer_grads in enumerate(grads[:-1]):
-            for key in ("W", "b", "gamma", "beta"):
-                flat.append(layer_grads[key].ravel())
-        flat.append(grads[-1]["W"].ravel())
-        flat.append(grads[-1]["b"].ravel())
-        return np.concatenate(flat)
+        self.params[:] = v
 
     # -- forward / backward --------------------------------------------------
 
@@ -127,44 +125,39 @@ class MlpNetwork:
         return float(np.mean(_softplus(z) - y * z))
 
     def backward(self, caches: list[dict], z: np.ndarray, y: np.ndarray,
-                 dropout_rate: float = 0.0) -> list[dict]:
-        """Gradients of the mean BCE loss w.r.t. every parameter, matching
-        the caches of the corresponding forward(train=True) call."""
+                 dropout_rate: float = 0.0) -> np.ndarray:
+        """Flat gradient of the mean BCE loss, laid out like ``params``,
+        matching the caches of the corresponding forward(train=True) call."""
+        grad, grad_layers, grad_out = self._buffer()
         m = len(y)
         dz = (_sigmoid(z) - y)[:, None] / m
-        out_cache = caches[-1]
-        grads_out = {"W": out_cache["h_in"].T @ dz, "b": dz.sum(axis=0)}
+        grad_out["W"][:] = caches[-1]["h_in"].T @ dz
+        grad_out["b"][:] = dz.sum(axis=0)
         dh = dz @ self.out["W"].T
 
-        grads: list[dict] = []
-        last_hidden = len(self.layers) - 1
-        for i in range(last_hidden, -1, -1):
-            layer = self.layers[i]
-            cache = caches[i]
+        for i in range(len(self.layers) - 1, -1, -1):
+            layer, cache, g = self.layers[i], caches[i], grad_layers[i]
             if cache["keep"] is not None:
                 dh = dh * cache["keep"] / (1.0 - dropout_rate)
             drelu = dh * (cache["bn"] > 0.0)
-            dgamma = (drelu * cache["xhat"]).sum(axis=0)
-            dbeta = drelu.sum(axis=0)
+            g["gamma"][:] = (drelu * cache["xhat"]).sum(axis=0)
+            g["beta"][:] = drelu.sum(axis=0)
             dxhat = drelu * layer["gamma"]
             bm = len(cache["a"])
             da = (cache["inv"] / bm) * (
                 bm * dxhat - dxhat.sum(axis=0)
                 - cache["xhat"] * (dxhat * cache["xhat"]).sum(axis=0))
-            grads.insert(0, {"W": cache["h_in"].T @ da, "b": da.sum(axis=0),
-                             "gamma": dgamma, "beta": dbeta})
+            g["W"][:] = cache["h_in"].T @ da
+            g["b"][:] = da.sum(axis=0)
             dh = da @ layer["W"].T
-        grads.append(grads_out)
-        return grads
+        return grad
 
     def loss_and_grad(self, X: np.ndarray, y: np.ndarray
                       ) -> tuple[float, np.ndarray]:
         """Deterministic loss/gradient on one batch: training-mode batch
         statistics, dropout off, running stats untouched."""
         z, caches = self.forward(X, train=True)
-        loss = self.loss_from_logits(z, y)
-        grads = self.backward(caches, z, y)
-        return loss, self.grads_vector(grads)
+        return self.loss_from_logits(z, y), self.backward(caches, z, y)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         z, _ = self.forward(X, train=False)
@@ -176,8 +169,7 @@ class MlpNetwork:
         return {
             "hidden": list(self.hidden),
             "layers": [{k: layer[k].tolist()
-                        for k in ("W", "b", "gamma", "beta",
-                                  "run_mean", "run_var")}
+                        for k in _LAYER_KEYS + ("run_mean", "run_var")}
                        for layer in self.layers],
             "out": {"W": self.out["W"].tolist(), "b": self.out["b"].tolist()},
         }
@@ -187,55 +179,72 @@ class MlpNetwork:
                    bn_eps: float) -> "MlpNetwork":
         net = cls(d_in, tuple(state["hidden"]), bn_momentum, bn_eps, rng=None)
         for layer, saved in zip(net.layers, state["layers"]):
-            for k in ("W", "b", "gamma", "beta", "run_mean", "run_var"):
-                layer[k] = np.array(saved[k], dtype=float)
-        net.out = {"W": np.array(state["out"]["W"], dtype=float),
-                   "b": np.array(state["out"]["b"], dtype=float)}
+            for k in _LAYER_KEYS:
+                layer[k][:] = saved[k]
+            layer["run_mean"] = np.array(saved["run_mean"], dtype=float)
+            layer["run_var"] = np.array(saved["run_var"], dtype=float)
+        net.out["W"][:] = state["out"]["W"]
+        net.out["b"][:] = state["out"]["b"]
         return net
 
 
-class AdamState:
-    def __init__(self, shapes: list[np.ndarray]):
-        self.m = [np.zeros_like(p) for p in shapes]
-        self.v = [np.zeros_like(p) for p in shapes]
+class Adam:
+    """Adam (Kingma & Ba, 2015) over one flat parameter buffer, in place
+    through preallocated scratch (whole-buffer temporaries fall out of
+    cache). Per element: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    p -= (lr*m_hat) / (sqrt(v_hat) + eps)."""
+
+    def __init__(self, params: np.ndarray, lr: float, beta1: float,
+                 beta2: float, eps: float):
+        self.params = params
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._num = np.empty_like(params)
+        self._den = np.empty_like(params)
         self.t = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray],
-             lr: float, beta1: float, beta2: float, eps: float) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = beta1 * self.m[i] + (1 - beta1) * g
-            self.v[i] = beta2 * self.v[i] + (1 - beta2) * g * g
-            mhat = self.m[i] / (1 - beta1 ** self.t)
-            vhat = self.v[i] / (1 - beta2 ** self.t)
-            p -= lr * mhat / (np.sqrt(vhat) + eps)
+        b1, b2, m, v = self.beta1, self.beta2, self.m, self.v
+        num, den = self._num, self._den
+        np.multiply(m, b1, out=m)
+        np.multiply(grad, 1 - b1, out=num)
+        np.add(m, num, out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(grad, 1 - b2, out=num)
+        np.multiply(num, grad, out=num)
+        np.add(v, num, out=v)
+        np.divide(m, 1 - b1 ** self.t, out=num)
+        np.multiply(num, self.lr, out=num)
+        np.divide(v, 1 - b2 ** self.t, out=den)
+        np.sqrt(den, out=den)
+        np.add(den, self.eps, out=den)
+        np.divide(num, den, out=num)
+        np.subtract(self.params, num, out=self.params)
+
+
+def train_minibatch(adam: Adam, n: int, rng: np.random.Generator,
+                    epochs: int, batch_size: int, batch_grad) -> None:
+    """Shuffled mini-batch training: one permutation of the n samples per
+    epoch, then one Adam step per batch on ``batch_grad(indices)``."""
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            adam.step(batch_grad(order[start:start + batch_size]))
 
 
 def train_mlp(net: MlpNetwork, X: np.ndarray, y: np.ndarray,
               rng: np.random.Generator, epochs: int, batch_size: int,
               dropout: float, lr: float, beta1: float, beta2: float,
               adam_eps: float) -> None:
-    refs = net._param_refs()
-    params = [holder[key] for holder, key in refs]
-    adam = AdamState(params)
-    n = len(y)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            z, caches = net.forward(X[idx], train=True, dropout_rate=dropout,
-                                    rng=rng, update_running=True)
-            grads = net.backward(caches, z, y[idx], dropout_rate=dropout)
-            flat = []
-            for layer_grads in grads[:-1]:
-                flat.extend([layer_grads["W"], layer_grads["b"],
-                             layer_grads["gamma"], layer_grads["beta"]])
-            flat.extend([grads[-1]["W"], grads[-1]["b"]])
-            adam.step(params, flat, lr, beta1, beta2, adam_eps)
-            # Adam mutates in place; re-point the layer dicts anyway in case
-            # a caller swapped arrays between steps.
-            for (holder, key), p in zip(refs, params):
-                holder[key] = p
+    def batch_grad(idx: np.ndarray) -> np.ndarray:
+        z, caches = net.forward(X[idx], train=True, dropout_rate=dropout,
+                                rng=rng, update_running=True)
+        return net.backward(caches, z, y[idx], dropout_rate=dropout)
+
+    train_minibatch(Adam(net.params, lr, beta1, beta2, adam_eps), len(y),
+                    rng, epochs, batch_size, batch_grad)
 
 
 @register_model("neural_net")

@@ -63,15 +63,7 @@ class EmptyWindow(SwipebenchError):
     pass
 
 
-class HeterogeneousWindows(SwipebenchError):
-    pass
-
-
 class InconsistentSequenceLength(SwipebenchError):
-    pass
-
-
-class LengthMismatch(SwipebenchError):
     pass
 
 

@@ -21,6 +21,7 @@ which aggregation variants are requested alongside.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -207,16 +208,15 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
     model = train(eff_spec, table.X[fit_rows], y,
                   defined=table.defined[fit_rows])
 
-    score_cache: dict[str, np.ndarray] = {}
-
+    # every variant shares one stream, score and window list per user
+    @functools.cache
     def stream_of(uid: str) -> tuple[np.ndarray, list[str]]:
         return _stream(table, table.user_sessions[uid])
 
+    @functools.cache
     def scores_of(uid: str) -> np.ndarray:
-        if uid not in score_cache:
-            rows, _ = stream_of(uid)
-            score_cache[uid] = model.score(table.X[rows], table.defined[rows])
-        return score_cache[uid]
+        rows, _ = stream_of(uid)
+        return model.score(table.X[rows], table.defined[rows])
 
     train_scores = model.score(table.X[train_rows], table.defined[train_rows])
     test_scores = model.score(table.X[test_rows], table.defined[test_rows])
@@ -231,12 +231,20 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
         "n_attackers_test": len(test_group),
     }
 
-    def attacker_windows(group: list[str], w: int, stride: int):
+    genuine_labels = {"train": train_labels, "test": test_labels}
+    attacker_groups = {"train": train_group, "test": test_group}
+
+    @functools.cache
+    def genuine_windows(split: str, w: int, stride: int) -> list:
+        return window_slices(genuine_labels[split], w, stride)
+
+    @functools.cache
+    def attacker_windows(split: str, w: int, stride: int) -> list:
         """(user_id, per-attacker list of window position-arrays), empty
         pools dropped. Windows never span an attacker's session change
         and never mix two attackers."""
         pools = []
-        for v in group:
+        for v in attacker_groups[split]:
             _, labels = stream_of(v)
             wins = window_slices(labels, w, stride)
             if wins:
@@ -250,12 +258,12 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
         test_rng = _rng(np.random.SeedSequence(
             entropy=entropy_test, spawn_key=(m_idx, w)))
 
-        gen_windows = window_slices(test_labels, w, stride=w)
+        gen_windows = genuine_windows("test", w, w)
         if not gen_windows:
             out[key] = UserRepOutcome(eer=None,
                                       skip_reason="no-genuine-test-windows")
             continue
-        imp_pools = attacker_windows(test_group, w, stride=w)
+        imp_pools = attacker_windows("test", w, w)
         if not imp_pools:
             out[key] = UserRepOutcome(eer=None,
                                       skip_reason="no-impostor-windows")
@@ -276,12 +284,12 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
             # learned aggregators need their own balanced training windows
             train_w_rng = _rng(np.random.SeedSequence(
                 entropy=entropy_train_w, spawn_key=(m_idx, w)))
-            gen_train = window_slices(train_labels, w, stride=1)
+            gen_train = genuine_windows("train", w, 1)
             if not gen_train:
                 out[key] = UserRepOutcome(
                     eer=None, skip_reason="no-genuine-train-windows")
                 continue
-            fit_pools = attacker_windows(train_group, w, stride=1)
+            fit_pools = attacker_windows("train", w, 1)
             if not fit_pools:
                 out[key] = UserRepOutcome(
                     eer=None, skip_reason="no-impostor-train-windows")
@@ -374,9 +382,9 @@ class CellSummary:
 
 
 def summarize_cell(spec: AggregationSpec,
-                   per_user: dict[str, list[float | None]]) -> CellSummary:
+                   per_user: dict[str, list[float | None]],
+                   skip_reasons: dict[str, int]) -> CellSummary:
     user_means = {}
-    skip_reasons: dict[str, int] = {}
     for uid, eers in per_user.items():
         valid = [e for e in eers if e is not None]
         if valid:
@@ -415,9 +423,5 @@ def run_experiment(table: FeatureTable, classifier_spec: ClassifierSpec,
                 if outcome.skipped:
                     reason = outcome.skip_reason or "unknown"
                     reasons[key][reason] = reasons[key].get(reason, 0) + 1
-    out = {}
-    for spec, key in zip(aggregation_specs, keys):
-        summary = summarize_cell(spec, per_key[key])
-        summary.skip_reasons = reasons[key]
-        out[key] = summary
-    return out
+    return {key: summarize_cell(spec, per_key[key], reasons[key])
+            for spec, key in zip(aggregation_specs, keys)}

@@ -2,8 +2,13 @@
 
 Single-feature input sequence, one LSTM layer (sigmoid gates, tanh cell),
 dense sigmoid head on the final hidden state. Trained with Adam on binary
-cross-entropy via full backpropagation through time. Parameters are
-exposed as a flat vector for finite-difference gradient checks.
+cross-entropy via full backpropagation through time, with the mini-batch
+loop and optimizer the MLP uses.
+
+All parameters live in one flat float64 buffer, ``net.params``: ``Wx``
+(4H), ``Wh`` (H x 4H, row-major), ``bias`` (4H), ``w_out`` (H) and
+``b_out`` (1). The arrays are views into it and ``b_out`` reads as a
+float. ``backward`` returns a gradient in the same layout.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers.base import rng_from_seed
-from .classifiers.neural import AdamState, _sigmoid, _softplus
+from .classifiers.neural import (Adam, _sigmoid, _softplus, flat_buffer,
+                                 train_minibatch)
 from .errors import InconsistentSequenceLength, TooFewSamples
 
 
@@ -51,36 +57,34 @@ class LstmStacker:
     def __init__(self, hidden: int, rng: np.random.Generator | None = None):
         self.hidden = hidden
         H = hidden
+        self.params, (self.Wx, self.Wh, self.bias, self.w_out, _) = \
+            self._buffer()
         if rng is not None:
             lim_x = np.sqrt(6.0 / (1 + 4 * H))
             lim_h = np.sqrt(6.0 / (H + 4 * H))
             lim_d = np.sqrt(6.0 / (H + 1))
-            self.Wx = rng.uniform(-lim_x, lim_x, size=4 * H)
-            self.Wh = rng.uniform(-lim_h, lim_h, size=(H, 4 * H))
-            self.w_out = rng.uniform(-lim_d, lim_d, size=H)
-        else:
-            self.Wx = np.zeros(4 * H)
-            self.Wh = np.zeros((H, 4 * H))
-            self.w_out = np.zeros(H)
-        self.bias = np.zeros(4 * H)
+            self.Wx[:] = rng.uniform(-lim_x, lim_x, size=4 * H)
+            self.Wh[:] = rng.uniform(-lim_h, lim_h, size=(H, 4 * H))
+            self.w_out[:] = rng.uniform(-lim_d, lim_d, size=H)
         self.bias[H:2 * H] = 1.0   # forget gate opens by default
-        self.b_out = 0.0
 
-    # -- flat parameter vector ----------------------------------------------
+    @property
+    def b_out(self) -> float:
+        return float(self.params[-1])
+
+    # -- the flat parameter buffer --------------------------------------------
+
+    def _buffer(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """A zeroed buffer laid out like ``params`` and its views Wx, Wh,
+        bias, w_out and b_out."""
+        H = self.hidden
+        return flat_buffer([(4 * H,), (H, 4 * H), (4 * H,), (H,), (1,)])
 
     def param_vector(self) -> np.ndarray:
-        return np.concatenate([self.Wx, self.Wh.ravel(), self.bias,
-                               self.w_out, [self.b_out]])
+        return self.params.copy()
 
     def set_param_vector(self, v: np.ndarray) -> None:
-        H = self.hidden
-        pos = 0
-        self.Wx = v[pos:pos + 4 * H].copy(); pos += 4 * H
-        self.Wh = v[pos:pos + 4 * H * H].reshape(H, 4 * H).copy(); pos += 4 * H * H
-        self.bias = v[pos:pos + 4 * H].copy(); pos += 4 * H
-        self.w_out = v[pos:pos + H].copy(); pos += H
-        self.b_out = float(v[pos]); pos += 1
-        assert pos == len(v)
+        self.params[:] = v
 
     # -- forward / backward --------------------------------------------------
 
@@ -110,18 +114,16 @@ class LstmStacker:
 
     def backward(self, caches: list[dict], z: np.ndarray, y: np.ndarray
                  ) -> np.ndarray:
-        """Flat gradient of mean BCE over the batch."""
+        """Flat gradient of mean BCE over the batch, laid out like
+        ``params``."""
         B = len(y)
         H = self.hidden
+        grad, (dWx, dWh, dbias, d_w_out, d_b_out) = self._buffer()
         dz = (_sigmoid(z) - y) / B
-        h_final = caches[-1]["h_final"]
-        d_w_out = h_final.T @ dz
-        d_b_out = float(dz.sum())
+        d_w_out[:] = caches[-1]["h_final"].T @ dz
+        d_b_out[0] = dz.sum()
         dh = dz[:, None] * self.w_out[None, :]
         dc = np.zeros((B, H))
-        dWx = np.zeros(4 * H)
-        dWh = np.zeros((H, 4 * H))
-        dbias = np.zeros(4 * H)
         for cache in reversed(caches[:-1]):
             i, f, g, o = cache["i"], cache["f"], cache["g"], cache["o"]
             tanh_c = cache["tanh_c"]
@@ -140,7 +142,7 @@ class LstmStacker:
             dbias += dpre.sum(axis=0)
             dh = dpre @ self.Wh.T
             dc = dc * f
-        return np.concatenate([dWx, dWh.ravel(), dbias, d_w_out, [d_b_out]])
+        return grad
 
     def loss_and_grad(self, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         z, caches = self.forward(X)
@@ -159,11 +161,9 @@ class LstmStacker:
     @classmethod
     def from_state(cls, state: dict) -> "LstmStacker":
         net = cls(int(state["hidden"]), rng=None)
-        net.Wx = np.array(state["Wx"], dtype=float)
-        net.Wh = np.array(state["Wh"], dtype=float)
-        net.bias = np.array(state["bias"], dtype=float)
-        net.w_out = np.array(state["w_out"], dtype=float)
-        net.b_out = float(state["b_out"])
+        for key in ("Wx", "Wh", "bias", "w_out"):
+            getattr(net, key)[:] = state[key]
+        net.params[-1] = float(state["b_out"])
         return net
 
 
@@ -189,21 +189,14 @@ def train_stacker(sequences, labels, spec: StackerSpec = StackerSpec()
         raise TooFewSamples("stacker training needs >= 2 sequences")
     rng = rng_from_seed(spec.seed)
     net = LstmStacker(spec.hidden, rng=rng)
-    params_shapes = [net.param_vector()]
-    adam = AdamState(params_shapes)
-    vec = net.param_vector()
-    n = len(y)
-    for _ in range(spec.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, spec.batch_size):
-            idx = order[start:start + spec.batch_size]
-            net.set_param_vector(vec)
-            _, grad = net.loss_and_grad(X[idx], y[idx])
-            holder = [vec]
-            adam.step(holder, [grad], spec.lr, spec.beta1, spec.beta2,
-                      spec.adam_eps)
-            vec = holder[0]
-    net.set_param_vector(vec)
+
+    def batch_grad(idx: np.ndarray) -> np.ndarray:
+        z, caches = net.forward(X[idx])
+        return net.backward(caches, z, y[idx])
+
+    adam = Adam(net.params, spec.lr, spec.beta1, spec.beta2, spec.adam_eps)
+    train_minibatch(adam, len(y), rng, spec.epochs, spec.batch_size,
+                    batch_grad)
     return net
 
 

@@ -337,7 +337,7 @@ def test_summarize_cell_two_level_mean():
         "b": [0.3, None],         # mean 0.3 over the valid entry
         "c": [None, None],        # skipped entirely
     }
-    cell = summarize_cell(spec, per_user)
+    cell = summarize_cell(spec, per_user, {"too-few-sessions": 2})
     assert cell.user_means == pytest.approx({"a": 0.15, "b": 0.3})
     assert cell.mean_eer == pytest.approx((0.15 + 0.3) / 2)
     assert cell.std_eer == pytest.approx(abs(0.3 - 0.15) / 2)
@@ -345,10 +345,12 @@ def test_summarize_cell_two_level_mean():
     assert cell.n_users_skipped == 1
     d = cell.as_dict()
     assert d["aggregation"] == {"method": "mean", "window": 3}
+    assert d["skip_reasons"] == {"too-few-sessions": 2}
 
 
 def test_summarize_cell_all_skipped():
-    cell = summarize_cell(AggregationSpec("mean", 3), {"a": [None]})
+    cell = summarize_cell(AggregationSpec("mean", 3), {"a": [None]},
+                          {"no-genuine-test-windows": 1})
     assert cell.mean_eer is None and cell.std_eer is None
     assert cell.n_users_evaluated == 0
 
