@@ -4,6 +4,12 @@ Standard construction: each tree isolates a subsample with uniformly random
 axis-aligned splits up to depth ceil(log2(subsample)); the anomaly score is
 2^(-E[path length]/c(subsample)). Genuineness = 1 - anomaly, min-max
 normalized against the training rows and clamped to [0, 1].
+
+The trees are ``tree.TreeArrays`` grown by ``tree.grow`` with the random
+split rule below, so each node's ``value`` is its row count (stored under
+the payload key "size"). A row's path length is its leaf's depth plus
+c(leaf size); that sum is computed for every node once per tree, and
+scoring reads it at the leaves ``TreeArrays.leaves`` returns.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import numpy as np
 from ..errors import TooFewSamples
 from .base import (ClassifierSpec, Standardizer, TrainedModel,
                    check_training_inputs, register_model)
+from .tree import TreeArrays, grow
 
 _EULER = 0.5772156649015329
 
@@ -29,83 +36,34 @@ def average_path_length(n: int) -> float:
     return 2.0 * h - 2.0 * (n - 1.0) / n
 
 
-class IsolationTree:
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.size: list[int] = []
+def random_split(Z: np.ndarray, rng: np.random.Generator, depth_limit: int):
+    """Isolation split rule for grow(): a uniformly random usable feature
+    (integers drawn first), then a uniform threshold in its range. A node's
+    value is its row count."""
+    def split(rows, depth):
+        if len(rows) <= 1 or depth >= depth_limit:
+            return len(rows), None
+        block = Z[rows]
+        lo = block.min(axis=0)
+        hi = block.max(axis=0)
+        usable = np.flatnonzero(hi > lo)
+        if usable.size == 0:
+            return len(rows), None
+        f = int(usable[rng.integers(len(usable))])
+        return len(rows), (f, float(rng.uniform(lo[f], hi[f])))
 
-    def _add(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.size.append(0)
-        return len(self.feature) - 1
+    return split
 
-    @classmethod
-    def grow(cls, Z: np.ndarray, rng: np.random.Generator,
-             depth_limit: int) -> "IsolationTree":
-        tree = cls()
-        root = tree._add()
-        stack = [(root, np.arange(len(Z)), 0)]
-        while stack:
-            node, idx, depth = stack.pop()
-            tree.size[node] = len(idx)
-            if len(idx) <= 1 or depth >= depth_limit:
-                continue
-            block = Z[idx]
-            lo = block.min(axis=0)
-            hi = block.max(axis=0)
-            usable = np.flatnonzero(hi > lo)
-            if usable.size == 0:
-                continue
-            f = int(usable[rng.integers(len(usable))])
-            thr = float(rng.uniform(lo[f], hi[f]))
-            go_left = block[:, f] <= thr
-            if not go_left.any() or go_left.all():
-                continue
-            tree.feature[node] = f
-            tree.threshold[node] = thr
-            left = tree._add()
-            right = tree._add()
-            tree.left[node] = left
-            tree.right[node] = right
-            stack.append((left, idx[go_left], depth + 1))
-            stack.append((right, idx[~go_left], depth + 1))
-        return tree
 
-    def path_lengths(self, Z: np.ndarray) -> np.ndarray:
-        out = np.empty(len(Z))
-        stack = [(0, np.arange(len(Z)), 0)]
-        while stack:
-            node, idx, depth = stack.pop()
-            if idx.size == 0:
-                continue
-            f = self.feature[node]
-            if f < 0:
-                out[idx] = depth + average_path_length(self.size[node])
-            else:
-                go_left = Z[idx, f] <= self.threshold[node]
-                stack.append((self.left[node], idx[go_left], depth + 1))
-                stack.append((self.right[node], idx[~go_left], depth + 1))
-        return out
-
-    def as_dict(self) -> dict:
-        return {"feature": self.feature, "threshold": self.threshold,
-                "left": self.left, "right": self.right, "size": self.size}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IsolationTree":
-        t = cls()
-        t.feature = [int(v) for v in d["feature"]]
-        t.threshold = [float(v) for v in d["threshold"]]
-        t.left = [int(v) for v in d["left"]]
-        t.right = [int(v) for v in d["right"]]
-        t.size = [int(v) for v in d["size"]]
-        return t
+def node_path_lengths(tree: TreeArrays) -> np.ndarray:
+    """depth + c(size) of every node, in float64. Relies on grow() adding
+    each node's children after the node itself."""
+    depth = [0] * len(tree.feature)
+    for node, f in enumerate(tree.feature):
+        if f >= 0:
+            depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+    return np.array([d + average_path_length(n)
+                     for d, n in zip(depth, tree.value)])
 
 
 @register_model("isolation_forest")
@@ -113,6 +71,7 @@ class IsolationForestModel(TrainedModel):
     def __init__(self, spec, standardizer, n_features, trees, psi, lo, hi):
         super().__init__(spec, standardizer, n_features)
         self.trees = trees
+        self.paths = [node_path_lengths(t) for t in trees]
         self.psi = psi
         self.lo = lo
         self.hi = hi
@@ -137,8 +96,8 @@ class IsolationForestModel(TrainedModel):
         trees = []
         for ss in seeds:
             rng = np.random.Generator(np.random.PCG64(ss))
-            sub = rng.choice(n, size=psi, replace=False)
-            trees.append(IsolationTree.grow(Z[sub], rng, depth_limit))
+            sample = Z[rng.choice(n, size=psi, replace=False)]
+            trees.append(grow(sample, random_split(sample, rng, depth_limit)))
         model = cls(spec, std, X.shape[1], trees, psi, 0.0, 1.0)
         raw = model._genuineness(Z)
         model.lo = float(raw.min())
@@ -147,8 +106,8 @@ class IsolationForestModel(TrainedModel):
 
     def _genuineness(self, Z: np.ndarray) -> np.ndarray:
         depths = np.zeros(len(Z))
-        for tree in self.trees:
-            depths += tree.path_lengths(Z)
+        for tree, paths in zip(self.trees, self.paths):
+            depths += paths[tree.leaves(Z)]
         mean_depth = depths / len(self.trees)
         anomaly = np.power(2.0, -mean_depth / average_path_length(self.psi))
         return 1.0 - anomaly
@@ -160,11 +119,12 @@ class IsolationForestModel(TrainedModel):
         return np.clip((raw - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def _payload(self) -> dict:
-        return {"trees": [t.as_dict() for t in self.trees], "psi": self.psi,
-                "lo": self.lo, "hi": self.hi}
+        return {"trees": [t.as_dict("size") for t in self.trees],
+                "psi": self.psi, "lo": self.lo, "hi": self.hi}
 
     @classmethod
     def _from_payload(cls, spec, standardizer, n_features, payload):
         return cls(spec, standardizer, n_features,
-                   [IsolationTree.from_dict(t) for t in payload["trees"]],
+                   [TreeArrays.from_dict(t, "size", int)
+                    for t in payload["trees"]],
                    int(payload["psi"]), payload["lo"], payload["hi"])

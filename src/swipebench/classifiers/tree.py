@@ -1,10 +1,20 @@
-"""CART decision trees (gini splits) for the binary genuine/impostor task.
+"""Trees: the one node store, grow loop and descent, and CART on top.
 
-Split search is exhaustive over midpoints between distinct sorted values.
-Ties resolve deterministically: candidate features are visited in ascending
-index order and only strict improvements replace the incumbent, so the
-lowest feature index (and within a feature the lowest threshold) wins.
-Leaves predict their genuine-class fraction.
+Every tree kind (decision tree, random forest, isolation forest) is a
+``TreeArrays``: flat ``feature``, ``threshold``, ``left`` and ``right``
+lists, where feature == -1 marks a leaf, plus one per-node ``value``. In a
+CART tree ``value`` is the node's genuine fraction (payload key "value",
+floats); in an isolation tree it is the node's row count (payload key
+"size", ints). ``grow(Z, split)`` builds any kind depth first and asks a
+kind-specific ``split(rows, depth)`` for each node's value and cut;
+``TreeArrays.leaves(Z)`` returns each row's leaf node. Rows with
+Z[:, feature] <= threshold go left.
+
+CART split search is exhaustive over midpoints between distinct sorted
+values. Ties resolve deterministically: candidate features are visited in
+ascending index order and only strict improvements replace the incumbent,
+so the lowest feature index (and within a feature the lowest threshold)
+wins. Decision trees and random forests score a row by its leaf's value.
 """
 
 from __future__ import annotations
@@ -12,59 +22,81 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (ClassifierSpec, Standardizer, TrainedModel,
-                   check_training_inputs, register_model, rng_from_seed)
+                   check_training_inputs, register_model)
 
 
 class TreeArrays:
-    """Flat node storage: feature == -1 marks a leaf."""
+    """Flat node store: feature == -1 marks a leaf; value is per kind."""
 
     def __init__(self):
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
         self.right: list[int] = []
-        self.value: list[float] = []
+        self.value: list = []
 
     def add(self) -> int:
         self.feature.append(-1)
         self.threshold.append(0.0)
         self.left.append(-1)
         self.right.append(-1)
-        self.value.append(0.0)
+        self.value.append(0)
         return len(self.feature) - 1
 
-    def predict(self, Z: np.ndarray) -> np.ndarray:
-        out = np.empty(len(Z))
-        if not self.feature:
-            out[:] = 0.5
-            return out
+    def leaves(self, Z: np.ndarray) -> np.ndarray:
+        """Leaf node of every row, walking each node's rows at once."""
+        leaf = np.empty(len(Z), dtype=np.intp)
         stack = [(0, np.arange(len(Z)))]
         while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
+            node, rows = stack.pop()
+            if rows.size == 0:
                 continue
             f = self.feature[node]
             if f < 0:
-                out[idx] = self.value[node]
+                leaf[rows] = node
             else:
-                go_left = Z[idx, f] <= self.threshold[node]
-                stack.append((self.left[node], idx[go_left]))
-                stack.append((self.right[node], idx[~go_left]))
-        return out
+                go_left = Z[rows, f] <= self.threshold[node]
+                stack.append((self.left[node], rows[go_left]))
+                stack.append((self.right[node], rows[~go_left]))
+        return leaf
 
-    def as_dict(self) -> dict:
+    def as_dict(self, key: str = "value") -> dict:
         return {"feature": self.feature, "threshold": self.threshold,
-                "left": self.left, "right": self.right, "value": self.value}
+                "left": self.left, "right": self.right, key: self.value}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TreeArrays":
+    def from_dict(cls, d: dict, key: str = "value", cast=float) -> "TreeArrays":
         t = cls()
         t.feature = [int(v) for v in d["feature"]]
         t.threshold = [float(v) for v in d["threshold"]]
         t.left = [int(v) for v in d["left"]]
         t.right = [int(v) for v in d["right"]]
-        t.value = [float(v) for v in d["value"]]
+        t.value = [cast(v) for v in d[key]]
         return t
+
+
+def grow(Z: np.ndarray, split) -> TreeArrays:
+    """Grow a tree over the rows of Z depth first. split(rows, depth)
+    returns the node's value and its (feature, threshold), or None for a
+    leaf. Left is pushed before right, so right is grown first."""
+    tree = TreeArrays()
+    stack = [(tree.add(), np.arange(len(Z)), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        tree.value[node], cut = split(rows, depth)
+        if cut is None:
+            continue
+        f, thr = cut
+        go_left = Z[rows, f] <= thr
+        if not go_left.any() or go_left.all():
+            continue
+        tree.feature[node] = f
+        tree.threshold[node] = thr
+        tree.left[node] = left = tree.add()
+        tree.right[node] = right = tree.add()
+        stack.append((left, rows[go_left], depth + 1))
+        stack.append((right, rows[~go_left], depth + 1))
+    return tree
 
 
 def _best_split(Z: np.ndarray, y: np.ndarray, candidates) -> tuple[int, float] | None:
@@ -99,38 +131,23 @@ def _best_split(Z: np.ndarray, y: np.ndarray, candidates) -> tuple[int, float] |
 def grow_tree(Z: np.ndarray, y: np.ndarray, max_depth: int | None,
               max_features: int | None,
               rng: np.random.Generator | None) -> TreeArrays:
+    """CART tree; each node's value is its genuine fraction. Candidate
+    features are drawn only after the stop checks."""
     d = Z.shape[1]
-    tree = TreeArrays()
-    root = tree.add()
-    stack = [(root, np.arange(len(y)), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        yn = y[idx]
+
+    def split(rows, depth):
+        yn = y[rows]
         mean = float(yn.mean())
-        tree.value[node] = mean
-        if (mean == 0.0 or mean == 1.0 or len(idx) < 2
+        if (mean == 0.0 or mean == 1.0 or len(rows) < 2
                 or (max_depth is not None and depth >= max_depth)):
-            continue
+            return mean, None
         if max_features is not None and max_features < d:
             candidates = np.sort(rng.choice(d, size=max_features, replace=False))
         else:
             candidates = np.arange(d)
-        found = _best_split(Z[idx], yn, candidates)
-        if found is None:
-            continue
-        f, thr = found
-        go_left = Z[idx, f] <= thr
-        if not go_left.any() or go_left.all():
-            continue
-        tree.feature[node] = f
-        tree.threshold[node] = thr
-        left = tree.add()
-        right = tree.add()
-        tree.left[node] = left
-        tree.right[node] = right
-        stack.append((left, idx[go_left], depth + 1))
-        stack.append((right, idx[~go_left], depth + 1))
-    return tree
+        return mean, _best_split(Z[rows], yn, candidates)
+
+    return grow(Z, split)
 
 
 @register_model("decision_tree")
@@ -148,7 +165,7 @@ class DecisionTreeModel(TrainedModel):
         return cls(spec, std, X.shape[1], tree)
 
     def _score_std(self, Z: np.ndarray) -> np.ndarray:
-        return self.tree.predict(Z)
+        return np.asarray(self.tree.value)[self.tree.leaves(Z)]
 
     def _payload(self) -> dict:
         return {"tree": self.tree.as_dict()}
@@ -190,7 +207,7 @@ class RandomForestModel(TrainedModel):
     def _score_std(self, Z: np.ndarray) -> np.ndarray:
         acc = np.zeros(len(Z))
         for tree in self.trees:
-            acc += tree.predict(Z)
+            acc += np.asarray(tree.value)[tree.leaves(Z)]
         return acc / len(self.trees)
 
     def _payload(self) -> dict:
@@ -200,9 +217,3 @@ class RandomForestModel(TrainedModel):
     def _from_payload(cls, spec, standardizer, n_features, payload):
         return cls(spec, standardizer, n_features,
                    [TreeArrays.from_dict(t) for t in payload["trees"]])
-
-
-# rng_from_seed is re-exported for the isolation forest, which shares the
-# per-tree seeding pattern.
-__all__ = ["TreeArrays", "grow_tree", "DecisionTreeModel", "RandomForestModel",
-           "rng_from_seed"]

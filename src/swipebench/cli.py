@@ -8,7 +8,8 @@ Verbs:
   matrix    experiment config with grids -> full comparison matrix
   synth     generate a synthetic dataset
 
-Exit codes: 0 success, 2 configuration error, 3 data error,
+Exit codes: 0 success, 2 configuration error, 3 data error (any other
+toolkit error too, e.g. a single user where selection needs two),
 4 completed with failed matrix cells.
 """
 
@@ -19,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, SwipebenchError
 from .experiments import emit_plots, load_config, run_matrix, write_report
 from .features.extract import (build_feature_table, export_table_csv,
                                export_table_json)
@@ -197,7 +198,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as err:
+    except SwipebenchError as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -39,7 +39,7 @@ from pathlib import Path
 
 from .aggregation import AggregationSpec
 from .classifiers import ClassifierSpec
-from .errors import ConfigError, DataError
+from .errors import ConfigError, SwipebenchError
 from .features.catalog import STUDY_SETS, resolve_feature_ids
 from .features.extract import FeatureTable, build_feature_table
 from .ingest import load_canonical
@@ -284,14 +284,14 @@ def run_matrix(cfg: ExperimentConfig, workers: int | None = None,
                 fs, clf = futures[fut]
                 try:
                     results[(fs, clf)] = fut.result()
-                except (ConfigError, DataError) as err:
+                except SwipebenchError as err:
                     results[(fs, clf)] = err
     else:
         for fs, clf, table, spec in tasks:
             try:
                 results[(fs, clf)] = _cell_task(table, spec,
                                                 cfg.aggregations, cfg.protocol)
-            except (ConfigError, DataError) as err:
+            except SwipebenchError as err:
                 results[(fs, clf)] = err
 
     cells: dict[str, dict[str, dict]] = {}

@@ -116,6 +116,24 @@ def test_select_across_datasets(tmp_path, capsys):
     assert "selected" in capsys.readouterr().out
 
 
+def test_select_single_user_inputs_is_a_data_error(tmp_path, capsys):
+    """Each file holds one user, so ANOVA has one group: exit 3, no trace."""
+    lines = synth_file(tmp_path).read_text().splitlines()
+    paths = []
+    for user in ("u00", "u01"):
+        path = tmp_path / f"{user}.csv"
+        path.write_text("\n".join([lines[0]] + [
+            line for line in lines[1:] if line.split(",")[1] == user]) + "\n")
+        paths.append(str(path))
+    capsys.readouterr()
+    rc = main(["select", "--inputs", *paths, "--out",
+               str(tmp_path / "sel.json")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_evaluate_single_cell(tmp_path, capsys):
     src = synth_file(tmp_path)
     out_dir = tmp_path / "run"

@@ -6,7 +6,7 @@ import pytest
 
 import swipebench.experiments as experiments
 from swipebench.classifiers import ClassifierSpec
-from swipebench.errors import ConfigError, DataError
+from swipebench.errors import ConfigError, DataError, TooFewSamples
 from swipebench.experiments import (MatrixReport, aggregation_row_csv,
                                     anova_default_ids, load_config,
                                     load_experiment_dataset, matrix_csv,
@@ -209,12 +209,13 @@ def test_workers_match_serial(small_report):
         without_timing(small_report.report)
 
 
-def test_cell_failures_are_recorded(monkeypatch):
+@pytest.mark.parametrize("error", [DataError, TooFewSamples])
+def test_cell_failures_are_recorded(monkeypatch, error):
     real = experiments._cell_task
 
     def flaky(table, spec, aggregations, protocol):
         if spec.kind == "knn":
-            raise DataError("injected failure")
+            raise error("injected failure")
         return real(table, spec, aggregations, protocol)
 
     monkeypatch.setattr(experiments, "_cell_task", flaky)
@@ -224,7 +225,7 @@ def test_cell_failures_are_recorded(monkeypatch):
             for f in result.report["failures"]} == \
         {("frank2013", "knn"), ("custom1", "knn")}
     cell = result.report["cells"]["frank2013"]["knn"]
-    assert cell == {"error": "DataError: injected failure"}
+    assert cell == {"error": f"{error.__name__}: injected failure"}
     view = result.report["matrices"]["none-w1"]
     assert view["cells"]["frank2013"]["knn"] is None
     assert view["col_means"]["knn"] is None
