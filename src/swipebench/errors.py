@@ -81,3 +81,7 @@ class EmptyGroup(SwipebenchError):
 
 class EmptyScores(SwipebenchError):
     pass
+
+
+class NonFiniteScores(SwipebenchError):
+    """A score is NaN or infinite, e.g. from a diverged model."""

@@ -21,32 +21,27 @@ from .catalog import ALL_IDS, FEATURE_COUNT, resolve_feature_ids
 from .kinematics import KinematicSeries, compute_kinematics
 
 
-def sample_skewness(a: np.ndarray) -> tuple[float, bool]:
-    """Bias-uncorrected moment skewness; needs >= 3 observations.
-    A zero-variance series is defined as 0."""
-    if len(a) < 3:
-        return 0.0, False
+def skew_kurtosis(a: np.ndarray) -> tuple[float, bool, float, bool]:
+    """Bias-uncorrected moment skewness and excess kurtosis from one
+    centring, as (skew, defined, kurtosis, defined). Skewness needs >= 3
+    observations and kurtosis >= 4; a zero-variance series has both
+    defined as 0."""
+    n = len(a)
+    if n < 3:
+        return 0.0, False, 0.0, False
     d = a - a.mean()
     m2 = float(np.mean(d * d))
     if m2 == 0.0:
-        return 0.0, True
-    return float(np.mean(d ** 3) / m2 ** 1.5), True
-
-
-def sample_kurtosis(a: np.ndarray) -> tuple[float, bool]:
-    """Bias-uncorrected excess kurtosis; needs >= 4 observations.
-    A zero-variance series is defined as 0."""
-    if len(a) < 4:
-        return 0.0, False
-    d = a - a.mean()
-    m2 = float(np.mean(d * d))
-    if m2 == 0.0:
-        return 0.0, True
-    return float(np.mean(d ** 4) / (m2 * m2) - 3.0), True
+        return 0.0, True, 0.0, n >= 4
+    skew = float(np.mean(d ** 3) / m2 ** 1.5)
+    if n < 4:
+        return skew, True, 0.0, False
+    return skew, True, float(np.mean(d ** 4) / (m2 * m2) - 3.0), True
 
 
 def _iqr(a: np.ndarray) -> float:
-    return float(np.percentile(a, 75) - np.percentile(a, 25))
+    q25, q75 = np.percentile(a, [25, 75])
+    return float(q75 - q25)
 
 
 @dataclass
@@ -93,6 +88,12 @@ def extract_features(swipe: Swipe, prev_end_ms: int | None = None) -> FeatureVec
         else:
             vals[fid - 1] = v
 
+    def put_shape(fid: int, series: np.ndarray) -> None:
+        """Skewness at fid, excess kurtosis at fid + 1."""
+        skew, skew_ok, kurt, kurt_ok = skew_kurtosis(series)
+        put(fid, skew, skew_ok)
+        put(fid + 1, kurt, kurt_ok)
+
     chord_dx = float(xs[-1] - xs[0])
     chord_dy = float(ys[-1] - ys[0])
     chord_len = math.hypot(chord_dx, chord_dy)
@@ -114,7 +115,9 @@ def extract_features(swipe: Swipe, prev_end_ms: int | None = None) -> FeatureVec
         put(10, 0.0, defined=False)
     else:
         put(10, float(t[0]) - prev_end_ms)
-    put(11, float(np.hypot(np.mean(np.cos(ph)), np.mean(np.sin(ph)))))
+    cos_mean = float(np.mean(np.cos(ph)))
+    sin_mean = float(np.mean(np.sin(ph)))
+    put(11, float(np.hypot(cos_mean, sin_mean)))
 
     k5 = min(5, n)
     put(12, float(np.median(acc[:k5 - 2])))
@@ -132,15 +135,20 @@ def extract_features(swipe: Swipe, prev_end_ms: int | None = None) -> FeatureVec
         sector = 2  # left
     put(15, float(sector))
     put(16, direct_angle)
-    put(17, math.atan2(float(np.mean(np.sin(ph))), float(np.mean(np.cos(ph)))))
+    put(17, math.atan2(sin_mean, cos_mean))
     put(18, chord_len / traj_len if traj_len > 0 else 0.0, defined=traj_len > 0)
 
-    for fid, q in ((19, 20), (20, 50), (21, 80)):
-        put(fid, float(np.percentile(vel, q)))
-    for fid, q in ((22, 20), (23, 50), (24, 80)):
-        put(fid, float(np.percentile(acc, q)))
-    for fid, q in ((25, 20), (26, 50), (27, 80)):
-        put(fid, float(np.percentile(dev, q)))
+    # One percentile call per series. Ids 20, 23 and 26 are 50th
+    # percentiles, which can differ from np.median in the last bit.
+    vel_q = np.percentile(vel, [20, 25, 50, 75, 80])
+    acc_q = np.percentile(acc, [20, 25, 50, 75, 80])
+    dev_q = np.percentile(dev, [20, 25, 50, 75, 80])
+    pr_q = np.percentile(pr, [25, 75])
+    ar_q = np.percentile(ar, [25, 75])
+    for base, q in ((19, vel_q), (22, acc_q), (25, dev_q)):
+        put(base, q[0])
+        put(base + 1, q[2])
+        put(base + 2, q[4])
     put(28, float(dev.max()))
 
     put(29, pr[0])
@@ -175,10 +183,10 @@ def extract_features(swipe: Swipe, prev_end_ms: int | None = None) -> FeatureVec
     put(41, float(ar.std()))
     put(42, float(vel.std()))
     put(43, float(acc.std()))
-    for fid, series in ((44, pr), (45, ar), (46, vel), (47, acc)):
-        put(fid, float(np.percentile(series, 25)))
-    for fid, series in ((48, pr), (49, ar), (50, vel), (51, acc)):
-        put(fid, float(np.percentile(series, 75)))
+    for fid, (q25, q75) in ((44, pr_q), (45, ar_q), (46, vel_q[[1, 3]]),
+                            (47, acc_q[[1, 3]])):
+        put(fid, q25)
+        put(fid + 4, q75)
 
     e1 = int(np.argmax(np.hypot(xs - xs[0], ys - ys[0])))
     e2 = int(np.argmax(np.hypot(xs - xs[-1], ys - ys[-1])))
@@ -214,13 +222,11 @@ def extract_features(swipe: Swipe, prev_end_ms: int | None = None) -> FeatureVec
     put(77, chord_len / traj_len if traj_len > 0 else 0.0, defined=traj_len > 0)
     put(78, float(np.median(seg)))
     put(79, _iqr(seg))
-    put(80, *sample_skewness(seg))
-    put(81, *sample_kurtosis(seg))
+    put_shape(80, seg)
     put(82, float(dev.mean()))
     put(83, float(dev.std()))
-    put(84, _iqr(dev))
-    put(85, *sample_skewness(dev))
-    put(86, *sample_kurtosis(dev))
+    put(84, dev_q[3] - dev_q[1])
+    put_shape(85, dev)
 
     for base, series in ((87, pa), (93, ph)):
         put(base, float(series.mean()) if len(series) else 0.0, defined=len(series) > 0)
@@ -229,27 +235,22 @@ def extract_features(swipe: Swipe, prev_end_ms: int | None = None) -> FeatureVec
         put(base + 2, float(series.std()) if len(series) else 0.0,
             defined=len(series) > 0)
         put(base + 3, _iqr(series) if len(series) else 0.0, defined=len(series) > 0)
-        put(base + 4, *sample_skewness(series))
-        put(base + 5, *sample_kurtosis(series))
+        put_shape(base + 4, series)
 
     put(99, chord_len / (duration_ms / 1000.0))
-    put(100, _iqr(vel))
-    put(101, *sample_skewness(vel))
-    put(102, *sample_kurtosis(vel))
+    put(100, vel_q[3] - vel_q[1])
+    put_shape(101, vel)
 
     put(103, float(av.mean()) if len(av) else 0.0, defined=len(av) > 0)
     put(104, float(np.median(av)) if len(av) else 0.0, defined=len(av) > 0)
     put(105, float(av.std()) if len(av) else 0.0, defined=len(av) > 0)
     put(106, _iqr(av) if len(av) else 0.0, defined=len(av) > 0)
-    put(107, *sample_skewness(av))
-    put(108, *sample_kurtosis(av))
+    put_shape(107, av)
 
-    put(109, _iqr(acc))
-    put(110, *sample_skewness(acc))
-    put(111, *sample_kurtosis(acc))
-    put(112, _iqr(pr))
-    put(113, *sample_skewness(pr))
-    put(114, *sample_kurtosis(pr))
+    put(109, acc_q[3] - acc_q[1])
+    put_shape(110, acc)
+    put(112, pr_q[1] - pr_q[0])
+    put_shape(113, pr)
 
     put(115, float(pr.min()))
     put(116, float(pr.max()))
@@ -299,12 +300,14 @@ def extract_features(swipe: Swipe, prev_end_ms: int | None = None) -> FeatureVec
     dym = np.abs(ys - ys.mean())
     put(139, float(dxm.max()))
     put(140, float(dym.max()))
-    put(141, float(np.percentile(dxm, 20)))
-    put(142, float(np.percentile(dym, 20)))
+    dxm_q = np.percentile(dxm, [20, 80])
+    dym_q = np.percentile(dym, [20, 80])
+    put(141, dxm_q[0])
+    put(142, dym_q[0])
     put(143, float(np.median(dxm)))
     put(144, float(np.median(dym)))
-    put(145, float(np.percentile(dxm, 80)))
-    put(146, float(np.percentile(dym, 80)))
+    put(145, dxm_q[1])
+    put(146, dym_q[1])
 
     if chord_len > 0:
         put(147, chord_dx / chord_len)
@@ -394,25 +397,30 @@ def export_table_csv(table: FeatureTable) -> str:
     header = ["dataset", "user_id", "session_id", "row"] + [
         f"f{fid}" for fid in table.feature_ids]
     lines = [",".join(header)]
-    for i in range(table.n_rows):
-        cells = [table.dataset_name, table.user_ids[i], table.session_ids[i], str(i)]
-        for j in range(len(table.feature_ids)):
-            cells.append(repr(float(table.X[i, j])) if table.defined[i, j] else "")
+    # one row at a time through tolist(): Python floats repr like the
+    # float64 cells, without holding the whole table as Python objects
+    rows = zip(table.user_ids, table.session_ids, table.X, table.defined)
+    for i, (user_id, session_id, values, defined) in enumerate(rows):
+        cells = [table.dataset_name, user_id, session_id, str(i)]
+        cells += [repr(v) if ok else ""
+                  for v, ok in zip(values.tolist(), defined.tolist())]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def export_table_json(table: FeatureTable) -> dict:
+    keys = [str(fid) for fid in table.feature_ids]
+    ids = [int(fid) for fid in table.feature_ids]
     out = []
-    for i in range(table.n_rows):
+    rows = zip(table.user_ids, table.session_ids, table.X, table.defined)
+    for i, (user_id, session_id, values, defined) in enumerate(rows):
         out.append({
-            "user_id": table.user_ids[i],
-            "session_id": table.session_ids[i],
+            "user_id": user_id,
+            "session_id": session_id,
             "row": i,
-            "values": {str(fid): float(table.X[i, j])
-                       for j, fid in enumerate(table.feature_ids)},
-            "undefined": [int(fid) for j, fid in enumerate(table.feature_ids)
-                          if not table.defined[i, j]],
+            "values": dict(zip(keys, values.tolist())),
+            "undefined": [fid for fid, ok in zip(ids, defined.tolist())
+                          if not ok],
         })
     return {"dataset": table.dataset_name,
             "feature_ids": list(table.feature_ids),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyScores
+from .errors import EmptyScores, NonFiniteScores
 
 
 @dataclass
@@ -39,7 +39,7 @@ def compute_roc(genuine, impostor) -> RocCurve:
     if gen.size == 0 or imp.size == 0:
         raise EmptyScores("both genuine and impostor scores are required")
     if not (np.isfinite(gen).all() and np.isfinite(imp).all()):
-        raise ValueError("scores must be finite")
+        raise NonFiniteScores("scores must be finite")
     lo = min(gen.min(), imp.min()) - 1.0
     hi = max(gen.max(), imp.max()) + 1.0
     thresholds = np.concatenate(

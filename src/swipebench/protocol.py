@@ -30,8 +30,8 @@ import numpy as np
 from .aggregation import (METHODS, AggregationSpec, concat_window,
                           reduce_scores, window_slices)
 from .classifiers import ClassifierSpec, train
-from .errors import (ConfigError, EmptyGroup, TooFewAttackers,
-                     TooFewSessions)
+from .errors import (ConfigError, EmptyGroup, NonFiniteScores,
+                     TooFewAttackers, TooFewSessions)
 from .features.extract import FeatureTable
 from .metrics import eer_from_scores
 from .stacking import stack_score, train_stacker
@@ -162,8 +162,8 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
     variants sharing a single trained base model.
 
     Returns a dict keyed by aggregation_key. Precondition failures
-    (too few sessions or attackers, no full window) come back as
-    skipped outcomes; real errors propagate.
+    (too few sessions or attackers, no full window) and non-finite
+    scores come back as skipped outcomes; real errors propagate.
     """
     keys = [aggregation_key(s) for s in aggregation_specs]
     if len(set(keys)) != len(keys):
@@ -338,7 +338,11 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
             else:
                 raise ConfigError(f"unhandled aggregation {spec.method!r}")
 
-        result = eer_from_scores(genuine, impostor)
+        try:
+            result = eer_from_scores(genuine, impostor)
+        except NonFiniteScores:
+            out[key] = UserRepOutcome(eer=None, skip_reason="non-finite-scores")
+            continue
         out[key] = UserRepOutcome(eer=result.eer, counts=counts)
     return out
 

@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import swipebench.experiments as experiments
 from swipebench.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL,
                             main)
+from swipebench.classifiers.simple import KnnModel
 from swipebench.errors import DataError
 from swipebench.ingest import load_canonical
 
@@ -221,6 +223,22 @@ def test_matrix_partial_failures_exit_code(tmp_path, monkeypatch, capsys):
     rc = main(["matrix", "--config", str(cfg)])
     assert rc == EXIT_PARTIAL
     assert "1 cell(s) failed" in capsys.readouterr().err
+
+
+def test_matrix_non_finite_scores_are_skips(tmp_path, monkeypatch, capsys):
+    src = synth_file(tmp_path)
+    out_dir = tmp_path / "run"
+    cfg = write_doc(tmp_path, experiment_doc(src, out_dir))
+    monkeypatch.setattr(KnnModel, "score",
+                        lambda self, X, defined=None: np.full(len(X), np.nan))
+    assert main(["matrix", "--config", str(cfg)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["failures"] == []
+    cell = report["cells"]["frank2013"]["knn"]
+    for key in ("none-w1", "mean-w2"):
+        assert cell[key]["skip_reasons"] == {"non-finite-scores": 4}
+        assert cell[key]["mean_eer"] is None
 
 
 def test_bad_config_file_exit_code(tmp_path, capsys):

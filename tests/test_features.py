@@ -10,7 +10,11 @@ import pytest
 from helpers import build_swipe, random_swipe
 from oracles import oracle_features
 from swipebench.errors import EmptyMatrix
-from swipebench.features.extract import build_feature_table, extract_features
+from swipebench.features import extract
+from swipebench.features.extract import (build_feature_table,
+                                         export_table_csv, export_table_json,
+                                         extract_features)
+from swipebench.features.kinematics import compute_kinematics
 from swipebench.touchdata import Dataset, Session, UserData
 
 GOLDEN = Path(__file__).parent / "data" / "golden_feature_vector.json"
@@ -171,6 +175,164 @@ def test_feature_vector_accessors():
     vals, defs = fv.take([3, 1, 149])
     assert vals.shape == (3,) and defs.shape == (3,)
     assert vals[0] == fv.value(3) and vals[2] == fv.value(149)
+
+
+# Quantile, IQR and moment ids, read from the series they summarise.
+# These are checked with ==: the 1e-9 oracle comparisons above would not
+# notice a reordering of the arithmetic that moves the last bit.
+QUANTILE_IDS = {
+    19: ("vel", 20), 20: ("vel", 50), 21: ("vel", 80),
+    22: ("acc", 20), 23: ("acc", 50), 24: ("acc", 80),
+    25: ("dev", 20), 26: ("dev", 50), 27: ("dev", 80),
+    44: ("pr", 25), 45: ("ar", 25), 46: ("vel", 25), 47: ("acc", 25),
+    48: ("pr", 75), 49: ("ar", 75), 50: ("vel", 75), 51: ("acc", 75),
+    141: ("dxm", 20), 142: ("dym", 20), 145: ("dxm", 80), 146: ("dym", 80),
+}
+IQR_IDS = {79: "seg", 84: "dev", 90: "pa", 96: "ph", 100: "vel", 106: "av",
+           109: "acc", 112: "pr"}
+# skewness at the id, excess kurtosis at the id + 1
+SHAPE_IDS = {80: "seg", 85: "dev", 91: "pa", 97: "ph", 101: "vel",
+             107: "av", 110: "acc", 113: "pr"}
+
+
+def series_of(swipe):
+    kin = compute_kinematics(swipe)
+    xs, ys = swipe.xs, swipe.ys
+    return {"vel": kin.velocity, "acc": kin.acceleration,
+            "dev": kin.deviation, "seg": kin.seg_len,
+            "pa": kin.pairwise_angle, "ph": kin.phase_angle,
+            "av": kin.angular_velocity,
+            "pr": swipe.pressures, "ar": swipe.areas,
+            "dxm": np.abs(xs - xs.mean()), "dym": np.abs(ys - ys.mean())}
+
+
+def two_pass_skewness(a):
+    if len(a) < 3:
+        return 0.0, False
+    d = a - a.mean()
+    m2 = float(np.mean(d * d))
+    if m2 == 0.0:
+        return 0.0, True
+    return float(np.mean(d ** 3) / m2 ** 1.5), True
+
+
+def two_pass_kurtosis(a):
+    if len(a) < 4:
+        return 0.0, False
+    d = a - a.mean()
+    m2 = float(np.mean(d * d))
+    if m2 == 0.0:
+        return 0.0, True
+    return float(np.mean(d ** 4) / (m2 * m2) - 3.0), True
+
+
+def assert_slot(fv, fid, value, defined=True):
+    """The slot holds exactly value, or is masked to 0 when value is
+    undefined or not finite."""
+    if defined and math.isfinite(value):
+        assert fv.is_defined(fid), fid
+        assert fv.value(fid) == value, fid
+    else:
+        assert not fv.is_defined(fid), fid
+        assert fv.value(fid) == 0.0, fid
+
+
+def degenerate_swipes():
+    t = [0, 20, 40, 60, 80, 100, 120, 140]
+    constant_velocity = build_swipe(t, [10.0 * i for i in range(8)],
+                                    [300.0] * 8)
+    nan_area = build_swipe([0, 15, 30, 50, 64], [0, 10, 25, 45, 50],
+                           [5, 15, 30, 50, 61], [0.2, 0.3, 0.5, 0.4, 0.3],
+                           [0.1, float("nan"), 0.3, 0.2, 0.2])
+    nan_pressure = build_swipe([0, 15, 30, 50, 64], [0, 10, 25, 45, 50],
+                               [5, 15, 30, 50, 61],
+                               [0.2, float("nan"), 0.5, 0.4, 0.3],
+                               [0.1, 0.2, 0.3, 0.2, 0.2])
+    minimum = build_swipe([100, 112, 125, 140], [10.0, 30.0, 55.0, 85.0],
+                          [20.0, 28.0, 31.0, 44.0],
+                          [0.2, 0.4, 0.5, 0.3], [0.1, 0.2, 0.25, 0.15])
+    return [constant_velocity, nan_area, nan_pressure, minimum]
+
+
+def test_quantile_and_moment_ids_are_bitwise_reference_values():
+    rng = np.random.default_rng(FUZZ_SEED)
+    swipes = [random_swipe(rng) for _ in range(N_FUZZED)]
+    swipes += degenerate_swipes()
+    for swipe in swipes:
+        fv = extract_features(swipe)
+        series = series_of(swipe)
+        for fid, (name, q) in QUANTILE_IDS.items():
+            assert_slot(fv, fid, float(np.percentile(series[name], q)))
+        for fid, name in IQR_IDS.items():
+            a = series[name]
+            if len(a):
+                assert_slot(fv, fid, float(np.percentile(a, 75)
+                                           - np.percentile(a, 25)))
+            else:
+                assert_slot(fv, fid, 0.0, defined=False)
+        for fid, name in SHAPE_IDS.items():
+            assert_slot(fv, fid, *two_pass_skewness(series[name]))
+            assert_slot(fv, fid + 1, *two_pass_kurtosis(series[name]))
+
+
+def test_degenerate_quantile_and_moment_paths():
+    constant_velocity, nan_area, nan_pressure, minimum = degenerate_swipes()
+    fv = extract_features(constant_velocity)
+    # zero variance: skewness and kurtosis are defined as 0
+    for fid in (101, 102, 110, 111, 85, 86):
+        assert fv.is_defined(fid) and fv.value(fid) == 0.0, fid
+    assert fv.value(100) == 0.0 and fv.value(20) == 500.0
+    fv = extract_features(nan_area)
+    for fid in (45, 49):
+        assert not fv.is_defined(fid), fid
+    fv = extract_features(nan_pressure)
+    for fid in (44, 48, 112, 113, 114):
+        assert not fv.is_defined(fid), fid
+    fv = extract_features(minimum)
+    # 3 segments: skewness defined, kurtosis not; 2 turn angles: neither
+    assert fv.is_defined(80) and not fv.is_defined(81)
+    for fid in (91, 92, 107, 108):
+        assert not fv.is_defined(fid), fid
+
+
+def test_one_percentile_call_per_series(monkeypatch):
+    calls = []
+    real = np.percentile
+
+    def counting(a, q, *args, **kw):
+        calls.append(a)
+        return real(a, q, *args, **kw)
+
+    monkeypatch.setattr(extract.np, "percentile", counting)
+    swipe = random_swipe(np.random.default_rng(5), n=24)
+    fv = extract_features(swipe, prev_end_ms=swipe.start_ms - 100)
+    assert all(fv.defined)
+    # vel, acc, dev, pr, ar, seg, pa, ph, av and the two centre distances
+    assert len(calls) == 11
+    assert len({id(a) for a in calls}) == 11
+
+
+def test_exports_match_cell_by_cell_reference():
+    table = build_feature_table(make_two_session_dataset())
+    lines = [",".join(["dataset", "user_id", "session_id", "row"]
+                      + [f"f{fid}" for fid in table.feature_ids])]
+    for i in range(table.n_rows):
+        cells = [table.dataset_name, table.user_ids[i], table.session_ids[i],
+                 str(i)]
+        cells += [repr(float(table.X[i, j])) if table.defined[i, j] else ""
+                  for j in range(len(table.feature_ids))]
+        lines.append(",".join(cells))
+    assert export_table_csv(table) == "\n".join(lines) + "\n"
+
+    doc = export_table_json(table)
+    assert doc["feature_ids"] == list(table.feature_ids)
+    for i, row in enumerate(doc["rows"]):
+        assert row["row"] == i and row["user_id"] == table.user_ids[i]
+        assert row["values"] == {str(fid): float(table.X[i, j])
+                                 for j, fid in enumerate(table.feature_ids)}
+        assert row["undefined"] == [
+            fid for j, fid in enumerate(table.feature_ids)
+            if not table.defined[i, j]]
 
 
 def make_two_session_dataset():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_eer, oracle_roc
+from swipebench.errors import NonFiniteScores
 from swipebench.metrics import compute_eer, compute_roc, eer_from_scores
 
 N_FUZZED = 100
@@ -89,6 +90,14 @@ def test_interpolated_crossing():
     eer_o, thr_o = oracle_eer(g, i)
     assert res.eer == pytest.approx(eer_o, abs=1e-12)
     assert 0.0 < res.eer < 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_roc_rejects_non_finite_scores(bad):
+    with pytest.raises(NonFiniteScores):
+        compute_roc([0.2, bad], [0.5])
+    with pytest.raises(NonFiniteScores):
+        eer_from_scores([0.2], [bad, 0.5])
 
 
 def test_roc_rejects_empty_sides():

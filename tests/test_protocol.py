@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import dataset_from_sessions, random_swipe
 from swipebench.aggregation import AggregationSpec
 from swipebench.classifiers import ClassifierSpec
+from swipebench.classifiers.simple import KnnModel
 from swipebench.errors import (ConfigError, EmptyGroup, TooFewAttackers,
                                TooFewSessions)
 from swipebench.features.extract import build_feature_table
@@ -392,6 +393,18 @@ def test_run_experiment_aggregates_skip_reasons():
     # a and b have only each other plus solo; solo lacks a second session
     assert cell.skip_reasons.get("too-few-sessions") == 2
     assert cell.per_user["solo"] == [None, None]
+
+
+def test_non_finite_scores_skip_the_variant(small_table, monkeypatch):
+    # a diverged model: every score it gives is NaN
+    monkeypatch.setattr(KnnModel, "score",
+                        lambda self, X, defined=None: np.full(len(X), np.nan))
+    out = run_experiment(small_table, KNN,
+                         specs(("none", 1), ("mean", 3), ("feed", 2)),
+                         ProtocolConfig(repetitions=2))
+    for key, cell in out.items():
+        assert cell.skip_reasons == {"non-finite-scores": 10}, key
+        assert cell.mean_eer is None and cell.n_users_evaluated == 0
 
 
 def test_config_validation():
