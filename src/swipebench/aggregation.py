@@ -160,11 +160,3 @@ def trust_trace(scores, params: TrustParams = TrustParams()) -> np.ndarray:
 def concat_window(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Feature vectors of one window laid out end to end (feed variant)."""
     return np.asarray(X)[idx].ravel()
-
-
-def concat_windows(X: np.ndarray, windows: list[np.ndarray]) -> np.ndarray:
-    """Stack concat_window over many windows into one matrix."""
-    if not windows:
-        d = np.asarray(X).shape[1] if np.asarray(X).ndim == 2 else 0
-        return np.empty((0, d))
-    return np.stack([concat_window(X, idx) for idx in windows])

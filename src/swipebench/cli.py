@@ -10,7 +10,7 @@ Verbs:
 
 Exit codes: 0 success, 2 configuration error, 3 data error (any other
 toolkit error too, e.g. a single user where selection needs two),
-4 completed with failed matrix cells.
+4 completed with failed matrix cells (a dead worker's cells included).
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, SwipebenchError
-from .experiments import emit_plots, load_config, run_matrix, write_report
+from .experiments import (emit_plots, load_config, resolve_feature_set,
+                          run_matrix, write_report)
 from .features.extract import (build_feature_table, export_table_csv,
                                export_table_json)
 from .ingest import AdapterConfig, convert_raw, load_canonical, write_canonical
@@ -106,14 +107,9 @@ def _cmd_extract(args) -> int:
     dataset, _report = load_canonical(args.input)
     spec = args.features.strip()
     if "," in spec:
-        ids = tuple(int(tok) for tok in spec.split(",") if tok.strip())
-    elif spec.lower() == "anova":
-        from .experiments import anova_default_ids
-        ids = anova_default_ids()
-    else:
-        ids = spec
-    from .features.catalog import resolve_feature_ids
-    table = build_feature_table(dataset, resolve_feature_ids(ids))
+        spec = [tok for tok in spec.split(",") if tok.strip()]
+    _label, ids = resolve_feature_set(spec)
+    table = build_feature_table(dataset, ids)
     out = Path(args.out)
     if args.format == "csv":
         out.write_text(export_table_csv(table))

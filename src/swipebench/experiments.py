@@ -33,7 +33,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -208,10 +208,23 @@ def _classifier_labels(classifiers: list[ClassifierSpec]) -> list[str]:
     return labels
 
 
-def _cell_task(table: FeatureTable, spec: ClassifierSpec,
-               aggregations: list[AggregationSpec],
-               protocol: ProtocolConfig) -> dict[str, CellSummary]:
-    return run_experiment(table, spec, aggregations, protocol)
+def _run_cell(table: FeatureTable, spec: ClassifierSpec,
+              aggregations: list[AggregationSpec], protocol: ProtocolConfig,
+              ) -> dict[str, CellSummary] | SwipebenchError:
+    """One cell's summaries, or the toolkit error that failed it."""
+    try:
+        return run_experiment(table, spec, aggregations, protocol)
+    except SwipebenchError as err:
+        return err
+
+
+def _pool_result(future) -> dict[str, CellSummary] | Exception:
+    """A pooled cell's outcome; a cell lost with a dead worker fails
+    (BrokenProcessPool)."""
+    try:
+        return future.result()
+    except concurrent.futures.BrokenExecutor as err:
+        return err
 
 
 @dataclass
@@ -267,65 +280,43 @@ def run_matrix(cfg: ExperimentConfig, workers: int | None = None,
     full_table = build_feature_table(dataset)
 
     clf_labels = _classifier_labels(cfg.classifiers)
-    tasks = []
+    names, tasks = [], []
     for fs_label, ids in cfg.feature_sets:
         sliced = full_table.select(ids)
         for clf_label, spec in zip(clf_labels, cfg.classifiers):
-            tasks.append((fs_label, clf_label, sliced, spec))
+            names.append((fs_label, clf_label))
+            tasks.append((sliced, spec, cfg.aggregations, cfg.protocol))
 
-    results: dict[tuple[str, str], dict | Exception] = {}
     if workers and workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            futures = {
-                ex.submit(_cell_task, table, spec, cfg.aggregations,
-                          cfg.protocol): (fs, clf)
-                for fs, clf, table, spec in tasks}
-            for fut in concurrent.futures.as_completed(futures):
-                fs, clf = futures[fut]
-                try:
-                    results[(fs, clf)] = fut.result()
-                except SwipebenchError as err:
-                    results[(fs, clf)] = err
+            futures = [ex.submit(_run_cell, *task) for task in tasks]
+            outcomes = [_pool_result(fut) for fut in futures]
     else:
-        for fs, clf, table, spec in tasks:
-            try:
-                results[(fs, clf)] = _cell_task(table, spec,
-                                                cfg.aggregations, cfg.protocol)
-            except SwipebenchError as err:
-                results[(fs, clf)] = err
+        outcomes = [_run_cell(*task) for task in tasks]
 
-    cells: dict[str, dict[str, dict]] = {}
+    cells: dict[str, dict[str, dict]] = {fs: {} for fs, _ in cfg.feature_sets}
     failures = []
-    for fs_label, _ids in cfg.feature_sets:
-        cells[fs_label] = {}
-        for clf_label in clf_labels:
-            res = results[(fs_label, clf_label)]
-            if isinstance(res, Exception):
-                msg = f"{type(res).__name__}: {res}"
-                cells[fs_label][clf_label] = {"error": msg}
-                failures.append({"feature_set": fs_label,
-                                 "classifier": clf_label, "error": msg})
-            else:
-                cells[fs_label][clf_label] = {
-                    key: summary.as_dict() for key, summary in res.items()}
+    for (fs_label, clf_label), res in zip(names, outcomes):
+        if isinstance(res, Exception):
+            msg = f"{type(res).__name__}: {res}"
+            cells[fs_label][clf_label] = {"error": msg}
+            failures.append({"feature_set": fs_label,
+                             "classifier": clf_label, "error": msg})
+        else:
+            cells[fs_label][clf_label] = {
+                key: summary.as_dict() for key, summary in res.items()}
 
-    base_fs = cfg.feature_sets[0][0]
-    base_clf = clf_labels[0]
-    aggregation_row = {}
-    base_cell = cells[base_fs][base_clf]
-    for agg in cfg.aggregations:
-        key = aggregation_key(agg)
-        value = None
-        if "error" not in base_cell and base_cell[key]["mean_eer"] is not None:
-            value = base_cell[key]["mean_eer"] * 100.0
-        aggregation_row[key] = value
+    base_fs, base_clf = names[0]
+    matrices = _matrix_views(cfg, clf_labels, cells)
+    aggregation_row = {key: view["cells"][base_fs][base_clf]
+                       for key, view in matrices.items()}
 
     report = {
         "config": cfg.echo(),
         "dataset": {"name": dataset.name, "n_users": dataset.n_users,
                     "n_swipes": dataset.n_swipes,
                     "eligibility": eligibility},
-        "matrices": _matrix_views(cfg, clf_labels, cells),
+        "matrices": matrices,
         "aggregation_row": {"feature_set": base_fs, "classifier": base_clf,
                             "mean_eer_percent": aggregation_row},
         "cells": cells,

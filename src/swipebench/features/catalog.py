@@ -10,6 +10,7 @@ id must exist.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from ..errors import UnknownFeatureId, UnknownStudy
@@ -289,7 +290,12 @@ def resolve_feature_ids(spec) -> tuple[int, ...]:
         if low == "all":
             return ALL_IDS
         return study_features(low)
-    ids = sorted({int(v) for v in spec})
+    try:
+        ids = sorted({int(v) if isinstance(v, str) else operator.index(v)
+                      for v in spec})
+    except (TypeError, ValueError):
+        raise UnknownFeatureId(
+            f"feature ids must be integers: {spec!r}") from None
     if not ids:
         raise UnknownFeatureId("empty feature-id list")
     for fid in ids:

@@ -7,7 +7,10 @@ disjoint group of attackers, so no impostor identity seen in training
 is ever scored at test time. Negative counts are balanced against
 positive counts in both splits, and the whole procedure is repeated
 with fresh attacker partitions; reported numbers are means over users
-of per-user means over repetitions.
+of per-user means over repetitions. Every score window is a pair
+(stream key, positions) over one stream of session-ordered swipes: an
+attacker's, or the target's training or test split, so genuine and
+impostor windows are scored by the same code.
 
 Seeding: repetition r derives all of its randomness from
 ``config.seed + r``. Within a repetition, each user gets six
@@ -169,8 +172,8 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
     if len(set(keys)) != len(keys):
         raise ConfigError(f"duplicate aggregation variants: {keys}")
 
-    def all_skipped(reason: str) -> dict[str, UserRepOutcome]:
-        return {k: UserRepOutcome(eer=None, skip_reason=reason) for k in keys}
+    def skipped(reason: str) -> UserRepOutcome:
+        return UserRepOutcome(eer=None, skip_reason=reason)
 
     users = sorted(table.user_sessions)
     user_index = users.index(user_id)
@@ -180,18 +183,28 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
 
     sessions = table.user_sessions[user_id]
     if len(sessions) < 2:
-        return all_skipped("too-few-sessions")
+        return {k: skipped("too-few-sessions") for k in keys}
     train_sessions, test_sessions = split_user_sessions(
         sessions, config.train_session_fraction)
 
     others = [u for u in users if u != user_id and table.user_sessions[u]]
     if len(others) < 2:
-        return all_skipped("too-few-attackers")
+        return {k: skipped("too-few-attackers") for k in keys}
     train_group, test_group = partition_attackers(
         others, _rng(children[0]), config.attacker_split_fraction)
 
-    train_rows, train_labels = _stream(table, train_sessions)
-    test_rows, test_labels = _stream(table, test_sessions)
+    # attacker streams are keyed by user id, the target's splits by
+    # (user_id, split), which no user id can equal
+    train_key, test_key = (user_id, "train"), (user_id, "test")
+    sessions_of = {**table.user_sessions, train_key: train_sessions,
+                   test_key: test_sessions}
+
+    @functools.cache
+    def stream_of(key) -> tuple[np.ndarray, list[str]]:
+        return _stream(table, sessions_of[key])
+
+    train_rows, _ = stream_of(train_key)
+    test_rows, _ = stream_of(test_key)
     assert not set(train_rows.tolist()) & set(test_rows.tolist())
 
     # balanced negatives for the base model, from the training attackers
@@ -208,18 +221,28 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
     model = train(eff_spec, table.X[fit_rows], y,
                   defined=table.defined[fit_rows])
 
-    # every variant shares one stream, score and window list per user
+    # every variant shares one stream, score and window list per key
     @functools.cache
-    def stream_of(uid: str) -> tuple[np.ndarray, list[str]]:
-        return _stream(table, table.user_sessions[uid])
-
-    @functools.cache
-    def scores_of(uid: str) -> np.ndarray:
-        rows, _ = stream_of(uid)
+    def scores_of(key) -> np.ndarray:
+        rows, _ = stream_of(key)
         return model.score(table.X[rows], table.defined[rows])
 
-    train_scores = model.score(table.X[train_rows], table.defined[train_rows])
-    test_scores = model.score(table.X[test_rows], table.defined[test_rows])
+    @functools.cache
+    def windows_of(key, w: int, stride: int) -> list:
+        """Windows never span a session change or mix two streams."""
+        _, labels = stream_of(key)
+        return [(key, pos) for pos in window_slices(labels, w, stride)]
+
+    def pools(group, w: int, stride: int) -> list:
+        """(user_id, its windows) per attacker with a full window."""
+        return [(v, wins) for v in group if (wins := windows_of(v, w, stride))]
+
+    def sequences(windows) -> list[np.ndarray]:
+        return [scores_of(k)[pos] for k, pos in windows]
+
+    def concat(M: np.ndarray, windows) -> np.ndarray:
+        return np.stack([concat_window(M, stream_of(k)[0][pos])
+                         for k, pos in windows])
 
     entropy_test = _entropy(children[2])
     entropy_stacker = _entropy(children[4])
@@ -231,120 +254,69 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
         "n_attackers_test": len(test_group),
     }
 
-    genuine_labels = {"train": train_labels, "test": test_labels}
-    attacker_groups = {"train": train_group, "test": test_group}
-
-    @functools.cache
-    def genuine_windows(split: str, w: int, stride: int) -> list:
-        return window_slices(genuine_labels[split], w, stride)
-
-    @functools.cache
-    def attacker_windows(split: str, w: int, stride: int) -> list:
-        """(user_id, per-attacker list of window position-arrays), empty
-        pools dropped. Windows never span an attacker's session change
-        and never mix two attackers."""
-        pools = []
-        for v in attacker_groups[split]:
-            _, labels = stream_of(v)
-            wins = window_slices(labels, w, stride)
-            if wins:
-                pools.append((v, [(v, pos) for pos in wins]))
-        return pools
-
-    out: dict[str, UserRepOutcome] = {}
-    for spec, key in zip(aggregation_specs, keys):
+    def evaluate(spec: AggregationSpec) -> UserRepOutcome:
         w = spec.window
         m_idx = METHODS.index(spec.method)
+        gen_windows = windows_of(test_key, w, w)
+        if not gen_windows:
+            return skipped("no-genuine-test-windows")
+        imp_pools = pools(test_group, w, w)
+        if not imp_pools:
+            return skipped("no-impostor-windows")
         test_rng = _rng(np.random.SeedSequence(
             entropy=entropy_test, spawn_key=(m_idx, w)))
-
-        gen_windows = genuine_windows("test", w, w)
-        if not gen_windows:
-            out[key] = UserRepOutcome(eer=None,
-                                      skip_reason="no-genuine-test-windows")
-            continue
-        imp_pools = attacker_windows("test", w, w)
-        if not imp_pools:
-            out[key] = UserRepOutcome(eer=None,
-                                      skip_reason="no-impostor-windows")
-            continue
         imp_windows = sample_negatives(imp_pools, len(gen_windows), test_rng)
         assert len(imp_windows) == len(gen_windows)
+        counts = dict(base_counts, n_test_genuine=len(gen_windows),
+                      n_test_impostor=len(imp_windows))
 
-        counts = dict(base_counts)
-        counts["n_test_genuine"] = len(gen_windows)
-        counts["n_test_impostor"] = len(imp_windows)
-
-        if spec.method in ("none", "mean", "median", "vote", "trust"):
-            genuine = np.array([reduce_scores(test_scores[idx], spec)
-                                for idx in gen_windows])
-            impostor = np.array([reduce_scores(scores_of(v)[pos], spec)
-                                 for v, pos in imp_windows])
+        if spec.method not in ("stacking", "feed"):
+            def score(windows) -> np.ndarray:
+                return np.array([reduce_scores(s, spec)
+                                 for s in sequences(windows)])
         else:
             # learned aggregators need their own balanced training windows
+            gen_train = windows_of(train_key, w, 1)
+            if not gen_train:
+                return skipped("no-genuine-train-windows")
+            fit_pools = pools(train_group, w, 1)
+            if not fit_pools:
+                return skipped("no-impostor-train-windows")
             train_w_rng = _rng(np.random.SeedSequence(
                 entropy=entropy_train_w, spawn_key=(m_idx, w)))
-            gen_train = genuine_windows("train", w, 1)
-            if not gen_train:
-                out[key] = UserRepOutcome(
-                    eer=None, skip_reason="no-genuine-train-windows")
-                continue
-            fit_pools = attacker_windows("train", w, 1)
-            if not fit_pools:
-                out[key] = UserRepOutcome(
-                    eer=None, skip_reason="no-impostor-train-windows")
-                continue
-            imp_train = sample_negatives(fit_pools, len(gen_train), train_w_rng)
+            imp_train = sample_negatives(fit_pools, len(gen_train),
+                                         train_w_rng)
+            fit_windows = gen_train + imp_train
             y_agg = np.concatenate([np.ones(len(gen_train)),
                                     np.zeros(len(imp_train))])
             counts["n_agg_train_genuine"] = len(gen_train)
             counts["n_agg_train_impostor"] = len(imp_train)
 
             if spec.method == "stacking":
-                seqs = np.array(
-                    [train_scores[idx] for idx in gen_train]
-                    + [scores_of(v)[pos] for v, pos in imp_train])
                 stacker_seed = (_entropy(np.random.SeedSequence(
                     entropy=entropy_stacker, spawn_key=(w,)))
                     + spec.stacker.seed) % 2 ** 32
-                net = train_stacker(seqs, y_agg,
+                net = train_stacker(np.array(sequences(fit_windows)), y_agg,
                                     spec.stacker.with_seed(stacker_seed))
-                genuine = stack_score(
-                    net, np.array([test_scores[idx] for idx in gen_windows]))
-                impostor = stack_score(
-                    net, np.array([scores_of(v)[pos]
-                                   for v, pos in imp_windows]))
-            elif spec.method == "feed":
-                def rows_of(uid: str) -> np.ndarray:
-                    rows, _ = stream_of(uid)
-                    return rows
 
-                fit_idx = ([train_rows[idx] for idx in gen_train]
-                           + [rows_of(v)[pos] for v, pos in imp_train])
-                Xf = np.stack([concat_window(table.X, g) for g in fit_idx])
-                df = np.stack([concat_window(table.defined, g)
-                               for g in fit_idx])
-                feed_model = train(eff_spec, Xf, y_agg, defined=df)
-                gen_idx = [test_rows[idx] for idx in gen_windows]
-                imp_idx = [rows_of(v)[pos] for v, pos in imp_windows]
-                genuine = feed_model.score(
-                    np.stack([concat_window(table.X, g) for g in gen_idx]),
-                    np.stack([concat_window(table.defined, g)
-                              for g in gen_idx]))
-                impostor = feed_model.score(
-                    np.stack([concat_window(table.X, g) for g in imp_idx]),
-                    np.stack([concat_window(table.defined, g)
-                              for g in imp_idx]))
+                def score(windows) -> np.ndarray:
+                    return stack_score(net, np.array(sequences(windows)))
             else:
-                raise ConfigError(f"unhandled aggregation {spec.method!r}")
+                feed_model = train(eff_spec, concat(table.X, fit_windows),
+                                   y_agg,
+                                   defined=concat(table.defined, fit_windows))
+
+                def score(windows) -> np.ndarray:
+                    return feed_model.score(concat(table.X, windows),
+                                            concat(table.defined, windows))
 
         try:
-            result = eer_from_scores(genuine, impostor)
+            result = eer_from_scores(score(gen_windows), score(imp_windows))
         except NonFiniteScores:
-            out[key] = UserRepOutcome(eer=None, skip_reason="non-finite-scores")
-            continue
-        out[key] = UserRepOutcome(eer=result.eer, counts=counts)
-    return out
+            return skipped("non-finite-scores")
+        return UserRepOutcome(eer=result.eer, counts=counts)
+
+    return {key: evaluate(spec) for spec, key in zip(aggregation_specs, keys)}
 
 
 def run_user_evaluation(table: FeatureTable, user_id: str,

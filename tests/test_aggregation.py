@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swipebench.aggregation import (METHODS, AggregationSpec, TrustParams,
-                                    concat_window, concat_windows,
-                                    reduce_scores, trust_trace, window_slices)
+                                    concat_window, reduce_scores, trust_trace,
+                                    window_slices)
 from swipebench.errors import ConfigError
 
 
@@ -112,9 +112,6 @@ def test_concat_window_layout():
     X = np.arange(12.0).reshape(4, 3)
     flat = concat_window(X, np.array([2, 0]))
     np.testing.assert_array_equal(flat, [6.0, 7.0, 8.0, 0.0, 1.0, 2.0])
-    stacked = concat_windows(X, [np.array([0, 1]), np.array([2, 3])])
-    assert stacked.shape == (2, 6)
-    np.testing.assert_array_equal(stacked[1], [6, 7, 8, 9, 10, 11])
 
 
 def test_spec_validation():

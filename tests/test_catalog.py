@@ -70,6 +70,10 @@ def test_resolve_feature_ids_forms():
         resolve_feature_ids([1, 999])
     with pytest.raises(UnknownFeatureId):
         resolve_feature_ids([])
+    assert resolve_feature_ids(["3", " 2", 1]) == (1, 2, 3)
+    for bad in ([1, "x"], [1.5], [2.0], [[1]], 7):
+        with pytest.raises(UnknownFeatureId):
+            resolve_feature_ids(bad)
 
 
 def test_coordinate_id_lists_are_coordinate_features():

@@ -1,6 +1,8 @@
 """End-to-end command-line runs through main(argv)."""
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -103,6 +105,24 @@ def test_extract_unknown_study_is_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
 
+
+
+def test_extract_non_integer_id_is_config_error(tmp_path, capsys):
+    src = synth_file(tmp_path)
+    rc = main(["extract", "--input", str(src), "--features", "1,x",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == EXIT_CONFIG
+    assert "config error: feature ids must be integers" in \
+        capsys.readouterr().err
+
+
+def test_config_non_integer_feature_id_is_config_error(tmp_path, capsys):
+    src = synth_file(tmp_path)
+    cfg = write_doc(tmp_path, experiment_doc(src, tmp_path / "run",
+                                             feature_set=[[1, "x"]]))
+    assert main(["matrix", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "config error: feature ids must be integers" in \
+        capsys.readouterr().err
 
 def test_select_across_datasets(tmp_path, capsys):
     a = synth_file(tmp_path, "a.csv")
@@ -219,11 +239,26 @@ def test_matrix_partial_failures_exit_code(tmp_path, monkeypatch, capsys):
     def boom(table, spec, aggregations, protocol):
         raise DataError("injected")
 
-    monkeypatch.setattr(experiments, "_cell_task", boom)
+    monkeypatch.setattr(experiments, "run_experiment", boom)
     rc = main(["matrix", "--config", str(cfg)])
     assert rc == EXIT_PARTIAL
     assert "1 cell(s) failed" in capsys.readouterr().err
 
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched function reaches workers by fork")
+def test_matrix_dead_worker_exit_code(tmp_path, monkeypatch, capsys):
+    src = synth_file(tmp_path)
+    out_dir = tmp_path / "run"
+    cfg = write_doc(tmp_path, experiment_doc(src, out_dir))
+    monkeypatch.setattr(experiments, "run_experiment",
+                        lambda *args: os._exit(1))
+    rc = main(["matrix", "--config", str(cfg), "--workers", "2"])
+    assert rc == EXIT_PARTIAL
+    assert "1 cell(s) failed" in capsys.readouterr().err
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["failures"][0]["error"].startswith("BrokenProcessPool: ")
 
 def test_matrix_non_finite_scores_are_skips(tmp_path, monkeypatch, capsys):
     src = synth_file(tmp_path)

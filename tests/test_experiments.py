@@ -1,6 +1,8 @@
 """Experiment config parsing and the grid runner."""
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -211,14 +213,14 @@ def test_workers_match_serial(small_report):
 
 @pytest.mark.parametrize("error", [DataError, TooFewSamples])
 def test_cell_failures_are_recorded(monkeypatch, error):
-    real = experiments._cell_task
+    real = experiments.run_experiment
 
     def flaky(table, spec, aggregations, protocol):
         if spec.kind == "knn":
             raise error("injected failure")
         return real(table, spec, aggregations, protocol)
 
-    monkeypatch.setattr(experiments, "_cell_task", flaky)
+    monkeypatch.setattr(experiments, "run_experiment", flaky)
     result = run_matrix(small_config())
     assert result.n_failed_cells == 2
     assert {(f["feature_set"], f["classifier"])
@@ -236,6 +238,34 @@ def test_cell_failures_are_recorded(monkeypatch, error):
     assert all(v is None for v in
                result.report["aggregation_row"]["mean_eer_percent"].values())
 
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched function reaches workers by fork")
+def test_dead_worker_fails_the_cells_the_pool_lost(monkeypatch):
+    """A worker that dies (killed, out of memory) breaks the pool: every
+    cell the pool lost is a failed cell, the others keep their results."""
+    real = experiments.run_experiment
+
+    def dies_on_knn(table, spec, aggregations, protocol):
+        if spec.kind == "knn":
+            os._exit(1)
+        return real(table, spec, aggregations, protocol)
+
+    monkeypatch.setattr(experiments, "run_experiment", dies_on_knn)
+    result = run_matrix(small_config(), workers=2)
+    failures = result.report["failures"]
+    assert result.n_failed_cells == len(failures)
+    errors = {(f["feature_set"], f["classifier"]): f["error"]
+              for f in failures}
+    assert {("frank2013", "knn"), ("custom1", "knn")} <= set(errors)
+    assert all(e.startswith("BrokenProcessPool: ") for e in errors.values())
+    for fs, row in result.report["cells"].items():
+        for clf, cell in row.items():
+            if (fs, clf) in errors:
+                assert cell == {"error": errors[(fs, clf)]}
+            else:
+                assert cell["none-w1"]["mean_eer"] is not None
 
 def test_repeated_classifier_kinds_get_distinct_labels():
     cfg = parse_config({
