@@ -115,13 +115,22 @@ class Standardizer:
             mean = X.mean(axis=0)
             std = X.std(axis=0)
         else:
+            # columns grouped by their mask, packed into one bytes key; each
+            # group's contiguous (columns, defined rows) block then sums
+            # pairwise along its rows, as a per-column call would
+            packed = np.ascontiguousarray(np.packbits(defined, axis=0).T)
+            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+            _, first, group = np.unique(keys, return_index=True,
+                                        return_inverse=True)
             mean = np.zeros(d)
             std = np.zeros(d)
-            for j in range(d):
-                col = X[defined[:, j], j]
-                if col.size:
-                    mean[j] = col.mean()
-                    std[j] = col.std()
+            for g, j in enumerate(first):
+                rows = defined[:, j]
+                if rows.any():
+                    cols = np.flatnonzero(group == g)
+                    block = np.ascontiguousarray(X.T[cols][:, rows])
+                    mean[cols] = np.mean(block, axis=1)
+                    std[cols] = np.std(block, axis=1)
         return cls(mean=mean, std=std)
 
     def transform(self, X: np.ndarray, defined: np.ndarray | None = None) -> np.ndarray:

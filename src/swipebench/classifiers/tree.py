@@ -11,10 +11,14 @@ kind-specific ``split(rows, depth)`` for each node's value and cut;
 Z[:, feature] <= threshold go left.
 
 CART split search is exhaustive over midpoints between distinct sorted
-values. Ties resolve deterministically: candidate features are visited in
-ascending index order and only strict improvements replace the incumbent,
-so the lowest feature index (and within a feature the lowest threshold)
-wins. Decision trees and random forests score a row by its leaf's value.
+values, in one pass over all candidate features: one stable column-wise
+argsort, cumsum and gini, with cuts between equal values set to inf.
+Ties resolve deterministically, as a per-feature scan that keeps only
+strict improvements would: the lowest candidate feature index wins
+(argmin over the per-feature minima returns the first), and within a
+feature the lowest threshold (argmin down the feature's sorted cuts
+returns the first). Decision trees and random forests score a row by its
+leaf's value.
 """
 
 from __future__ import annotations
@@ -103,29 +107,23 @@ def _best_split(Z: np.ndarray, y: np.ndarray, candidates) -> tuple[int, float] |
     """Lowest weighted child gini over candidate features; None when no
     feature admits a split."""
     n = len(y)
-    total1 = float(y.sum())
-    best_imp = np.inf
-    best: tuple[int, float] | None = None
-    left_n = np.arange(1, n, dtype=float)
+    Zc = Z[:, candidates]
+    order = np.argsort(Zc, axis=0, kind="stable")
+    xs = np.take_along_axis(Zc, order, axis=0)
+    c1 = np.cumsum(y[order], axis=0)[:-1].astype(float)
+    left_n = np.arange(1, n, dtype=float)[:, None]
     right_n = n - left_n
-    for f in candidates:
-        order = np.argsort(Z[:, f], kind="stable")
-        xs = Z[order, f]
-        valid = xs[1:] != xs[:-1]
-        if not valid.any():
-            continue
-        c1 = np.cumsum(y[order])[:-1].astype(float)
-        l1 = c1 / left_n
-        r1 = (total1 - c1) / right_n
-        gini_l = 1.0 - l1 ** 2 - (1.0 - l1) ** 2
-        gini_r = 1.0 - r1 ** 2 - (1.0 - r1) ** 2
-        weighted = (left_n * gini_l + right_n * gini_r) / n
-        weighted[~valid] = np.inf
-        k = int(np.argmin(weighted))
-        if weighted[k] < best_imp:
-            best_imp = float(weighted[k])
-            best = (int(f), float((xs[k] + xs[k + 1]) / 2.0))
-    return best
+    l1 = c1 / left_n
+    r1 = (float(y.sum()) - c1) / right_n
+    gini_l = 1.0 - l1 ** 2 - (1.0 - l1) ** 2
+    gini_r = 1.0 - r1 ** 2 - (1.0 - r1) ** 2
+    weighted = (left_n * gini_l + right_n * gini_r) / n
+    weighted[xs[1:] == xs[:-1]] = np.inf
+    j = int(np.argmin(weighted.min(axis=0)))
+    k = int(np.argmin(weighted[:, j]))
+    if weighted[k, j] == np.inf:
+        return None
+    return int(candidates[j]), float((xs[k, j] + xs[k + 1, j]) / 2.0)
 
 
 def grow_tree(Z: np.ndarray, y: np.ndarray, max_depth: int | None,

@@ -106,7 +106,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_extract(args) -> int:
     dataset, _report = load_canonical(args.input)
     spec = args.features.strip()
-    if "," in spec:
+    if "," in spec or spec.isdecimal():
         spec = [tok for tok in spec.split(",") if tok.strip()]
     _label, ids = resolve_feature_set(spec)
     table = build_feature_table(dataset, ids)

@@ -42,7 +42,7 @@ from .classifiers import ClassifierSpec
 from .errors import ConfigError, SwipebenchError
 from .features.catalog import STUDY_SETS, resolve_feature_ids
 from .features.extract import FeatureTable, build_feature_table
-from .ingest import load_canonical
+from .ingest import load_canonical, rewrite_text
 from .protocol import (CellSummary, ProtocolConfig, aggregation_key,
                        run_experiment)
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -356,20 +356,16 @@ def aggregation_row_csv(report: dict) -> str:
 def write_report(result: MatrixReport, out_dir, formats=FORMATS) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    files = {}
     if "json" in formats:
-        path = out / "report.json"
-        path.write_text(result.json_text())
-        written.append(path)
+        files["report.json"] = result.json_text()
     if "csv" in formats:
         for key, view in sorted(result.report["matrices"].items()):
-            path = out / f"matrix_{key}.csv"
-            path.write_text(matrix_csv(view))
-            written.append(path)
-        path = out / "aggregation_row.csv"
-        path.write_text(aggregation_row_csv(result.report))
-        written.append(path)
-    return written
+            files[f"matrix_{key}.csv"] = matrix_csv(view)
+        files["aggregation_row.csv"] = aggregation_row_csv(result.report)
+    for name, text in files.items():
+        rewrite_text(out / name, text)
+    return [out / name for name in files]
 
 
 def emit_plots(result: MatrixReport, out_dir) -> list[Path]:

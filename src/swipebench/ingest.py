@@ -172,6 +172,16 @@ def _format_channel(v: float) -> str:
     return "" if math.isnan(v) else repr(v)
 
 
+def rewrite_text(path: Path, text: str) -> None:
+    """Write text to path, overwriting an existing file in place and then
+    cutting its old tail, so the bytes equal a fresh write. Truncating an
+    allocated file to zero first can block for tens of milliseconds on a
+    filesystem mounted with discard."""
+    with open(path, "r+b" if path.exists() else "wb") as f:
+        f.write(text.encode())
+        f.truncate()
+
+
 def write_canonical(dataset: Dataset, path: str | Path, fmt: str = "csv") -> None:
     """Write a dataset back out deterministically (users sorted, sessions and
     swipes in chronological order)."""
@@ -188,7 +198,7 @@ def write_canonical(dataset: Dataset, path: str | Path, fmt: str = "csv") -> Non
                 dataset.name, s.user_id, s.session_id, s.device_model,
                 str(s.t), s.phase, repr(s.x), repr(s.y),
                 _format_channel(s.pressure), _format_channel(s.area)]))
-        path.write_text("\n".join(lines) + "\n")
+        rewrite_text(path, "\n".join(lines) + "\n")
     elif fmt == "jsonl":
         lines = []
         for s in rows:
@@ -198,7 +208,7 @@ def write_canonical(dataset: Dataset, path: str | Path, fmt: str = "csv") -> Non
                    "pressure": None if math.isnan(s.pressure) else s.pressure,
                    "area": None if math.isnan(s.area) else s.area}
             lines.append(json.dumps(obj))
-        path.write_text("\n".join(lines) + "\n")
+        rewrite_text(path, "\n".join(lines) + "\n")
     else:
         raise ConfigError(f"unknown canonical format {fmt!r}")
 

@@ -1,13 +1,17 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is written in plain Python (lists, math, explicit loops)
-on purpose: these are the definitional oracles, deliberately sharing no
-code with the implementation under test.
+Everything here except the last section is written in plain Python
+(lists, math, explicit loops) on purpose: these are the definitional
+oracles, deliberately sharing no code with the implementation under test.
+The last section keeps per-column NumPy loops as bitwise references for
+the package's vectorised forms of the same computation.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -396,3 +400,51 @@ def oracle_features(t, xs, ys, pr, ar, prev_end_ms=None):
     put(149, 1.0 if abs(cdx) >= abs(cdy) else 0.0)
 
     return vals[1:], defined[1:]
+
+
+# ---------------------------------------------------------------------------
+# per-column NumPy loops: bitwise references for vectorised code
+
+def o_best_split(Z, y, candidates):
+    """CART split search one candidate column at a time: lowest weighted
+    child gini; a later column or threshold replaces the incumbent only
+    when strictly lower. None when no column admits a split."""
+    n = len(y)
+    total1 = float(y.sum())
+    best_imp = np.inf
+    best = None
+    left_n = np.arange(1, n, dtype=float)
+    right_n = n - left_n
+    for f in candidates:
+        order = np.argsort(Z[:, f], kind="stable")
+        xs = Z[order, f]
+        valid = xs[1:] != xs[:-1]
+        if not valid.any():
+            continue
+        c1 = np.cumsum(y[order])[:-1].astype(float)
+        l1 = c1 / left_n
+        r1 = (total1 - c1) / right_n
+        gini_l = 1.0 - l1 ** 2 - (1.0 - l1) ** 2
+        gini_r = 1.0 - r1 ** 2 - (1.0 - r1) ** 2
+        weighted = (left_n * gini_l + right_n * gini_r) / n
+        weighted[~valid] = np.inf
+        k = int(np.argmin(weighted))
+        if weighted[k] < best_imp:
+            best_imp = float(weighted[k])
+            best = (int(f), float((xs[k] + xs[k + 1]) / 2.0))
+    return best
+
+
+def o_standardizer_stats(X, defined):
+    """Per-column mean and std over each column's defined entries; 0 and
+    0 for a column that is never defined."""
+    X = np.asarray(X, dtype=float)
+    d = X.shape[1]
+    mean = np.zeros(d)
+    std = np.zeros(d)
+    for j in range(d):
+        col = X[defined[:, j], j]
+        if col.size:
+            mean[j] = col.mean()
+            std[j] = col.std()
+    return mean, std

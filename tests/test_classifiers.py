@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles import o_standardizer_stats
 from swipebench.classifiers import (KINDS, ClassifierSpec, from_blob, score,
                                     to_blob, train)
-from swipebench.classifiers.base import ONE_CLASS_KINDS
+from swipebench.classifiers import base
+from swipebench.classifiers.base import ONE_CLASS_KINDS, Standardizer
 from swipebench.classifiers.svm import smo_solve_binary
 from swipebench.errors import (ConfigError, DimensionMismatch,
                                SingleClassForBinarySpec, TooFewSamples)
@@ -200,7 +202,6 @@ def test_training_input_validation():
 
 
 def test_masked_features_are_neutral_after_standardization():
-    from swipebench.classifiers.base import Standardizer
     X = np.array([[1.0, 10.0], [3.0, 30.0], [5.0, 999.0]])
     defined = np.array([[True, True], [True, True], [True, False]])
     std = Standardizer.fit(X, defined)
@@ -208,3 +209,69 @@ def test_masked_features_are_neutral_after_standardization():
     assert std.mean[1] == pytest.approx(20.0)
     Z = std.transform(X, defined)
     assert Z[2, 1] == 0.0  # masked entry sits at the training mean
+
+
+def fuzz_masks(seed: int, count: int):
+    """Random (X, defined): all-defined masks, random masks, columns that
+    are never defined, blocks of rows undefined in a block of columns,
+    repeated column patterns, and no mask at all (None)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, 160))
+        d = int(rng.choice([1, 5, 30, 149]))
+        X = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 1e4])
+        if rng.random() < 0.3:
+            X = np.round(X, 1)
+        kind = i % 4
+        if kind == 0:
+            defined = None
+        elif kind == 1:
+            defined = np.ones((n, d), dtype=bool)
+        else:
+            defined = rng.random((n, d)) > rng.random()
+            defined[:, rng.random(d) < 0.15] = False
+            block_rows = rng.random(n) < 0.25
+            block_cols = rng.random(d) < 0.4
+            defined[np.ix_(block_rows, block_cols)] = False
+            if kind == 3:
+                defined = defined[:, rng.integers(0, min(d, 3), size=d)]
+        yield X, defined
+
+
+def test_standardizer_fit_matches_per_column_reference():
+    for X, defined in fuzz_masks(41, 400):
+        std = Standardizer.fit(X, defined)
+        if defined is None:
+            assert np.array_equal(std.mean, X.mean(axis=0))
+            assert np.array_equal(std.std, X.std(axis=0))
+            continue
+        mean, sd = o_standardizer_stats(X, defined)
+        assert np.array_equal(std.mean, mean)
+        assert np.array_equal(std.std, sd)
+
+
+def test_standardizer_never_defined_columns_are_zero():
+    X = np.arange(12.0).reshape(4, 3)
+    defined = np.array([[True, False, True]] * 3 + [[False, False, True]])
+    std = Standardizer.fit(X, defined)
+    assert std.mean[1] == 0.0 and std.std[1] == 0.0
+    assert std.mean[0] == 3.0 and std.mean[2] == 6.5
+
+
+def test_standardizer_fit_reduces_once_per_mask_pattern(monkeypatch):
+    """One mean per distinct column mask, not one per column."""
+    calls = []
+    real = np.mean
+
+    def counting(a, *args, **kw):
+        calls.append(np.shape(a))
+        return real(a, *args, **kw)
+
+    monkeypatch.setattr(base.np, "mean", counting)
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(20, 12))
+    patterns = rng.random((20, 3)) > 0.3
+    defined = patterns[:, np.arange(12) % 3]
+    Standardizer.fit(X, defined)
+    assert sorted(calls) == sorted((4, int(patterns[:, p].sum()))
+                                   for p in range(3))

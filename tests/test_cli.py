@@ -87,6 +87,17 @@ def test_extract_id_list(tmp_path, capsys):
     assert header.endswith("f1,f2,f99")
 
 
+def test_extract_single_id(tmp_path, capsys):
+    src = synth_file(tmp_path)
+    out = tmp_path / "features.csv"
+    rc = main(["extract", "--input", str(src), "--features", "5",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    assert "64 swipes x 1 features" in capsys.readouterr().out
+    header = out.read_text().splitlines()[0]
+    assert header.endswith(",f5")
+
+
 def test_extract_study_and_json_format(tmp_path):
     src = synth_file(tmp_path)
     out = tmp_path / "features.json"

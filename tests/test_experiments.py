@@ -319,6 +319,19 @@ def test_write_report_files(small_report, tmp_path):
     assert len(csv_only) == 3
 
 
+def test_write_report_over_longer_files_leaves_no_stale_tail(small_report,
+                                                             tmp_path):
+    """Rewriting a report directory whose files are longer than the new
+    text leaves exactly the bytes of a fresh write."""
+    fresh = write_report(small_report, tmp_path / "fresh")
+    for path in write_report(small_report, tmp_path / "old"):
+        path.write_bytes(path.read_bytes() * 3 + b"stale tail\n")
+    rewritten = write_report(small_report, tmp_path / "old")
+    assert [p.name for p in rewritten] == [p.name for p in fresh]
+    for new, ref in zip(rewritten, fresh):
+        assert new.read_bytes() == ref.read_bytes(), new.name
+
+
 def test_emit_plots(small_report, tmp_path):
     pytest.importorskip("matplotlib")
     written = experiments.emit_plots(small_report, tmp_path)

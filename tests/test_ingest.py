@@ -115,6 +115,19 @@ def test_write_canonical_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_write_canonical_over_a_longer_file_equals_a_fresh_write(tmp_path,
+                                                                 fmt):
+    text = "\n".join([HEADER] + stroke_lines(0, 5)) + "\n"
+    records, _ = parse_canonical(text)
+    ds, _ = assemble_dataset("unit", records)
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    write_canonical(ds, fresh, fmt=fmt)
+    old.write_bytes(fresh.read_bytes() * 2 + b"stale tail\n")
+    write_canonical(ds, old, fmt=fmt)
+    assert old.read_bytes() == fresh.read_bytes()
+
+
 def test_write_canonical_rejects_unknown_format(tmp_path):
     text = "\n".join([HEADER] + stroke_lines(0, 5)) + "\n"
     records, _ = parse_canonical(text)

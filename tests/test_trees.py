@@ -2,10 +2,12 @@
 
 ``tests/data/golden_trees.json`` holds the ``to_blob`` documents and the
 probe-row scores of a small seeded decision tree, random forest and
-isolation forest, all trained on one seeded matrix with a defined-mask.
-Any change to split search, random-number order, node order or the blob
-payloads shows up here, and the stored blobs must keep loading. Regenerate
-the file only for a deliberate change of training:
+isolation forest, all trained on one seeded matrix with a defined-mask,
+plus a decision tree and a random forest trained without a mask on a
+tie-heavy matrix (rounded and duplicated columns), which pins the split
+search's tie rule. Any change to split search, random-number order, node
+order or the blob payloads shows up here, and the stored blobs must keep
+loading. Regenerate the file only for a deliberate change of training:
 
     PYTHONPATH=src python tests/test_trees.py --write
 """
@@ -17,7 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swipebench.classifiers import ClassifierSpec, from_blob, to_blob, train
+from oracles import o_best_split
+from swipebench.classifiers import (ClassifierSpec, from_blob, to_blob, train,
+                                    tree)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_trees.json"
 TOL = 1e-9
@@ -37,12 +41,33 @@ def golden_data():
     return X, y, defined, probe
 
 
+def tie_data():
+    """Half-unit values; columns 1 and 5 duplicate column 0 and column 3
+    is column 2 on the unit grid, so equal gini recurs across thresholds
+    and across columns: changing either half of the tie rule changes
+    both trees."""
+    rng = np.random.default_rng(2)
+    base = np.round(rng.normal(size=(60, 3)) * 2.0) / 2.0
+    X = np.column_stack([base[:, 0], base[:, 0], base[:, 1],
+                         np.round(base[:, 1]), base[:, 2], base[:, 0]])
+    y = (base[:, 0] + base[:, 1] + 0.8 * rng.normal(size=60) > 0).astype(int)
+    probe = np.round(rng.normal(size=(12, 6)) * 2.0) / 2.0
+    return X, y, None, probe
+
+
+# golden entry -> (kind, params, training data)
+CASES = {kind: (kind, params, golden_data) for kind, params in SPECS.items()}
+CASES["decision_tree_ties"] = ("decision_tree", {}, tie_data)
+CASES["random_forest_ties"] = ("random_forest",
+                               {"n_trees": 4, "max_depth": 6}, tie_data)
+
+
 def golden_doc() -> dict:
-    X, y, defined, probe = golden_data()
     doc = {}
-    for kind, params in SPECS.items():
+    for name, (kind, params, data) in CASES.items():
+        X, y, defined, probe = data()
         model = train(ClassifierSpec(kind, params, seed=5), X, y, defined)
-        doc[kind] = {"blob": json.loads(to_blob(model)),
+        doc[name] = {"blob": json.loads(to_blob(model)),
                      "scores": model.score(probe).tolist()}
     return doc
 
@@ -74,18 +99,19 @@ def saved():
 
 def test_trained_trees_match_golden_blobs(saved):
     fresh = golden_doc()
-    for kind in SPECS:
-        assert_same(fresh[kind]["blob"], saved[kind]["blob"], kind)
+    assert sorted(saved) == sorted(CASES)
+    for name in CASES:
+        assert_same(fresh[name]["blob"], saved[name]["blob"], name)
 
 
 def test_golden_blobs_load_and_score(saved):
-    _X, _y, _defined, probe = golden_data()
-    for kind in SPECS:
-        blob = json.dumps(saved[kind]["blob"], sort_keys=True).encode()
+    for name, (_kind, _params, data) in CASES.items():
+        probe = data()[3]
+        blob = json.dumps(saved[name]["blob"], sort_keys=True).encode()
         model = from_blob(blob)
-        assert to_blob(model) == blob, kind
-        np.testing.assert_allclose(model.score(probe), saved[kind]["scores"],
-                                   rtol=TOL, atol=TOL, err_msg=kind)
+        assert to_blob(model) == blob, name
+        np.testing.assert_allclose(model.score(probe), saved[name]["scores"],
+                                   rtol=TOL, atol=TOL, err_msg=name)
 
 
 def tree_docs(blob: dict) -> list[dict]:
@@ -117,6 +143,72 @@ def test_constant_columns_grow_single_leaves(kind):
     else:
         assert all(tree["size"] == [7] for tree in trees)
         assert scores[0] == 0.5
+
+
+def fuzz_nodes(seed: int, count: int):
+    """Random split-search nodes: n in 2..120, d of 5/30/149, some
+    columns constant, some nodes rounded to a coarse grid (ties across
+    thresholds and columns), some all-constant, and full or sqrt-sized
+    subsampled candidate sets."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 121))
+        d = int(rng.choice([5, 30, 149]))
+        Z = rng.normal(size=(n, d))
+        shape = rng.random()
+        if shape < 0.4:
+            Z = np.round(Z, int(rng.integers(0, 2)))
+            Z[:, 1::2] = Z[:, :-1:2]    # odd columns copy their left neighbours
+        elif shape > 0.9:
+            Z[:] = rng.normal()
+        Z[:, rng.random(d) < 0.2] = 0.0
+        y = rng.integers(0, 2, size=n)
+        if rng.random() < 0.5:
+            m = max(1, int(np.sqrt(d)))
+            candidates = np.sort(rng.choice(d, size=m, replace=False))
+        else:
+            candidates = np.arange(d)
+        yield Z, y, candidates
+
+
+def test_best_split_matches_per_column_reference():
+    results = []
+    for Z, y, candidates in fuzz_nodes(31, 600):
+        got = tree._best_split(Z, y, candidates)
+        assert got == o_best_split(Z, y, candidates)
+        results.append(got)
+    # the fuzz reaches both outcomes
+    assert any(r is None for r in results)
+    assert sum(r is not None for r in results) > 400
+
+
+def test_best_split_tie_rule_on_duplicate_columns():
+    """Identical columns tie on every cut: the lowest candidate wins,
+    and within it the lowest of equal-gini thresholds."""
+    col = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
+    y = np.array([1, 1, 0, 0, 0, 0, 1, 1])
+    Z = np.column_stack([col * 0.0, col, col, col])
+    # cuts at 0.5 and 2.5 both isolate one pure pair: same gini
+    assert tree._best_split(Z, y, np.arange(4)) == (1, 0.5)
+    assert tree._best_split(Z, y, np.array([2, 3])) == (2, 0.5)
+    assert tree._best_split(Z, y, np.array([0])) is None
+
+
+def test_best_split_sorts_once_per_node(monkeypatch):
+    """One argsort over all candidate columns, whatever their number."""
+    calls = []
+    real = np.argsort
+
+    def counting(a, *args, **kw):
+        calls.append(np.shape(a))
+        return real(a, *args, **kw)
+
+    monkeypatch.setattr(tree.np, "argsort", counting)
+    Z, y, _ = next(fuzz_nodes(7, 1))
+    for m in (1, 3, Z.shape[1]):
+        calls.clear()
+        tree._best_split(Z, y, np.arange(m))
+        assert calls == [(len(y), m)]
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
