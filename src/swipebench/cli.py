@@ -9,7 +9,8 @@ Verbs:
   synth     generate a synthetic dataset
 
 Exit codes: 0 success, 2 configuration error, 3 data error (any other
-toolkit error too, e.g. a single user where selection needs two),
+toolkit error too, e.g. a single user where selection needs two, or an
+input that cannot be read or an --out that cannot be written),
 4 completed with failed matrix cells (a dead worker's cells included).
 """
 
@@ -18,14 +19,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .errors import ConfigError, SwipebenchError
 from .experiments import (emit_plots, load_config, resolve_feature_set,
                           run_matrix, write_report)
 from .features.extract import (build_feature_table, export_table_csv,
                                export_table_json)
-from .ingest import AdapterConfig, convert_raw, load_canonical, write_canonical
+from .ingest import (AdapterConfig, convert_raw, load_canonical,
+                     rewrite_text, write_canonical)
 from .selection import DEFAULT_MIN_VOTES, DEFAULT_TOP_N, select_features
 from .synthetic import SyntheticSpec, generate_synthetic
 from .touchdata import assemble_dataset
@@ -110,14 +111,14 @@ def _cmd_extract(args) -> int:
         spec = [tok for tok in spec.split(",") if tok.strip()]
     _label, ids = resolve_feature_set(spec)
     table = build_feature_table(dataset, ids)
-    out = Path(args.out)
     if args.format == "csv":
-        out.write_text(export_table_csv(table))
+        text = export_table_csv(table)
     else:
-        out.write_text(json.dumps(export_table_json(table), indent=2,
-                                  sort_keys=True) + "\n")
+        text = json.dumps(export_table_json(table), indent=2,
+                          sort_keys=True) + "\n"
+    rewrite_text(args.out, text)
     print(f"{table.n_rows} swipes x {len(table.feature_ids)} features "
-          f"-> {out}")
+          f"-> {args.out}")
     return EXIT_OK
 
 
@@ -128,8 +129,8 @@ def _cmd_select(args) -> int:
         tables.append(build_feature_table(dataset))
     result = select_features(tables, top_n=args.top_n,
                              min_votes=args.min_votes)
-    Path(args.out).write_text(json.dumps(result.as_dict(), indent=2,
-                                         sort_keys=True) + "\n")
+    rewrite_text(args.out, json.dumps(result.as_dict(), indent=2,
+                                      sort_keys=True) + "\n")
     print(f"selected {len(result.selected)} features -> {args.out}")
     return EXIT_OK
 

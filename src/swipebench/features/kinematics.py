@@ -1,4 +1,10 @@
-"""Derived per-swipe series: velocities, accelerations, deviations, angles.
+"""Derived series for a block of equal-length swipes: velocities,
+accelerations, deviations, angles.
+
+Every series is computed row-wise on (k, n) arrays holding k swipes of n
+samples each, so one call serves a whole length group of a feature table;
+a single swipe is the block with k = 1. Each row of a result is bitwise
+what the same operations give on that swipe alone.
 
 Conventions used throughout (and mirrored by the feature definitions):
 forward differences; dt in seconds for velocity (px/s) and acceleration
@@ -17,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..touchdata import Swipe
-
 
 @dataclass
 class KinematicSeries:
+    """One row per swipe; column counts for swipes of n samples."""
+
     dt_ms: np.ndarray          # n-1 inter-sample gaps, milliseconds
     seg_dx: np.ndarray         # n-1 displacement components
     seg_dy: np.ndarray
@@ -35,71 +41,48 @@ class KinematicSeries:
     pressure_delta: np.ndarray  # n-1
     area_delta: np.ndarray     # n-1
 
-    @property
-    def ldp_index(self) -> int:
-        """Index of the largest-deviation point (first on ties)."""
-        return int(np.argmax(self.deviation))
-
-    def point_velocity(self, i: int) -> float:
-        """Velocity attributed to sample i: the segment starting there,
-        the final segment for the last sample."""
-        v = self.velocity
-        return float(v[min(i, len(v) - 1)])
-
 
 def chord_deviations(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Absolute perpendicular distance of every point from the start->stop
-    chord; distance to the start point when start == stop."""
-    ax, ay = xs[0], ys[0]
-    bx, by = xs[-1], ys[-1]
-    cx, cy = bx - ax, by - ay
+    """Absolute perpendicular distance of every point from its row's
+    start->stop chord; distance to the start point when start == stop."""
+    ax, ay = xs[:, :1], ys[:, :1]
+    cx, cy = xs[:, -1:] - ax, ys[:, -1:] - ay
     norm = np.hypot(cx, cy)
-    if norm == 0.0:
-        return np.hypot(xs - ax, ys - ay)
-    return np.abs(cx * (ys - ay) - cy * (xs - ax)) / norm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        perp = np.abs(cx * (ys - ay) - cy * (xs - ax)) / norm
+    return np.where(norm == 0.0, np.hypot(xs - ax, ys - ay), perp)
 
 
-def compute_kinematics(swipe: Swipe) -> KinematicSeries:
-    """Build every derived series for one swipe (needs >= 2 samples)."""
-    t = swipe.t_ms
-    if len(t) < 2:
+def compute_kinematics(t: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                       pressures: np.ndarray,
+                       areas: np.ndarray) -> KinematicSeries:
+    """Build every derived series for (k, n) sample blocks (n >= 2)."""
+    if t.shape[1] < 2:
         raise ValueError("kinematics need at least 2 samples")
-    xs, ys = swipe.xs, swipe.ys
 
-    dt_ms = np.diff(t)
+    dt_ms = np.diff(t, axis=1)
     dt_s = dt_ms / 1000.0
-    seg_dx = np.diff(xs)
-    seg_dy = np.diff(ys)
+    seg_dx = np.diff(xs, axis=1)
+    seg_dy = np.diff(ys, axis=1)
     seg_len = np.hypot(seg_dx, seg_dy)
     velocity = seg_len / dt_s
 
     # Midpoint spacing: velocity i lives at (t_i + t_{i+1}) / 2.
-    if len(velocity) >= 2:
-        mid_dt_s = (t[2:] - t[:-2]) / 2000.0
-        acceleration = np.diff(velocity) / mid_dt_s
-    else:
-        mid_dt_s = np.empty(0)
-        acceleration = np.empty(0)
+    mid_dt_s = (t[:, 2:] - t[:, :-2]) / 2000.0
+    acceleration = np.diff(velocity, axis=1) / mid_dt_s
 
-    deviation = chord_deviations(xs, ys)
-    phase_angle = np.arctan2(seg_dy, seg_dx)
-
-    if len(seg_dx) >= 2:
-        cross = seg_dx[:-1] * seg_dy[1:] - seg_dy[:-1] * seg_dx[1:]
-        dot = seg_dx[:-1] * seg_dx[1:] + seg_dy[:-1] * seg_dy[1:]
-        pairwise_angle = np.arctan2(cross, dot)
-        angular_velocity = pairwise_angle / mid_dt_s
-    else:
-        pairwise_angle = np.empty(0)
-        angular_velocity = np.empty(0)
+    cross = seg_dx[:, :-1] * seg_dy[:, 1:] - seg_dy[:, :-1] * seg_dx[:, 1:]
+    dot = seg_dx[:, :-1] * seg_dx[:, 1:] + seg_dy[:, :-1] * seg_dy[:, 1:]
+    pairwise_angle = np.arctan2(cross, dot)
 
     return KinematicSeries(
-        dt_ms=dt_ms.astype(float),
+        dt_ms=dt_ms,
         seg_dx=seg_dx, seg_dy=seg_dy, seg_len=seg_len,
         velocity=velocity, acceleration=acceleration,
-        deviation=deviation,
-        pairwise_angle=pairwise_angle, phase_angle=phase_angle,
-        angular_velocity=angular_velocity,
-        pressure_delta=np.diff(swipe.pressures),
-        area_delta=np.diff(swipe.areas),
+        deviation=chord_deviations(xs, ys),
+        pairwise_angle=pairwise_angle,
+        phase_angle=np.arctan2(seg_dy, seg_dx),
+        angular_velocity=pairwise_angle / mid_dt_s,
+        pressure_delta=np.diff(pressures, axis=1),
+        area_delta=np.diff(areas, axis=1),
     )

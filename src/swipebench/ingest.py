@@ -172,14 +172,18 @@ def _format_channel(v: float) -> str:
     return "" if math.isnan(v) else repr(v)
 
 
-def rewrite_text(path: Path, text: str) -> None:
+def rewrite_text(path: str | Path, text: str) -> None:
     """Write text to path, overwriting an existing file in place and then
     cutting its old tail, so the bytes equal a fresh write. Truncating an
     allocated file to zero first can block for tens of milliseconds on a
     filesystem mounted with discard."""
-    with open(path, "r+b" if path.exists() else "wb") as f:
-        f.write(text.encode())
-        f.truncate()
+    path = Path(path)
+    try:
+        with open(path, "r+b" if path.exists() else "wb") as f:
+            f.write(text.encode())
+            f.truncate()
+    except OSError as err:
+        raise DataError(f"cannot write {path}: {err}") from None
 
 
 def write_canonical(dataset: Dataset, path: str | Path, fmt: str = "csv") -> None:

@@ -167,6 +167,25 @@ def test_select_single_user_inputs_is_a_data_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["ingest", "extract", "select", "synth"])
+def test_unwritable_out_is_a_data_error(tmp_path, capsys, verb):
+    """An --out in a missing directory: exit 3, one line, no trace."""
+    src = str(synth_file(tmp_path))
+    out = tmp_path / "missing" / "out.csv"
+    argv = {"ingest": ["ingest", "--input", src],
+            "extract": ["extract", "--input", src],
+            "select": ["select", "--inputs", src, src],
+            "synth": ["synth", *SYNTH_ARGS]}[verb]
+    capsys.readouterr()
+    rc = main(argv + ["--out", str(out)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot write {out}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.parent.exists()
+
+
 def test_evaluate_single_cell(tmp_path, capsys):
     src = synth_file(tmp_path)
     out_dir = tmp_path / "run"

@@ -7,14 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import build_swipe, random_swipe
-from oracles import oracle_features
+from helpers import build_swipe, dataset_from_sessions, random_swipe
+from oracles import o_compute_kinematics, o_extract_features, oracle_features
 from swipebench.errors import EmptyMatrix
 from swipebench.features import extract
 from swipebench.features.extract import (build_feature_table,
                                          export_table_csv, export_table_json,
                                          extract_features)
-from swipebench.features.kinematics import compute_kinematics
 from swipebench.touchdata import Dataset, Session, UserData
 
 GOLDEN = Path(__file__).parent / "data" / "golden_feature_vector.json"
@@ -94,8 +93,7 @@ def test_inter_stroke_time_masked_without_context():
 
 
 def test_stationary_swipe_masks_ratio_features():
-    swipe = build_swipe([0, 20, 40, 60, 80], [50.0] * 5, [70.0] * 5,
-                        [0.3, 0.4, 0.5, 0.4, 0.3], [0.2] * 5)
+    swipe = stationary_swipe()
     fv = extract_features(swipe)
     for fid in (18, 75, 77, 147, 148):
         assert not fv.is_defined(fid), fid
@@ -196,7 +194,7 @@ SHAPE_IDS = {80: "seg", 85: "dev", 91: "pa", 97: "ph", 101: "vel",
 
 
 def series_of(swipe):
-    kin = compute_kinematics(swipe)
+    kin = o_compute_kinematics(swipe)
     xs, ys = swipe.xs, swipe.ys
     return {"vel": kin.velocity, "acc": kin.acceleration,
             "dev": kin.deviation, "seg": kin.seg_len,
@@ -310,6 +308,121 @@ def test_one_percentile_call_per_series(monkeypatch):
     # vel, acc, dev, pr, ar, seg, pa, ph, av and the two centre distances
     assert len(calls) == 11
     assert len({id(a) for a in calls}) == 11
+
+
+def stationary_swipe():
+    return build_swipe([0, 20, 40, 60, 80], [50.0] * 5, [70.0] * 5,
+                       [0.3, 0.4, 0.5, 0.4, 0.3], [0.2] * 5)
+
+
+def hypot_sensitive_swipe():
+    """Its one interior chord has a length where math.hypot and np.hypot
+    differ in the last bit, and id 34 shows the difference."""
+    return build_swipe([0, 15, 32], [254.8, 460.3, 326.8],
+                       [1369.2, 560.0, 1294.2])
+
+
+def mixed_length_swipe(rng, n):
+    """A random swipe of n samples, sometimes with integer coordinates,
+    repeated points or a NaN in its pressure or area channel."""
+    swipe = random_swipe(rng, n=n, integer_coords=bool(rng.integers(2)))
+    xs, ys = swipe.xs.copy(), swipe.ys.copy()
+    pr, ar = swipe.pressures.copy(), swipe.areas.copy()
+    kind = int(rng.integers(5))
+    if kind == 1:
+        pr[rng.integers(n)] = np.nan
+    elif kind == 2:
+        ar[rng.integers(n)] = np.nan
+    elif kind == 3:       # a point repeated: zero segments and chords
+        i = int(rng.integers(1, n))
+        xs[i], ys[i] = xs[i - 1], ys[i - 1]
+    elif kind == 4:       # back where it started: a zero-length chord
+        xs[-1], ys[-1] = xs[0], ys[0]
+    return build_swipe(swipe.t_ms.astype(int).tolist(), xs.tolist(),
+                       ys.tolist(), pr.tolist(), ar.tolist())
+
+
+def mixed_length_dataset(seed):
+    """Several users and sessions whose swipe lengths repeat, with the
+    degenerate swipes in the same length groups as ordinary ones."""
+    rng = np.random.default_rng(seed)
+    swipes = degenerate_swipes() + [stationary_swipe(),
+                                    hypot_sensitive_swipe()]
+    swipes += [mixed_length_swipe(rng, int(n))
+               for n in rng.choice([3, 4, 5, 8, 13, 40], size=60)]
+    order = rng.permutation(len(swipes))
+    per_user = {}
+    for pos, i in enumerate(order):
+        user = f"u{pos % 3}"
+        session = f"s{pos % 2}"
+        per_user.setdefault(user, {}).setdefault(session, []).append(
+            swipes[i])
+    return dataset_from_sessions(per_user, name=f"mixed{seed}")
+
+
+def reference_table(dataset, ids):
+    """Rows from the per-swipe reference, in table order."""
+    idx = np.asarray(ids) - 1
+    rows, defs = [], []
+    for user_id in dataset.user_ids():
+        for session in dataset.users[user_id].sessions:
+            prev = None
+            for swipe in session.swipes:
+                vals, defined = o_extract_features(swipe, prev_end_ms=prev)
+                rows.append(vals[idx])
+                defs.append(defined[idx])
+                prev = swipe.end_ms
+    return np.vstack(rows), np.vstack(defs)
+
+
+@pytest.mark.parametrize("ids", [tuple(range(1, 150)),
+                                 (1, 10, 17, 34, 37, 80, 133, 149)])
+def test_table_equals_per_swipe_reference_bitwise(ids):
+    for seed in (11, 12, 13):
+        dataset = mixed_length_dataset(seed)
+        table = build_feature_table(dataset, ids=list(ids))
+        X, defined = reference_table(dataset, ids)
+        assert table.feature_ids == ids
+        assert np.array_equal(table.defined, defined)
+        assert np.array_equal(table.X, X)
+        lengths = [s.n for u in dataset.users.values() for se in u.sessions
+                   for s in se.swipes]
+        assert len(set(lengths)) < len(lengths) // 5
+
+
+def test_one_swipe_extraction_equals_per_swipe_reference_bitwise():
+    rng = np.random.default_rng(FUZZ_SEED)
+    swipes = [mixed_length_swipe(rng, int(rng.integers(3, 61)))
+              for _ in range(2 * N_FUZZED)]
+    swipes += degenerate_swipes() + [stationary_swipe(),
+                                     hypot_sensitive_swipe()]
+    for swipe in swipes:
+        for prev in (None, swipe.start_ms - 75):
+            fv = extract_features(swipe, prev_end_ms=prev)
+            vals, defined = o_extract_features(swipe, prev_end_ms=prev)
+            assert np.array_equal(fv.defined, defined)
+            assert np.array_equal(fv.values, vals)
+
+
+def test_table_calls_percentile_per_length_not_per_swipe(monkeypatch):
+    calls = []
+    real = np.percentile
+
+    def counting(a, q, *args, **kw):
+        calls.append(np.shape(a))
+        return real(a, q, *args, **kw)
+
+    monkeypatch.setattr(extract.np, "percentile", counting)
+    rng = np.random.default_rng(9)
+    lengths = [5, 9, 14, 22]
+    sessions = {f"s{n}": [random_swipe(rng, n=n) for _ in range(6)]
+                for n in lengths}
+    table = build_feature_table(dataset_from_sessions({"u": sessions}))
+    assert table.n_rows == 6 * len(lengths)
+    # the eleven series of test_one_percentile_call_per_series, once per
+    # length group, each a block of that group's six swipes
+    assert len(calls) == 11 * len(lengths)
+    assert {shape[0] for shape in calls} == {6}
 
 
 def test_exports_match_cell_by_cell_reference():
