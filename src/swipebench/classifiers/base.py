@@ -4,12 +4,16 @@ All models consume a feature matrix plus an optional defined-mask. Feature
 standardization is fitted per model on mask-defined training entries;
 masked entries become 0 after standardization, i.e. the training mean.
 Scores are always in [0, 1], higher = more genuine.
+
+Each model kind declares its learned state once, as dataclass fields
+named after its blob's payload keys. One-class kinds train on the genuine
+rows that check_training_inputs keeps.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -151,14 +155,15 @@ class Standardizer:
                    std=np.array(d["std"], dtype=float))
 
 
+@dataclass(eq=False)
 class TrainedModel:
     """A fitted scorer. Subclasses implement _score_std on standardized
-    features and payload (de)serialization."""
+    features; state of arrays and numbers (de)serializes field by field,
+    and compound state overrides _payload and _from_payload."""
 
-    def __init__(self, spec: ClassifierSpec, standardizer: Standardizer, n_features: int):
-        self.spec = spec
-        self.standardizer = standardizer
-        self.n_features = n_features
+    spec: ClassifierSpec
+    standardizer: Standardizer
+    n_features: int
 
     def score(self, X, defined: np.ndarray | None = None) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -173,12 +178,27 @@ class TrainedModel:
         raise NotImplementedError
 
     def _payload(self) -> dict:
-        raise NotImplementedError
+        state = fields(self)[len(fields(TrainedModel)):]
+        return {f.name: _encode(getattr(self, f.name)) for f in state}
 
     @classmethod
     def _from_payload(cls, spec: ClassifierSpec, standardizer: Standardizer,
                       n_features: int, payload: dict) -> "TrainedModel":
-        raise NotImplementedError
+        state = {name: np.array(v, dtype=float) if isinstance(v, list) else v
+                 for name, v in payload.items()}
+        return cls(spec, standardizer, n_features, **state)
+
+
+def _encode(value):
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def min_max_scale(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """values mapped from the training range [lo, hi] onto [0, 1], clamped;
+    0.5 everywhere when the range is a single point."""
+    if hi == lo:
+        return np.full(len(values), 0.5)
+    return np.clip((values - lo) / (hi - lo), 0.0, 1.0)
 
 
 _MODEL_CLASSES: dict[str, type] = {}
@@ -218,7 +238,10 @@ def from_blob(blob: bytes) -> TrainedModel:
 
 
 def check_training_inputs(spec: ClassifierSpec, X: np.ndarray,
-                          y: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+                          y: np.ndarray | None, defined: np.ndarray | None,
+                          ) -> tuple[np.ndarray, np.ndarray | None,
+                                     np.ndarray | None]:
+    """Validated (X, y, defined); one-class kinds keep the genuine rows."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise TooFewSamples(f"training matrix must be 2-d, got shape {X.shape}")
@@ -228,7 +251,7 @@ def check_training_inputs(spec: ClassifierSpec, X: np.ndarray,
         if not spec.is_one_class:
             raise SingleClassForBinarySpec(
                 f"{spec.kind} needs labels for both classes")
-        return X, None
+        return X, None, defined
     y = np.asarray(y).astype(int)
     if len(y) != X.shape[0]:
         raise DimensionMismatch(f"{X.shape[0]} rows but {len(y)} labels")
@@ -237,7 +260,13 @@ def check_training_inputs(spec: ClassifierSpec, X: np.ndarray,
     if not spec.is_one_class and len(np.unique(y)) < 2:
         raise SingleClassForBinarySpec(
             f"{spec.kind} needs both classes in training data")
-    return X, y
+    if spec.is_one_class:
+        keep = y == 1
+        X, y = X[keep], y[keep]
+        defined = defined[keep] if defined is not None else None
+        if len(y) < 2:
+            raise TooFewSamples("one-class training needs >= 2 genuine rows")
+    return X, y, defined
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:

@@ -7,6 +7,7 @@ accumulated in member-list order: ((s_svm + s_rf) + s_nn) / 3.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,20 +24,19 @@ def member_specs(spec: ClassifierSpec) -> list[ClassifierSpec]:
 
 
 @register_model("ensemble")
+@dataclass(eq=False)
 class EnsembleModel(TrainedModel):
-    def __init__(self, spec, n_features, models: list[TrainedModel]):
-        super().__init__(spec, Standardizer(mean=np.zeros(n_features),
-                                            std=np.ones(n_features)),
-                         n_features)
-        self.models = models
+    models: list[TrainedModel]
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None) -> "EnsembleModel":
         from . import train as train_any
-        X, y = check_training_inputs(spec, X, y)
+        X, y, defined = check_training_inputs(spec, X, y, defined)
         models = [train_any(ms, X, y, defined=defined)
                   for ms in member_specs(spec)]
-        return cls(spec, X.shape[1], models)
+        d = X.shape[1]
+        identity = Standardizer(mean=np.zeros(d), std=np.ones(d))
+        return cls(spec, identity, d, models)
 
     def score(self, X, defined=None) -> np.ndarray:
         # Members own their standardization; masks must reach them raw.
@@ -52,4 +52,4 @@ class EnsembleModel(TrainedModel):
     def _from_payload(cls, spec, standardizer, n_features, payload):
         models = [from_blob(json.dumps(doc, sort_keys=True).encode())
                   for doc in payload["members"]]
-        return cls(spec, n_features, models)
+        return cls(spec, standardizer, n_features, models)

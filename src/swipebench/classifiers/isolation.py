@@ -15,12 +15,12 @@ scoring reads it at the leaves ``TreeArrays.leaves`` returns.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import TooFewSamples
 from .base import (ClassifierSpec, Standardizer, TrainedModel,
-                   check_training_inputs, register_model)
+                   check_training_inputs, min_max_scale, register_model)
 from .tree import TreeArrays, grow
 
 _EULER = 0.5772156649015329
@@ -67,25 +67,21 @@ def node_path_lengths(tree: TreeArrays) -> np.ndarray:
 
 
 @register_model("isolation_forest")
+@dataclass(eq=False)
 class IsolationForestModel(TrainedModel):
-    def __init__(self, spec, standardizer, n_features, trees, psi, lo, hi):
-        super().__init__(spec, standardizer, n_features)
-        self.trees = trees
-        self.paths = [node_path_lengths(t) for t in trees]
-        self.psi = psi
-        self.lo = lo
-        self.hi = hi
+    trees: list[TreeArrays]
+    psi: int
+    lo: float
+    hi: float
+    paths: list[np.ndarray] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.paths = [node_path_lengths(t) for t in self.trees]
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y=None, defined=None
               ) -> "IsolationForestModel":
-        X, y = check_training_inputs(spec, X, y)
-        if y is not None:
-            keep = y == 1
-            X = X[keep]
-            defined = defined[keep] if defined is not None else None
-        if X.shape[0] < 2:
-            raise TooFewSamples("one-class training needs >= 2 genuine rows")
+        X, _, defined = check_training_inputs(spec, X, y, defined)
         std = Standardizer.fit(X, defined)
         Z = std.transform(X, defined)
         p = spec.params
@@ -113,10 +109,7 @@ class IsolationForestModel(TrainedModel):
         return 1.0 - anomaly
 
     def _score_std(self, Z: np.ndarray) -> np.ndarray:
-        raw = self._genuineness(Z)
-        if self.hi == self.lo:
-            return np.full(len(raw), 0.5)
-        return np.clip((raw - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+        return min_max_scale(self._genuineness(Z), self.lo, self.hi)
 
     def _payload(self) -> dict:
         return {"trees": [t.as_dict("size") for t in self.trees],

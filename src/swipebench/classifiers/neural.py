@@ -15,6 +15,7 @@ buffer; ``Adam`` and ``train_minibatch`` also train the LSTM stacker.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -248,14 +249,13 @@ def train_mlp(net: MlpNetwork, X: np.ndarray, y: np.ndarray,
 
 
 @register_model("neural_net")
+@dataclass(eq=False)
 class NeuralNetModel(TrainedModel):
-    def __init__(self, spec, standardizer, n_features, net: MlpNetwork):
-        super().__init__(spec, standardizer, n_features)
-        self.net = net
+    net: MlpNetwork
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None) -> "NeuralNetModel":
-        X, y = check_training_inputs(spec, X, y)
+        X, y, defined = check_training_inputs(spec, X, y, defined)
         std = Standardizer.fit(X, defined)
         Z = std.transform(X, defined)
         p = spec.params

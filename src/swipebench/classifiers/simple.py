@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.optimize import minimize
 
@@ -10,16 +12,15 @@ from .base import (ClassifierSpec, Standardizer, TrainedModel,
 
 
 @register_model("gaussian_nb")
+@dataclass(eq=False)
 class GaussianNbModel(TrainedModel):
-    def __init__(self, spec, standardizer, n_features, theta, var, log_prior):
-        super().__init__(spec, standardizer, n_features)
-        self.theta = theta          # (2, d) per-class means
-        self.var = var              # (2, d) smoothed variances
-        self.log_prior = log_prior  # (2,)
+    theta: np.ndarray       # (2, d) per-class means
+    var: np.ndarray         # (2, d) smoothed variances
+    log_prior: np.ndarray   # (2,)
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None) -> "GaussianNbModel":
-        X, y = check_training_inputs(spec, X, y)
+        X, y, defined = check_training_inputs(spec, X, y, defined)
         std = Standardizer.fit(X, defined)
         Z = std.transform(X, defined)
         d = Z.shape[1]
@@ -45,33 +46,21 @@ class GaussianNbModel(TrainedModel):
         p = np.exp(jll - m)
         return p[:, 1] / p.sum(axis=1)
 
-    def _payload(self) -> dict:
-        return {"theta": self.theta.tolist(), "var": self.var.tolist(),
-                "log_prior": self.log_prior.tolist()}
-
-    @classmethod
-    def _from_payload(cls, spec, standardizer, n_features, payload):
-        return cls(spec, standardizer, n_features,
-                   np.array(payload["theta"], dtype=float),
-                   np.array(payload["var"], dtype=float),
-                   np.array(payload["log_prior"], dtype=float))
-
 
 @register_model("knn")
+@dataclass(eq=False)
 class KnnModel(TrainedModel):
     """Score = genuine fraction among the k nearest training rows
     (euclidean, standardized space). k is clipped to the training size, so
     an oversized k degrades to the global genuine fraction. Distance ties
     resolve toward the lower training-row index."""
 
-    def __init__(self, spec, standardizer, n_features, Z_train, y_train):
-        super().__init__(spec, standardizer, n_features)
-        self.Z_train = Z_train
-        self.y_train = y_train
+    Z_train: np.ndarray
+    y_train: np.ndarray
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None) -> "KnnModel":
-        X, y = check_training_inputs(spec, X, y)
+        X, y, defined = check_training_inputs(spec, X, y, defined)
         std = Standardizer.fit(X, defined)
         return cls(spec, std, X.shape[1], std.transform(X, defined),
                    y.astype(float))
@@ -84,31 +73,20 @@ class KnnModel(TrainedModel):
         order = np.argsort(sq, axis=1, kind="stable")[:, :k]
         return self.y_train[order].mean(axis=1)
 
-    def _payload(self) -> dict:
-        return {"Z_train": self.Z_train.tolist(),
-                "y_train": self.y_train.tolist()}
-
-    @classmethod
-    def _from_payload(cls, spec, standardizer, n_features, payload):
-        return cls(spec, standardizer, n_features,
-                   np.array(payload["Z_train"], dtype=float),
-                   np.array(payload["y_train"], dtype=float))
-
 
 @register_model("logistic_regression")
+@dataclass(eq=False)
 class LogisticRegressionModel(TrainedModel):
     """L2-regularized logistic regression fitted with L-BFGS:
     minimize 0.5 w'w + C * sum log(1 + exp(-z f)), intercept unpenalized."""
 
-    def __init__(self, spec, standardizer, n_features, w, b):
-        super().__init__(spec, standardizer, n_features)
-        self.w = w
-        self.b = b
+    w: np.ndarray
+    b: float
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None
               ) -> "LogisticRegressionModel":
-        X, y = check_training_inputs(spec, X, y)
+        X, y, defined = check_training_inputs(spec, X, y, defined)
         std = Standardizer.fit(X, defined)
         Z = std.transform(X, defined)
         zpm = np.where(y == 1, 1.0, -1.0)
@@ -137,11 +115,3 @@ class LogisticRegressionModel(TrainedModel):
     def _score_std(self, Z: np.ndarray) -> np.ndarray:
         f = np.clip(Z @ self.w + self.b, -500, 500)
         return 1.0 / (1.0 + np.exp(-f))
-
-    def _payload(self) -> dict:
-        return {"w": self.w.tolist(), "b": self.b}
-
-    @classmethod
-    def _from_payload(cls, spec, standardizer, n_features, payload):
-        return cls(spec, standardizer, n_features,
-                   np.array(payload["w"], dtype=float), payload["b"])

@@ -1,22 +1,26 @@
 """RBF-kernel SVMs trained by sequential minimal optimization.
 
-The solver is the classic maximal-violating-pair scheme: pick the steepest
-feasible ascent/descent pair, take the clipped Newton step on it, repeat
-until the KKT gap falls below tol. The binary machine calibrates its
-decision values into probabilities with a sigmoid fitted on 3-fold
-cross-validated decision values; the one-class machine min-max normalizes
-its decision values against the training range.
+One solver, ``smo_solve``, is the classic maximal-violating-pair scheme:
+pick the steepest feasible ascent/descent pair, take the clipped Newton
+step on it, repeat until the KKT gap falls below tol. Its two call sites
+are the binary machine (``smo_solve_binary``: exact bounds) and the
+one-class machine (``OneClassSvmModel.train``: bounds kept 1e-15 inside
+the box); each margin pins its machine's solutions bit for bit. The binary
+machine calibrates its decision values into probabilities with a sigmoid
+fitted on 3-fold cross-validated decision values; the one-class machine
+min-max normalizes its decision values against the training range.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import TooFewSamples
 from .base import (ClassifierSpec, Standardizer, TrainedModel,
-                   check_training_inputs, register_model, rng_from_seed)
+                   check_training_inputs, min_max_scale, register_model,
+                   rng_from_seed)
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -34,21 +38,26 @@ def gamma_value(gamma, X: np.ndarray) -> float:
     return float(gamma)
 
 
-def smo_solve_binary(K: np.ndarray, y: np.ndarray, C: float,
-                     tol: float = 1e-3, max_iter: int = 100_000,
-                     ) -> tuple[np.ndarray, float]:
-    """Solve the C-SVC dual for labels y in {-1, +1}: minimize
-    0.5 a'Qa - e'a with Q = yy' * K, subject to 0 <= a <= C, y'a = 0.
-    Returns (alpha, b) with decision f(x) = sum a_i y_i K(x_i, x) + b.
-    """
-    n = len(y)
-    alpha = np.zeros(n)
-    grad = -np.ones(n)          # Q alpha - e at alpha = 0
-
+def smo_solve(K: np.ndarray, y: np.ndarray, p: np.ndarray, box: float,
+              alpha0: np.ndarray, tol: float, max_iter: int, margin: float,
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize 0.5 a'Qa + p'a with Q = yy' * K, subject to 0 <= a <= box
+    and y'a fixed at its value at the feasible start alpha0, for y in
+    {-1, +1}. A coefficient may still rise while below box - margin and
+    fall while above margin. Returns alpha and -y * (Qa + p)."""
+    # The loop runs on u = y * a, which lies in [hi - box, hi] and moves
+    # by +t at i and -t at j; -neg_yg is the gradient of the same
+    # objective, 0.5 u'Ku + (y * p)'u. Adding 0.0 to y * u turns the -0.0
+    # of a coefficient that returned to its bound at 0 into 0.0.
+    u = y * alpha0
+    hi = np.where(y > 0, box, 0.0)
+    lo = hi - box
+    up_limit = hi - margin
+    low_limit = lo + margin
+    neg_yg = -(K @ u + y * p)
     for _ in range(max_iter):
-        neg_yg = -y * grad
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+        up = u < up_limit
+        low = u > low_limit
         if not up.any() or not low.any():
             break
         up_idx = np.flatnonzero(up)
@@ -61,18 +70,25 @@ def smo_solve_binary(K: np.ndarray, y: np.ndarray, C: float,
         quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
         if quad <= 1e-12:
             quad = 1e-12
-        t = (m - M) / quad
-        # Box limits along the direction a_i += y_i t, a_j -= y_j t.
-        t_max_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
-        t_max_j = alpha[j] if y[j] > 0 else (C - alpha[j])
-        t = min(t, t_max_i, t_max_j)
+        t = min((m - M) / quad, hi[i] - u[i], u[j] - lo[j])
         if t <= 0.0:
             break
-        alpha[i] += y[i] * t
-        alpha[j] -= y[j] * t
-        grad += t * y * (K[:, i] - K[:, j])
+        u[i] += t
+        u[j] -= t
+        neg_yg -= t * (K[:, i] - K[:, j])
+    return y * u + 0.0, neg_yg
 
-    neg_yg = -y * grad
+
+def smo_solve_binary(K: np.ndarray, y: np.ndarray, C: float,
+                     tol: float = 1e-3, max_iter: int = 100_000,
+                     ) -> tuple[np.ndarray, float]:
+    """Solve the C-SVC dual for labels y in {-1, +1}: minimize
+    0.5 a'Qa - e'a with Q = yy' * K, subject to 0 <= a <= C, y'a = 0.
+    Returns (alpha, b) with decision f(x) = sum a_i y_i K(x_i, x) + b.
+    """
+    n = len(y)
+    alpha, neg_yg = smo_solve(K, y, -np.ones(n), C, np.zeros(n), tol,
+                              max_iter, margin=0.0)
     free = (alpha > 1e-12) & (alpha < C - 1e-12)
     if free.any():
         b = float(np.mean(neg_yg[free]))
@@ -154,20 +170,18 @@ def _stratified_folds(y01: np.ndarray, n_folds: int,
 
 
 @register_model("svm_rbf")
+@dataclass(eq=False)
 class SvmModel(TrainedModel):
-    def __init__(self, spec, standardizer, n_features, sv, sv_coef, b,
-                 gamma, platt_a, platt_b):
-        super().__init__(spec, standardizer, n_features)
-        self.sv = sv                # support vectors (standardized space)
-        self.sv_coef = sv_coef      # alpha_i * y_i
-        self.b = b
-        self.gamma = gamma
-        self.platt_a = platt_a
-        self.platt_b = platt_b
+    sv: np.ndarray          # support vectors (standardized space)
+    sv_coef: np.ndarray     # alpha_i * y_i
+    b: float
+    gamma: float
+    platt_a: float
+    platt_b: float
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None) -> "SvmModel":
-        X, y = check_training_inputs(spec, X, y)
+        X, y, defined = check_training_inputs(spec, X, y, defined)
         std = Standardizer.fit(X, defined)
         Z = std.transform(X, defined)
         p = spec.params
@@ -220,88 +234,38 @@ class SvmModel(TrainedModel):
                         np.exp(-fApB) / (1.0 + np.exp(-fApB)),
                         1.0 / (1.0 + np.exp(fApB)))
 
-    def _payload(self) -> dict:
-        return {"sv": self.sv.tolist(), "sv_coef": self.sv_coef.tolist(),
-                "b": self.b, "gamma": self.gamma,
-                "platt_a": self.platt_a, "platt_b": self.platt_b}
-
-    @classmethod
-    def _from_payload(cls, spec, standardizer, n_features, payload):
-        return cls(spec, standardizer, n_features,
-                   np.array(payload["sv"], dtype=float),
-                   np.array(payload["sv_coef"], dtype=float),
-                   payload["b"], payload["gamma"],
-                   payload["platt_a"], payload["platt_b"])
-
-
-def smo_solve_one_class(K: np.ndarray, nu: float, tol: float = 1e-3,
-                        max_iter: int = 100_000) -> np.ndarray:
-    """Solve the one-class dual: minimize 0.5 a'Ka subject to
-    0 <= a_i <= 1/(nu n), sum a = 1."""
-    n = K.shape[0]
-    box = 1.0 / (nu * n)
-    alpha = np.zeros(n)
-    # Fill boxes from the front until the mass reaches 1.
-    full = int(math.floor(nu * n))
-    alpha[:full] = box
-    if full < n:
-        alpha[full] = 1.0 - box * full
-    grad = K @ alpha
-
-    for _ in range(max_iter):
-        can_up = alpha < box - 1e-15
-        can_down = alpha > 1e-15
-        if not can_up.any() or not can_down.any():
-            break
-        up_idx = np.flatnonzero(can_up)
-        down_idx = np.flatnonzero(can_down)
-        i = up_idx[np.argmin(grad[up_idx])]
-        j = down_idx[np.argmax(grad[down_idx])]
-        if grad[j] - grad[i] < tol:
-            break
-        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        if quad <= 1e-12:
-            quad = 1e-12
-        t = (grad[j] - grad[i]) / quad
-        t = min(t, box - alpha[i], alpha[j])
-        if t <= 0.0:
-            break
-        alpha[i] += t
-        alpha[j] -= t
-        grad += t * (K[:, i] - K[:, j])
-    return alpha
-
 
 @register_model("oc_svm_rbf")
+@dataclass(eq=False)
 class OneClassSvmModel(TrainedModel):
-    def __init__(self, spec, standardizer, n_features, sv, sv_alpha, rho,
-                 gamma, lo, hi):
-        super().__init__(spec, standardizer, n_features)
-        self.sv = sv
-        self.sv_alpha = sv_alpha
-        self.rho = rho
-        self.gamma = gamma
-        self.lo = lo    # training decision-value range for normalization
-        self.hi = hi
+    sv: np.ndarray
+    sv_alpha: np.ndarray
+    rho: float
+    gamma: float
+    lo: float       # training decision-value range for normalization
+    hi: float
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y=None, defined=None) -> "OneClassSvmModel":
-        X, y = check_training_inputs(spec, X, y)
-        if y is not None:
-            keep = y == 1
-            X = X[keep]
-            defined = defined[keep] if defined is not None else None
-        if X.shape[0] < 2:
-            raise TooFewSamples("one-class training needs >= 2 genuine rows")
+        X, _, defined = check_training_inputs(spec, X, y, defined)
         std = Standardizer.fit(X, defined)
         Z = std.transform(X, defined)
         p = spec.params
         gamma = gamma_value(p["gamma"], Z)
         K = rbf_kernel(Z, Z, gamma)
-        alpha = smo_solve_one_class(K, p["nu"], tol=p["tol"],
-                                    max_iter=p["max_iter"])
+        # The one-class dual: minimize 0.5 a'Ka subject to
+        # 0 <= a_i <= 1/(nu n), sum a = 1, from boxes filled from the front
+        # until the mass reaches 1.
+        n = len(Z)
+        box = 1.0 / (p["nu"] * n)
+        alpha0 = np.zeros(n)
+        full = int(math.floor(p["nu"] * n))
+        alpha0[:full] = box
+        if full < n:
+            alpha0[full] = 1.0 - box * full
+        alpha, _ = smo_solve(K, np.ones(n), np.zeros(n), box, alpha0,
+                             p["tol"], p["max_iter"], margin=1e-15)
         g = K @ alpha
-        box = 1.0 / (p["nu"] * len(alpha))
         free = (alpha > 1e-12) & (alpha < box - 1e-12)
         rho = float(np.mean(g[free])) if free.any() else float(np.mean(g[alpha > 1e-12]))
 
@@ -315,20 +279,4 @@ class OneClassSvmModel(TrainedModel):
         return rbf_kernel(Z, self.sv, self.gamma) @ self.sv_alpha - self.rho
 
     def _score_std(self, Z: np.ndarray) -> np.ndarray:
-        d = self.decision_values(Z)
-        if self.hi == self.lo:
-            return np.full(len(d), 0.5)
-        return np.clip((d - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-
-    def _payload(self) -> dict:
-        return {"sv": self.sv.tolist(), "sv_alpha": self.sv_alpha.tolist(),
-                "rho": self.rho, "gamma": self.gamma,
-                "lo": self.lo, "hi": self.hi}
-
-    @classmethod
-    def _from_payload(cls, spec, standardizer, n_features, payload):
-        return cls(spec, standardizer, n_features,
-                   np.array(payload["sv"], dtype=float),
-                   np.array(payload["sv_alpha"], dtype=float),
-                   payload["rho"], payload["gamma"],
-                   payload["lo"], payload["hi"])
+        return min_max_scale(self.decision_values(Z), self.lo, self.hi)

@@ -23,6 +23,8 @@ leaf's value.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .base import (ClassifierSpec, Standardizer, TrainedModel,
@@ -149,14 +151,13 @@ def grow_tree(Z: np.ndarray, y: np.ndarray, max_depth: int | None,
 
 
 @register_model("decision_tree")
+@dataclass(eq=False)
 class DecisionTreeModel(TrainedModel):
-    def __init__(self, spec, standardizer, n_features, tree: TreeArrays):
-        super().__init__(spec, standardizer, n_features)
-        self.tree = tree
+    tree: TreeArrays
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None) -> "DecisionTreeModel":
-        X, y = check_training_inputs(spec, X, y)
+        X, y, defined = check_training_inputs(spec, X, y, defined)
         std = Standardizer.fit(X, defined)
         Z = std.transform(X, defined)
         tree = grow_tree(Z, y, spec.params["max_depth"], None, None)
@@ -175,14 +176,13 @@ class DecisionTreeModel(TrainedModel):
 
 
 @register_model("random_forest")
+@dataclass(eq=False)
 class RandomForestModel(TrainedModel):
-    def __init__(self, spec, standardizer, n_features, trees: list[TreeArrays]):
-        super().__init__(spec, standardizer, n_features)
-        self.trees = trees
+    trees: list[TreeArrays]
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None) -> "RandomForestModel":
-        X, y = check_training_inputs(spec, X, y)
+        X, y, defined = check_training_inputs(spec, X, y, defined)
         std = Standardizer.fit(X, defined)
         Z = std.transform(X, defined)
         p = spec.params

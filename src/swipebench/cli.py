@@ -21,8 +21,8 @@ import json
 import sys
 
 from .errors import ConfigError, SwipebenchError
-from .experiments import (emit_plots, load_config, resolve_feature_set,
-                          run_matrix, write_report)
+from .experiments import (emit_plots, load_config, make_output_dir,
+                          resolve_feature_set, run_matrix, write_report)
 from .features.extract import (build_feature_table, export_table_csv,
                                export_table_json)
 from .ingest import (AdapterConfig, convert_raw, load_canonical,
@@ -152,6 +152,7 @@ def _cmd_experiment(args, single_cell: bool) -> int:
             else (args.format,)
     if not cfg.output_dir:
         raise ConfigError("no output directory (config output.dir or --out)")
+    make_output_dir(cfg.output_dir)
 
     result = run_matrix(cfg, workers=args.workers)
     written = write_report(result, cfg.output_dir, cfg.formats)

@@ -39,7 +39,7 @@ from pathlib import Path
 
 from .aggregation import AggregationSpec
 from .classifiers import ClassifierSpec
-from .errors import ConfigError, SwipebenchError
+from .errors import ConfigError, DataError, SwipebenchError
 from .features.catalog import STUDY_SETS, resolve_feature_ids
 from .features.extract import FeatureTable, build_feature_table
 from .ingest import load_canonical, rewrite_text
@@ -353,9 +353,19 @@ def aggregation_row_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(result: MatrixReport, out_dir, formats=FORMATS) -> list[Path]:
+def make_output_dir(out_dir) -> Path:
+    """The report directory, created with its parents if missing;
+    DataError when it cannot be."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise DataError(f"cannot write {out}: {err}") from None
+    return out
+
+
+def write_report(result: MatrixReport, out_dir, formats=FORMATS) -> list[Path]:
+    out = make_output_dir(out_dir)
     files = {}
     if "json" in formats:
         files["report.json"] = result.json_text()
@@ -377,8 +387,7 @@ def emit_plots(result: MatrixReport, out_dir) -> list[Path]:
     except ImportError:
         raise ConfigError(
             "plot emission needs matplotlib (install the 'plots' extra)")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(out_dir)
     written = []
 
     block = result.report["aggregation_row"]["mean_eer_percent"]

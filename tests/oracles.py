@@ -3,9 +3,10 @@
 Everything here except the last section is written in plain Python
 (lists, math, explicit loops) on purpose: these are the definitional
 oracles, deliberately sharing no code with the implementation under test.
-The last two sections keep per-column NumPy loops and the per-swipe
-feature extraction as bitwise references for the package's vectorised
-forms of the same computations.
+The last three sections keep per-column NumPy loops, the binary and
+one-class SMO loops and the per-swipe feature extraction as bitwise
+references for the package's vectorised or shared forms of the same
+computations.
 """
 
 from __future__ import annotations
@@ -450,6 +451,99 @@ def o_standardizer_stats(X, defined):
             mean[j] = col.mean()
             std[j] = col.std()
     return mean, std
+
+
+# ---------------------------------------------------------------------------
+# the binary and one-class SMO loops: bitwise references for the package's
+# one solver
+
+def o_smo_solve_binary(K: np.ndarray, y: np.ndarray, C: float,
+                       tol: float = 1e-3, max_iter: int = 100_000,
+                       ) -> tuple[np.ndarray, float]:
+    """Solve the C-SVC dual for labels y in {-1, +1}: minimize
+    0.5 a'Qa - e'a with Q = yy' * K, subject to 0 <= a <= C, y'a = 0.
+    Returns (alpha, b) with decision f(x) = sum a_i y_i K(x_i, x) + b.
+    """
+    n = len(y)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)          # Q alpha - e at alpha = 0
+
+    for _ in range(max_iter):
+        neg_yg = -y * grad
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+        if not up.any() or not low.any():
+            break
+        up_idx = np.flatnonzero(up)
+        low_idx = np.flatnonzero(low)
+        i = up_idx[np.argmax(neg_yg[up_idx])]
+        j = low_idx[np.argmin(neg_yg[low_idx])]
+        m, M = neg_yg[i], neg_yg[j]
+        if m - M < tol:
+            break
+        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if quad <= 1e-12:
+            quad = 1e-12
+        t = (m - M) / quad
+        # Box limits along the direction a_i += y_i t, a_j -= y_j t.
+        t_max_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
+        t_max_j = alpha[j] if y[j] > 0 else (C - alpha[j])
+        t = min(t, t_max_i, t_max_j)
+        if t <= 0.0:
+            break
+        alpha[i] += y[i] * t
+        alpha[j] -= y[j] * t
+        grad += t * y * (K[:, i] - K[:, j])
+
+    neg_yg = -y * grad
+    free = (alpha > 1e-12) & (alpha < C - 1e-12)
+    if free.any():
+        b = float(np.mean(neg_yg[free]))
+    else:
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+        hi = neg_yg[up].max() if up.any() else 0.0
+        lo = neg_yg[low].min() if low.any() else 0.0
+        b = float((hi + lo) / 2.0)
+    return alpha, b
+
+
+def o_smo_solve_one_class(K: np.ndarray, nu: float, tol: float = 1e-3,
+                          max_iter: int = 100_000) -> np.ndarray:
+    """Solve the one-class dual: minimize 0.5 a'Ka subject to
+    0 <= a_i <= 1/(nu n), sum a = 1."""
+    n = K.shape[0]
+    box = 1.0 / (nu * n)
+    alpha = np.zeros(n)
+    # Fill boxes from the front until the mass reaches 1.
+    full = int(math.floor(nu * n))
+    alpha[:full] = box
+    if full < n:
+        alpha[full] = 1.0 - box * full
+    grad = K @ alpha
+
+    for _ in range(max_iter):
+        can_up = alpha < box - 1e-15
+        can_down = alpha > 1e-15
+        if not can_up.any() or not can_down.any():
+            break
+        up_idx = np.flatnonzero(can_up)
+        down_idx = np.flatnonzero(can_down)
+        i = up_idx[np.argmin(grad[up_idx])]
+        j = down_idx[np.argmax(grad[down_idx])]
+        if grad[j] - grad[i] < tol:
+            break
+        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if quad <= 1e-12:
+            quad = 1e-12
+        t = (grad[j] - grad[i]) / quad
+        t = min(t, box - alpha[i], alpha[j])
+        if t <= 0.0:
+            break
+        alpha[i] += t
+        alpha[j] -= t
+        grad += t * (K[:, i] - K[:, j])
+    return alpha
 
 
 # ---------------------------------------------------------------------------

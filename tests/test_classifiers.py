@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from oracles import o_standardizer_stats
+from oracles import (o_smo_solve_binary, o_smo_solve_one_class,
+                     o_standardizer_stats)
 from swipebench.classifiers import (KINDS, ClassifierSpec, from_blob, score,
                                     to_blob, train)
 from swipebench.classifiers import base
 from swipebench.classifiers.base import ONE_CLASS_KINDS, Standardizer
-from swipebench.classifiers.svm import smo_solve_binary
+from swipebench.classifiers.svm import (OneClassSvmModel, gamma_value,
+                                        rbf_kernel, smo_solve,
+                                        smo_solve_binary)
 from swipebench.errors import (ConfigError, DimensionMismatch,
                                SingleClassForBinarySpec, TooFewSamples)
 from swipebench.metrics import eer_from_scores
@@ -168,6 +171,96 @@ def test_smo_solution_satisfies_kkt():
     up = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
     low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < C - 1e-12))
     assert neg_yg[up].max() - neg_yg[low].min() < 1e-3
+
+
+def test_one_class_smo_solution_satisfies_kkt():
+    rng = np.random.default_rng(112)
+    X, _ = blob_data(rng, n_per=15, n_features=3, sep=2.0)
+    K = rbf_kernel(X, X, gamma_value("scale", X))
+    n, nu = len(X), 0.3
+    box = 1.0 / (nu * n)
+    alpha, _ = smo_solve(K, np.ones(n), np.zeros(n), box, np.full(n, 1.0 / n),
+                         tol=1e-4, max_iter=100_000, margin=1e-15)
+    assert np.all(alpha >= -1e-12) and np.all(alpha <= box + 1e-12)
+    assert abs(float(alpha.sum()) - 1.0) <= 1e-9
+    # working-set optimality gap below tolerance
+    grad = K @ alpha
+    up = alpha < box - 1e-12
+    down = alpha > 1e-12
+    assert grad[down].max() - grad[up].min() < 1e-3
+
+
+def fuzz_rows(seed):
+    """A small matrix with about 30% duplicated rows, rounded to one
+    decimal a third of the time, and the generator for further draws."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 61))
+    X = rng.normal(size=(n, int(rng.integers(1, 7))))
+    dup = rng.random(n) < 0.3
+    X[dup] = X[rng.integers(0, n, size=n)[dup]]
+    if rng.random() < 0.3:
+        X = np.round(X, 1)
+    return X, rng
+
+
+def same_bits(a, b):
+    """Equal arrays down to the sign of zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Seeds whose solutions change when the binary machine keeps its bounds
+# 1e-15 inside the box, or when the one-class machine uses exact bounds.
+BINARY_MARGIN_SEEDS = (132, 167, 367, 387, 406, 431, 523)
+ONE_CLASS_MARGIN_SEEDS = (44, 126, 239, 306, 406, 425, 443, 454, 488, 575,
+                          583)
+
+
+@pytest.mark.parametrize("C", [0.1, 1.0, 10.0])
+def test_binary_smo_equals_reference_bitwise(C):
+    for seed in (*range(40), *BINARY_MARGIN_SEEDS):
+        X, rng = fuzz_rows(seed)
+        gamma = gamma_value("scale", X) * float(rng.choice([0.1, 1.0, 10.0]))
+        K = rbf_kernel(X, X, gamma)
+        y = np.where(rng.random(len(X)) < 0.5, 1.0, -1.0)
+        y[:2] = (1.0, -1.0)
+        alpha, b = smo_solve_binary(K, y, C)
+        ref_alpha, ref_b = o_smo_solve_binary(K, y, C)
+        assert same_bits(alpha, ref_alpha) and same_bits(b, ref_b), seed
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.3, 0.5, 0.77])
+def test_one_class_smo_equals_reference_bitwise(nu):
+    """The machine's support coefficients, offset and score range equal
+    those of the reference solver on the machine's own kernel."""
+    for seed in (*range(40), *ONE_CLASS_MARGIN_SEEDS):
+        X, rng = fuzz_rows(seed)
+        gamma = ("scale", 0.05, 0.5, 5.0)[int(rng.integers(4))]
+        spec = ClassifierSpec("oc_svm_rbf", {"nu": nu, "gamma": gamma})
+        model = OneClassSvmModel.train(spec, X)
+        Z = model.standardizer.transform(X)
+        K = rbf_kernel(Z, Z, model.gamma)
+        alpha = o_smo_solve_one_class(K, nu)
+        keep = alpha > 1e-12
+        assert same_bits(model.sv_alpha, alpha[keep]), seed
+        assert same_bits(model.sv, Z[keep]), seed
+        g = K @ alpha
+        box = 1.0 / (nu * len(X))
+        free = keep & (alpha < box - 1e-12)
+        rho = float(np.mean(g[free] if free.any() else g[keep]))
+        assert same_bits(model.rho, rho), seed
+        assert same_bits([model.lo, model.hi],
+                         [(g - rho).min(), (g - rho).max()]), seed
+
+
+def test_every_kind_defines_train_and_the_base_defines_score():
+    """The benchmark's tracer (bench/spans.py) times training by wrapping
+    the train classmethod in each kind's own class dict, and scoring by
+    wrapping TrainedModel.score and EnsembleModel.score."""
+    for kind in KINDS:
+        assert "train" in base.model_class(kind).__dict__, kind
+    assert "score" in base.TrainedModel.__dict__
+    assert "score" in base.model_class("ensemble").__dict__
 
 
 def test_spec_aliases_and_validation():

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import swipebench.cli as cli
 import swipebench.experiments as experiments
 from swipebench.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL,
                             main)
@@ -184,6 +185,29 @@ def test_unwritable_out_is_a_data_error(tmp_path, capsys, verb):
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("verb", ["evaluate", "matrix"])
+def test_out_under_a_regular_file_fails_before_the_run(tmp_path, capsys,
+                                                      monkeypatch, verb):
+    """--out below a regular file: exit 3 with one line, no trace, and
+    no evaluation started."""
+    src = synth_file(tmp_path)
+    blocker = tmp_path / "f.csv"
+    blocker.write_text("")
+    out = blocker / "sub"
+    cfg = write_doc(tmp_path, experiment_doc(src, tmp_path / "run"))
+    runs = []
+    monkeypatch.setattr(cli, "run_matrix",
+                        lambda *args, **kwargs: runs.append(args))
+    capsys.readouterr()
+    rc = main([verb, "--config", str(cfg), "--out", str(out)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot write {out}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert runs == []
 
 
 def test_evaluate_single_cell(tmp_path, capsys):
