@@ -13,6 +13,8 @@ rows that check_training_inputs keeps.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -63,6 +65,20 @@ def canonical_kind(kind: str) -> str:
     return k
 
 
+def check_param(name: str, value, ok, rule: str) -> None:
+    """ConfigError unless value is a finite number for which ok(value)
+    holds."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or not ok(value)):
+        raise ConfigError(f"{name} must be a number {rule}, got {value!r}")
+
+
+def check_minibatch(epochs, batch_size) -> None:
+    """The mini-batch schedule the MLP and the LSTM stacker train on."""
+    check_param("epochs", epochs, lambda v: v >= 0, ">= 0")
+    check_param("batch_size", batch_size, lambda v: v >= 1, ">= 1")
+
+
 @dataclass(frozen=True)
 class ClassifierSpec:
     kind: str
@@ -78,6 +94,10 @@ class ClassifierSpec:
                 f"unknown params for {self.kind}: {sorted(unknown)}")
         merged = dict(defaults)
         merged.update(self.params)
+        if self.kind == "oc_svm_rbf":
+            check_param("nu", merged["nu"], lambda v: 0 < v <= 1, "in (0, 1]")
+        if self.kind == "neural_net":
+            check_minibatch(merged["epochs"], merged["batch_size"])
         object.__setattr__(self, "params", merged)
         object.__setattr__(self, "seed", int(self.seed) % 2 ** 32)
 

@@ -8,8 +8,9 @@ normalized against the training rows and clamped to [0, 1].
 The trees are ``tree.TreeArrays`` grown by ``tree.grow`` with the random
 split rule below, so each node's ``value`` is its row count (stored under
 the payload key "size"). A row's path length is its leaf's depth plus
-c(leaf size); that sum is computed for every node once per tree, and
-scoring reads it at the leaves ``TreeArrays.leaves`` returns.
+c(leaf size); that sum is computed for every node once per model as the
+value of its ``tree.Forest``, and ``tree.forest_mean`` averages it over
+the trees.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .base import (ClassifierSpec, Standardizer, TrainedModel,
                    check_training_inputs, min_max_scale, register_model)
-from .tree import TreeArrays, grow
+from .tree import Forest, TreeArrays, forest_mean, grow
 
 _EULER = 0.5772156649015329
 
@@ -73,10 +74,11 @@ class IsolationForestModel(TrainedModel):
     psi: int
     lo: float
     hi: float
-    paths: list[np.ndarray] = field(init=False)
+    forest: Forest = field(init=False)
 
     def __post_init__(self) -> None:
-        self.paths = [node_path_lengths(t) for t in self.trees]
+        self.forest = Forest.of(self.trees,
+                                [node_path_lengths(t) for t in self.trees])
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y=None, defined=None
@@ -101,10 +103,7 @@ class IsolationForestModel(TrainedModel):
         return model
 
     def _genuineness(self, Z: np.ndarray) -> np.ndarray:
-        depths = np.zeros(len(Z))
-        for tree, paths in zip(self.trees, self.paths):
-            depths += paths[tree.leaves(Z)]
-        mean_depth = depths / len(self.trees)
+        mean_depth = forest_mean(self.forest, Z)
         anomaly = np.power(2.0, -mean_depth / average_path_length(self.psi))
         return 1.0 - anomaly
 

@@ -10,6 +10,12 @@ reproducible. The trainable parameters live in one flat float64 buffer,
 statistics, which Adam does not train, are separate arrays. ``backward``
 returns a gradient in the same layout, so one ``Adam`` steps the whole
 buffer; ``Adam`` and ``train_minibatch`` also train the LSTM stacker.
+
+Gradient ownership: ``train_mlp`` allocates one gradient buffer per
+training run and ``backward`` overwrites it in place on every step, since
+Adam has consumed the previous step's gradient before the next one is
+computed. ``loss_and_grad`` passes no buffer, so each call returns a new
+array that its caller owns.
 """
 
 from __future__ import annotations
@@ -28,8 +34,12 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)),
-                    np.exp(z) / (1.0 + np.exp(z)))
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, both from
+    one e^-|z|, which is exactly e^-z on the first side and e^z on the
+    second."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def flat_buffer(shapes: list[tuple[int, ...]]
@@ -89,24 +99,28 @@ class MlpNetwork:
                 rng: np.random.Generator | None = None,
                 update_running: bool = False) -> tuple[np.ndarray, list[dict]]:
         """Returns (logits, caches). Dropout applies between hidden layers
-        (not after the last one) and only when a rate and rng are given."""
+        (not after the last one) and only when a rate and rng are given.
+        The batch mean and variance are NumPy's own ``mean`` and ``var``
+        arithmetic, the variance from the centred batch, so they equal
+        ``a.mean(axis=0)`` and ``a.var(axis=0)`` bit for bit."""
         h = X
         caches = []
         last_hidden = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
             a = h @ layer["W"] + layer["b"]
             if train:
-                mu = a.mean(axis=0)
-                var = a.var(axis=0)
+                mu = np.add.reduce(a, axis=0) / len(a)
+                xc = a - mu
+                var = np.add.reduce(xc * xc, axis=0) / len(a)
                 if update_running:
                     m = self.bn_momentum
                     layer["run_mean"] = m * layer["run_mean"] + (1 - m) * mu
                     layer["run_var"] = m * layer["run_var"] + (1 - m) * var
             else:
-                mu = layer["run_mean"]
+                xc = a - layer["run_mean"]
                 var = layer["run_var"]
             inv = 1.0 / np.sqrt(var + self.bn_eps)
-            xhat = (a - mu) * inv
+            xhat = xc * inv
             bn = layer["gamma"] * xhat + layer["beta"]
             relu = np.maximum(bn, 0.0)
             if train and dropout_rate > 0.0 and rng is not None and i < last_hidden:
@@ -115,8 +129,8 @@ class MlpNetwork:
             else:
                 keep = None
                 dropped = relu
-            caches.append({"h_in": h, "a": a, "xhat": xhat, "inv": inv,
-                           "bn": bn, "keep": keep})
+            caches.append({"h_in": h, "xhat": xhat, "inv": inv, "bn": bn,
+                           "keep": keep})
             h = dropped
         z = (h @ self.out["W"] + self.out["b"]).ravel()
         caches.append({"h_in": h})
@@ -126,37 +140,45 @@ class MlpNetwork:
         return float(np.mean(_softplus(z) - y * z))
 
     def backward(self, caches: list[dict], z: np.ndarray, y: np.ndarray,
-                 dropout_rate: float = 0.0) -> np.ndarray:
+                 dropout_rate: float = 0.0,
+                 grad: tuple[np.ndarray, list[dict], dict] | None = None
+                 ) -> np.ndarray:
         """Flat gradient of the mean BCE loss, laid out like ``params``,
-        matching the caches of the corresponding forward(train=True) call."""
-        grad, grad_layers, grad_out = self._buffer()
+        matching the caches of the corresponding forward(train=True) call.
+        It is written into ``grad``, a ``_buffer()`` triple that the caller
+        owns and may pass again on the next step (every entry is
+        overwritten), or into a new buffer when ``grad`` is None."""
+        buffer, grad_layers, grad_out = grad or self._buffer()
         m = len(y)
         dz = (_sigmoid(z) - y)[:, None] / m
-        grad_out["W"][:] = caches[-1]["h_in"].T @ dz
-        grad_out["b"][:] = dz.sum(axis=0)
+        np.matmul(caches[-1]["h_in"].T, dz, out=grad_out["W"])
+        np.add.reduce(dz, axis=0, out=grad_out["b"])
         dh = dz @ self.out["W"].T
 
         for i in range(len(self.layers) - 1, -1, -1):
             layer, cache, g = self.layers[i], caches[i], grad_layers[i]
+            xhat = cache["xhat"]
             if cache["keep"] is not None:
                 dh = dh * cache["keep"] / (1.0 - dropout_rate)
             drelu = dh * (cache["bn"] > 0.0)
-            g["gamma"][:] = (drelu * cache["xhat"]).sum(axis=0)
-            g["beta"][:] = drelu.sum(axis=0)
+            np.add.reduce(drelu * xhat, axis=0, out=g["gamma"])
+            np.add.reduce(drelu, axis=0, out=g["beta"])
             dxhat = drelu * layer["gamma"]
-            bm = len(cache["a"])
+            bm = len(xhat)
             da = (cache["inv"] / bm) * (
-                bm * dxhat - dxhat.sum(axis=0)
-                - cache["xhat"] * (dxhat * cache["xhat"]).sum(axis=0))
-            g["W"][:] = cache["h_in"].T @ da
-            g["b"][:] = da.sum(axis=0)
-            dh = da @ layer["W"].T
-        return grad
+                bm * dxhat - np.add.reduce(dxhat, axis=0)
+                - xhat * np.add.reduce(dxhat * xhat, axis=0))
+            np.matmul(cache["h_in"].T, da, out=g["W"])
+            np.add.reduce(da, axis=0, out=g["b"])
+            if i > 0:
+                dh = da @ layer["W"].T
+        return buffer
 
     def loss_and_grad(self, X: np.ndarray, y: np.ndarray
                       ) -> tuple[float, np.ndarray]:
         """Deterministic loss/gradient on one batch: training-mode batch
-        statistics, dropout off, running stats untouched."""
+        statistics, dropout off, running stats untouched. The gradient is
+        a new array."""
         z, caches = self.forward(X, train=True)
         return self.loss_from_logits(z, y), self.backward(caches, z, y)
 
@@ -239,10 +261,13 @@ def train_mlp(net: MlpNetwork, X: np.ndarray, y: np.ndarray,
               rng: np.random.Generator, epochs: int, batch_size: int,
               dropout: float, lr: float, beta1: float, beta2: float,
               adam_eps: float) -> None:
+    grad = net._buffer()
+
     def batch_grad(idx: np.ndarray) -> np.ndarray:
         z, caches = net.forward(X[idx], train=True, dropout_rate=dropout,
                                 rng=rng, update_running=True)
-        return net.backward(caches, z, y[idx], dropout_rate=dropout)
+        return net.backward(caches, z, y[idx], dropout_rate=dropout,
+                            grad=grad)
 
     train_minibatch(Adam(net.params, lr, beta1, beta2, adam_eps), len(y),
                     rng, epochs, batch_size, batch_grad)

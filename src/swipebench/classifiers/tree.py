@@ -6,9 +6,15 @@ lists, where feature == -1 marks a leaf, plus one per-node ``value``. In a
 CART tree ``value`` is the node's genuine fraction (payload key "value",
 floats); in an isolation tree it is the node's row count (payload key
 "size", ints). ``grow(Z, split)`` builds any kind depth first and asks a
-kind-specific ``split(rows, depth)`` for each node's value and cut;
-``TreeArrays.leaves(Z)`` returns each row's leaf node. Rows with
-Z[:, feature] <= threshold go left.
+kind-specific ``split(rows, depth)`` for each node's value and cut. Rows
+with Z[:, feature] <= threshold go left.
+
+Scoring has one descent for every kind. Each model builds a ``Forest``
+once, when it is made: flat node arrays over all its trees (a decision
+tree is a forest of one), plus the per-node value it averages, which
+never enter the blob. ``forest_leaves`` moves every (tree, row) pair one
+level per step, so a step is a few NumPy calls whatever the number of
+trees, and ``forest_mean`` adds the trees' leaf values in tree order.
 
 CART split search is exhaustive over midpoints between distinct sorted
 values, in one pass over all candidate features: one stable column-wise
@@ -23,7 +29,7 @@ leaf's value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,23 +55,6 @@ class TreeArrays:
         self.value.append(0)
         return len(self.feature) - 1
 
-    def leaves(self, Z: np.ndarray) -> np.ndarray:
-        """Leaf node of every row, walking each node's rows at once."""
-        leaf = np.empty(len(Z), dtype=np.intp)
-        stack = [(0, np.arange(len(Z)))]
-        while stack:
-            node, rows = stack.pop()
-            if rows.size == 0:
-                continue
-            f = self.feature[node]
-            if f < 0:
-                leaf[rows] = node
-            else:
-                go_left = Z[rows, f] <= self.threshold[node]
-                stack.append((self.left[node], rows[go_left]))
-                stack.append((self.right[node], rows[~go_left]))
-        return leaf
-
     def as_dict(self, key: str = "value") -> dict:
         return {"feature": self.feature, "threshold": self.threshold,
                 "left": self.left, "right": self.right, key: self.value}
@@ -79,6 +68,61 @@ class TreeArrays:
         t.right = [int(v) for v in d["right"]]
         t.value = [cast(v) for v in d[key]]
         return t
+
+
+@dataclass(frozen=True)
+class Forest:
+    """The nodes of a model's trees in flat arrays, built once per model:
+    tree k's nodes follow tree k-1's, its root is ``roots[k]`` and
+    ``left``/``right`` hold these global ids. ``value`` is a per-node
+    number that scoring averages over the trees."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+
+    @classmethod
+    def of(cls, trees: list[TreeArrays], values) -> "Forest":
+        """The flat arrays of ``trees``, with ``values[k]`` read per node of
+        tree k."""
+        sizes = [len(t.feature) for t in trees]
+        roots = np.cumsum([0] + sizes[:-1]).astype(np.intp)
+        shift = np.repeat(roots, sizes)
+
+        def flat(key: str) -> np.ndarray:
+            return np.concatenate([getattr(t, key) for t in trees])
+
+        return cls(feature=flat("feature").astype(np.intp),
+                   threshold=flat("threshold").astype(float),
+                   left=flat("left") + shift, right=flat("right") + shift,
+                   value=np.concatenate(values).astype(float), roots=roots)
+
+
+def forest_leaves(forest: Forest, Z: np.ndarray) -> np.ndarray:
+    """(n_trees, n_rows) leaf ids: every (tree, row) pair descends one
+    level per step, and pairs that reach a leaf drop out."""
+    n = len(Z)
+    node = np.repeat(forest.roots, n)
+    row = np.tile(np.arange(n), len(forest.roots))
+    live = np.flatnonzero(forest.feature[node] >= 0)
+    while live.size:
+        at = node[live]
+        go_left = Z[row[live], forest.feature[at]] <= forest.threshold[at]
+        node[live] = np.where(go_left, forest.left[at], forest.right[at])
+        live = live[forest.feature[node[live]] >= 0]
+    return node.reshape(len(forest.roots), n)
+
+
+def forest_mean(forest: Forest, Z: np.ndarray) -> np.ndarray:
+    """Mean over the trees of each row's leaf value, summed in tree
+    order."""
+    acc = np.zeros(len(Z))
+    for per_tree in forest.value[forest_leaves(forest, Z)]:
+        acc += per_tree
+    return acc / len(forest.roots)
 
 
 def grow(Z: np.ndarray, split) -> TreeArrays:
@@ -154,6 +198,10 @@ def grow_tree(Z: np.ndarray, y: np.ndarray, max_depth: int | None,
 @dataclass(eq=False)
 class DecisionTreeModel(TrainedModel):
     tree: TreeArrays
+    forest: Forest = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.forest = Forest.of([self.tree], [self.tree.value])
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None) -> "DecisionTreeModel":
@@ -164,7 +212,7 @@ class DecisionTreeModel(TrainedModel):
         return cls(spec, std, X.shape[1], tree)
 
     def _score_std(self, Z: np.ndarray) -> np.ndarray:
-        return np.asarray(self.tree.value)[self.tree.leaves(Z)]
+        return forest_mean(self.forest, Z)
 
     def _payload(self) -> dict:
         return {"tree": self.tree.as_dict()}
@@ -179,6 +227,10 @@ class DecisionTreeModel(TrainedModel):
 @dataclass(eq=False)
 class RandomForestModel(TrainedModel):
     trees: list[TreeArrays]
+    forest: Forest = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.forest = Forest.of(self.trees, [t.value for t in self.trees])
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None) -> "RandomForestModel":
@@ -203,10 +255,7 @@ class RandomForestModel(TrainedModel):
         return cls(spec, std, X.shape[1], trees)
 
     def _score_std(self, Z: np.ndarray) -> np.ndarray:
-        acc = np.zeros(len(Z))
-        for tree in self.trees:
-            acc += np.asarray(tree.value)[tree.leaves(Z)]
-        return acc / len(self.trees)
+        return forest_mean(self.forest, Z)
 
     def _payload(self) -> dict:
         return {"trees": [t.as_dict() for t in self.trees]}

@@ -8,7 +8,11 @@ loop and optimizer the MLP uses.
 All parameters live in one flat float64 buffer, ``net.params``: ``Wx``
 (4H), ``Wh`` (H x 4H, row-major), ``bias`` (4H), ``w_out`` (H) and
 ``b_out`` (1). The arrays are views into it and ``b_out`` reads as a
-float. ``backward`` returns a gradient in the same layout.
+float. ``backward`` returns a gradient in the same layout; as for the MLP,
+``train_stacker`` owns one gradient buffer that every step zeroes and
+refills, and ``loss_and_grad`` returns a new array per call. A forward
+pass scales the whole batch by ``Wx`` once and takes the three sigmoid
+gates from one call over the packed pre-activations.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers.base import rng_from_seed
+from .classifiers.base import check_minibatch, rng_from_seed
 from .classifiers.neural import (Adam, _sigmoid, _softplus, flat_buffer,
                                  train_minibatch)
 from .errors import InconsistentSequenceLength, TooFewSamples
@@ -33,6 +37,9 @@ class StackerSpec:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_minibatch(self.epochs, self.batch_size)
 
     def with_seed(self, seed: int) -> "StackerSpec":
         return StackerSpec(hidden=self.hidden, epochs=self.epochs,
@@ -94,57 +101,67 @@ class LstmStacker:
         H = self.hidden
         h = np.zeros((B, H))
         c = np.zeros((B, H))
+        x_in = X[:, :, None] * self.Wx
         caches = []
         for t in range(T):
-            pre = X[:, t, None] * self.Wx[None, :] + h @ self.Wh + self.bias
-            i = _sigmoid(pre[:, :H])
-            f = _sigmoid(pre[:, H:2 * H])
+            pre = x_in[:, t] + h @ self.Wh + self.bias
+            gates = _sigmoid(pre)
+            i, f, o = gates[:, :H], gates[:, H:2 * H], gates[:, 3 * H:]
             g = np.tanh(pre[:, 2 * H:3 * H])
-            o = _sigmoid(pre[:, 3 * H:])
             c_new = f * c + i * g
             tanh_c = np.tanh(c_new)
             h_new = o * tanh_c
             caches.append({"x": X[:, t], "h_prev": h, "c_prev": c,
-                           "i": i, "f": f, "g": g, "o": o,
-                           "c": c_new, "tanh_c": tanh_c})
+                           "gates": gates, "g": g, "tanh_c": tanh_c})
             h, c = h_new, c_new
         z = h @ self.w_out + self.b_out
         caches.append({"h_final": h})
         return z, caches
 
-    def backward(self, caches: list[dict], z: np.ndarray, y: np.ndarray
+    def backward(self, caches: list[dict], z: np.ndarray, y: np.ndarray,
+                 grad: tuple[np.ndarray, list[np.ndarray]] | None = None
                  ) -> np.ndarray:
         """Flat gradient of mean BCE over the batch, laid out like
-        ``params``."""
+        ``params``. It is written into ``grad``, a ``_buffer()`` pair that
+        the caller owns and may pass again on the next step (it is zeroed
+        first), or into a new buffer when ``grad`` is None."""
         B = len(y)
         H = self.hidden
-        grad, (dWx, dWh, dbias, d_w_out, d_b_out) = self._buffer()
+        buffer, (dWx, dWh, dbias, d_w_out, d_b_out) = grad or self._buffer()
+        buffer.fill(0.0)
         dz = (_sigmoid(z) - y) / B
-        d_w_out[:] = caches[-1]["h_final"].T @ dz
+        np.matmul(caches[-1]["h_final"].T, dz, out=d_w_out)
         d_b_out[0] = dz.sum()
         dh = dz[:, None] * self.w_out[None, :]
         dc = np.zeros((B, H))
-        for cache in reversed(caches[:-1]):
-            i, f, g, o = cache["i"], cache["f"], cache["g"], cache["o"]
-            tanh_c = cache["tanh_c"]
-            do = dh * tanh_c
+        # the loss gradient at each gate's output, in the packed gate
+        # order; the cell block's sigmoid-derivative product is then
+        # overwritten by its tanh derivative
+        dgates = np.empty((B, 4 * H))
+        di, df = dgates[:, :H], dgates[:, H:2 * H]
+        dg, do = dgates[:, 2 * H:3 * H], dgates[:, 3 * H:]
+        steps = caches[:-1]
+        for t in range(len(steps) - 1, -1, -1):
+            cache = steps[t]
+            gates, g, tanh_c = cache["gates"], cache["g"], cache["tanh_c"]
+            i, f, o = gates[:, :H], gates[:, H:2 * H], gates[:, 3 * H:]
+            np.multiply(dh, tanh_c, out=do)
             dc = dc + dh * o * (1.0 - tanh_c ** 2)
-            di = dc * g
-            df = dc * cache["c_prev"]
-            dg = dc * i
-            dpre = np.concatenate([
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g ** 2),
-                do * o * (1.0 - o)], axis=1)
+            np.multiply(dc, g, out=di)
+            np.multiply(dc, cache["c_prev"], out=df)
+            np.multiply(dc, i, out=dg)
+            dpre = dgates * gates * (1.0 - gates)
+            dpre[:, 2 * H:3 * H] = dg * (1.0 - g ** 2)
             dWx += cache["x"] @ dpre
             dWh += cache["h_prev"].T @ dpre
-            dbias += dpre.sum(axis=0)
-            dh = dpre @ self.Wh.T
-            dc = dc * f
-        return grad
+            dbias += np.add.reduce(dpre, axis=0)
+            if t > 0:
+                dh = dpre @ self.Wh.T
+                dc = dc * f
+        return buffer
 
     def loss_and_grad(self, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """Loss and gradient on one batch; the gradient is a new array."""
         z, caches = self.forward(X)
         loss = float(np.mean(_softplus(z) - y * z))
         return loss, self.backward(caches, z, y)
@@ -190,9 +207,11 @@ def train_stacker(sequences, labels, spec: StackerSpec = StackerSpec()
     rng = rng_from_seed(spec.seed)
     net = LstmStacker(spec.hidden, rng=rng)
 
+    grad = net._buffer()
+
     def batch_grad(idx: np.ndarray) -> np.ndarray:
         z, caches = net.forward(X[idx])
-        return net.backward(caches, z, y[idx])
+        return net.backward(caches, z, y[idx], grad=grad)
 
     adam = Adam(net.params, spec.lr, spec.beta1, spec.beta2, spec.adam_eps)
     train_minibatch(adam, len(y), rng, spec.epochs, spec.batch_size,

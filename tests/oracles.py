@@ -3,10 +3,10 @@
 Everything here except the last section is written in plain Python
 (lists, math, explicit loops) on purpose: these are the definitional
 oracles, deliberately sharing no code with the implementation under test.
-The last three sections keep per-column NumPy loops, the binary and
-one-class SMO loops and the per-swipe feature extraction as bitwise
-references for the package's vectorised or shared forms of the same
-computations.
+The last four sections keep per-column NumPy loops, the binary and
+one-class SMO loops, the per-swipe feature extraction, and the network
+training steps and per-tree descent as bitwise references for the
+package's vectorised, shared or in-place forms of the same computations.
 """
 
 from __future__ import annotations
@@ -915,3 +915,153 @@ def o_extract_features(swipe, prev_end_ms=None):
     put(149, 1.0 if abs(chord_dx) >= abs(chord_dy) else 0.0)
 
     return vals, mask
+
+
+# ---------------------------------------------------------------------------
+# network steps and per-tree descent: bitwise references for the package's
+# in-place training steps and one descent for a whole forest
+
+def o_sigmoid(z: np.ndarray) -> np.ndarray:
+    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)),
+                    np.exp(z) / (1.0 + np.exp(z)))
+
+
+def o_mlp_forward(net, X: np.ndarray, train: bool,
+                  dropout_rate: float = 0.0,
+                  rng: np.random.Generator | None = None,
+                  update_running: bool = False):
+    """``MlpNetwork.forward``: (logits, caches)."""
+    h = X
+    caches = []
+    last_hidden = len(net.layers) - 1
+    for i, layer in enumerate(net.layers):
+        a = h @ layer["W"] + layer["b"]
+        if train:
+            mu = a.mean(axis=0)
+            var = a.var(axis=0)
+            if update_running:
+                m = net.bn_momentum
+                layer["run_mean"] = m * layer["run_mean"] + (1 - m) * mu
+                layer["run_var"] = m * layer["run_var"] + (1 - m) * var
+        else:
+            mu = layer["run_mean"]
+            var = layer["run_var"]
+        inv = 1.0 / np.sqrt(var + net.bn_eps)
+        xhat = (a - mu) * inv
+        bn = layer["gamma"] * xhat + layer["beta"]
+        relu = np.maximum(bn, 0.0)
+        if train and dropout_rate > 0.0 and rng is not None and i < last_hidden:
+            keep = (rng.random(relu.shape) >= dropout_rate)
+            dropped = relu * keep / (1.0 - dropout_rate)
+        else:
+            keep = None
+            dropped = relu
+        caches.append({"h_in": h, "a": a, "xhat": xhat, "inv": inv,
+                       "bn": bn, "keep": keep})
+        h = dropped
+    z = (h @ net.out["W"] + net.out["b"]).ravel()
+    caches.append({"h_in": h})
+    return z, caches
+
+
+def o_mlp_backward(net, caches, z: np.ndarray, y: np.ndarray,
+                   dropout_rate: float = 0.0) -> np.ndarray:
+    """``MlpNetwork.backward``: a new flat gradient per call."""
+    grad, grad_layers, grad_out = net._buffer()
+    m = len(y)
+    dz = (o_sigmoid(z) - y)[:, None] / m
+    grad_out["W"][:] = caches[-1]["h_in"].T @ dz
+    grad_out["b"][:] = dz.sum(axis=0)
+    dh = dz @ net.out["W"].T
+
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer, cache, g = net.layers[i], caches[i], grad_layers[i]
+        if cache["keep"] is not None:
+            dh = dh * cache["keep"] / (1.0 - dropout_rate)
+        drelu = dh * (cache["bn"] > 0.0)
+        g["gamma"][:] = (drelu * cache["xhat"]).sum(axis=0)
+        g["beta"][:] = drelu.sum(axis=0)
+        dxhat = drelu * layer["gamma"]
+        bm = len(cache["a"])
+        da = (cache["inv"] / bm) * (
+            bm * dxhat - dxhat.sum(axis=0)
+            - cache["xhat"] * (dxhat * cache["xhat"]).sum(axis=0))
+        g["W"][:] = cache["h_in"].T @ da
+        g["b"][:] = da.sum(axis=0)
+        dh = da @ layer["W"].T
+    return grad
+
+
+def o_lstm_forward(net, X: np.ndarray):
+    """``LstmStacker.forward``: (logits, caches)."""
+    B, T = X.shape
+    H = net.hidden
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    caches = []
+    for t in range(T):
+        pre = X[:, t, None] * net.Wx[None, :] + h @ net.Wh + net.bias
+        i = o_sigmoid(pre[:, :H])
+        f = o_sigmoid(pre[:, H:2 * H])
+        g = np.tanh(pre[:, 2 * H:3 * H])
+        o = o_sigmoid(pre[:, 3 * H:])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        h_new = o * tanh_c
+        caches.append({"x": X[:, t], "h_prev": h, "c_prev": c,
+                       "i": i, "f": f, "g": g, "o": o,
+                       "c": c_new, "tanh_c": tanh_c})
+        h, c = h_new, c_new
+    z = h @ net.w_out + net.b_out
+    caches.append({"h_final": h})
+    return z, caches
+
+
+def o_lstm_backward(net, caches, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``LstmStacker.backward``: a new flat gradient per call."""
+    B = len(y)
+    H = net.hidden
+    grad, (dWx, dWh, dbias, d_w_out, d_b_out) = net._buffer()
+    dz = (o_sigmoid(z) - y) / B
+    d_w_out[:] = caches[-1]["h_final"].T @ dz
+    d_b_out[0] = dz.sum()
+    dh = dz[:, None] * net.w_out[None, :]
+    dc = np.zeros((B, H))
+    for cache in reversed(caches[:-1]):
+        i, f, g, o = cache["i"], cache["f"], cache["g"], cache["o"]
+        tanh_c = cache["tanh_c"]
+        do = dh * tanh_c
+        dc = dc + dh * o * (1.0 - tanh_c ** 2)
+        di = dc * g
+        df = dc * cache["c_prev"]
+        dg = dc * i
+        dpre = np.concatenate([
+            di * i * (1.0 - i),
+            df * f * (1.0 - f),
+            dg * (1.0 - g ** 2),
+            do * o * (1.0 - o)], axis=1)
+        dWx += cache["x"] @ dpre
+        dWh += cache["h_prev"].T @ dpre
+        dbias += dpre.sum(axis=0)
+        dh = dpre @ net.Wh.T
+        dc = dc * f
+    return grad
+
+
+def o_tree_leaves(tree, Z: np.ndarray) -> np.ndarray:
+    """``TreeArrays.leaves``: the leaf node of every row of one tree,
+    walking each node's rows at once."""
+    leaf = np.empty(len(Z), dtype=np.intp)
+    stack = [(0, np.arange(len(Z)))]
+    while stack:
+        node, rows = stack.pop()
+        if rows.size == 0:
+            continue
+        f = tree.feature[node]
+        if f < 0:
+            leaf[rows] = node
+        else:
+            go_left = Z[rows, f] <= tree.threshold[node]
+            stack.append((tree.left[node], rows[go_left]))
+            stack.append((tree.right[node], rows[~go_left]))
+    return leaf

@@ -330,6 +330,33 @@ def test_matrix_non_finite_scores_are_skips(tmp_path, monkeypatch, capsys):
         assert cell[key]["mean_eer"] is None
 
 
+@pytest.mark.parametrize("overrides", [
+    {"classifier": {"kind": "oc_svm_rbf", "params": {"nu": 0}}},
+    {"classifier": {"kind": "oc_svm_rbf", "params": {"nu": -0.5}}},
+    {"classifier": {"kind": "oc_svm_rbf", "params": {"nu": 1.5}}},
+    {"classifier": {"kind": "neural_net", "params": {"batch_size": 0}}},
+    {"classifier": {"kind": "neural_net", "params": {"epochs": -1}}},
+    {"aggregation": {"method": "stacking", "window": 2,
+                     "stacker": {"batch_size": 0}}},
+    {"aggregation": {"method": "stacking", "window": 2,
+                     "stacker": {"epochs": -1}}},
+], ids=["nu-0", "nu-negative", "nu-above-1", "nn-batch-0", "nn-epochs-negative",
+        "stacker-batch-0", "stacker-epochs-negative"])
+def test_out_of_range_training_params_are_config_errors(tmp_path, capsys,
+                                                        overrides):
+    """Exit 2 with one line before any training, not a traceback from
+    the solver or the mini-batch loop, nor a model that scores NaN."""
+    src = synth_file(tmp_path)
+    cfg = write_doc(tmp_path, experiment_doc(src, tmp_path / "run",
+                                             **overrides))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_bad_config_file_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

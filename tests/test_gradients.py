@@ -86,3 +86,22 @@ def test_lstm_full_gradient_small_net():
     net.set_param_vector(params0)
     err = relative_error(analytic, numeric)
     assert err < 1e-6, err
+
+
+def test_loss_and_grad_returns_a_gradient_the_caller_owns():
+    """A second call, on other data, leaves the first gradient as it was:
+    only the training loops reuse one gradient buffer."""
+    rng = np.random.default_rng(4)
+    mlp = MlpNetwork(d_in=5, hidden=(8, 6), bn_momentum=0.99, bn_eps=1e-3,
+                     rng=rng)
+    lstm = LstmStacker(hidden=3, rng=rng)
+    for net, shape in ((mlp, (12, 5)), (lstm, (6, 4))):
+        X = rng.normal(size=shape)
+        y = (rng.random(shape[0]) < 0.5).astype(float)
+        _, first = net.loss_and_grad(X, y)
+        kept = first.copy()
+        _, second = net.loss_and_grad(X[::-1] * 2.0, 1.0 - y)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, net.params)
+        assert first.tobytes() == kept.tobytes()
+        assert second.tobytes() != kept.tobytes()

@@ -1,4 +1,5 @@
-"""Trained network weights: a frozen golden file and the flat buffer.
+"""Trained network weights: a frozen golden file, the flat buffer, and
+byte equality with the reference training steps in ``tests/oracles.py``.
 
 ``tests/data/golden_networks.json`` holds the parameter vectors and
 training-set scores of a small seeded MLP and a small seeded LSTM
@@ -14,9 +15,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from oracles import (o_lstm_backward, o_lstm_forward, o_mlp_backward,
+                     o_mlp_forward, o_sigmoid)
 from swipebench.classifiers import ClassifierSpec, train
-from swipebench.classifiers.neural import MlpNetwork
+from swipebench.classifiers.base import rng_from_seed
+from swipebench.classifiers.neural import (Adam, MlpNetwork, _sigmoid,
+                                           train_minibatch, train_mlp)
 from swipebench.stacking import (LstmStacker, StackerSpec, stack_score,
                                  train_stacker)
 
@@ -120,6 +126,117 @@ def test_lstm_arrays_are_views_of_params():
     trained.set_param_vector(trained.param_vector() * 0.5)
     assert not np.array_equal(trained.predict(X), before)
     assert_lstm_views(trained)
+
+
+# -- bitwise against the reference training steps ---------------------------
+# golden_networks.json allows 1e-9, which a last-bit change passes; these
+# train with the package's steps and with the reference steps in
+# tests/oracles.py and compare bytes.
+
+def assert_bytes_equal(actual, expected, what):
+    """Equal bytes, except that a NaN only has to meet a NaN."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape, what
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan), what
+    assert actual[~nan].tobytes() == expected[~nan].tobytes(), what
+
+
+def test_sigmoid_equals_reference_bitwise():
+    rng = np.random.default_rng(5)
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.0,
+                      -709.0, 710.0, -710.0, 745.5, -745.5, 800.0, -800.0,
+                      np.inf, -np.inf, np.nan, -np.nan])
+    z = np.concatenate([edges, rng.normal(size=491) * 5.0,
+                        rng.normal(size=491) * 1e3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = o_sigmoid(z)
+    got = _sigmoid(z)
+    assert_bytes_equal(got, expected, "sigmoid")
+    assert_bytes_equal(_sigmoid(z.reshape(4, -1)[:, 1:7]),
+                       expected.reshape(4, -1)[:, 1:7], "strided sigmoid")
+
+
+def reference_train_mlp(net, X, y, rng, epochs, batch_size, dropout):
+    def batch_grad(idx):
+        z, caches = o_mlp_forward(net, X[idx], True, dropout, rng, True)
+        return o_mlp_backward(net, caches, z, y[idx], dropout)
+
+    train_minibatch(Adam(net.params, 1e-3, 0.9, 0.999, 1e-8), len(y), rng,
+                    epochs, batch_size, batch_grad)
+
+
+@pytest.mark.parametrize("hidden", [(6,), (8, 5), (9, 7, 5)])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("n, batch_size, out_scale", [
+    (40, 8, 1.0),       # equal batches
+    (21, 10, 1.0),      # a final batch of one row: batch variance 0
+    (23, 11, 2e3),      # output weights that put logits beyond +-710
+])
+def test_mlp_training_equals_reference_bitwise(hidden, dropout, n,
+                                               batch_size, out_scale):
+    data = np.random.default_rng(len(hidden) * 100 + n)
+    X = data.normal(size=(n, 7)) * data.choice([1.0, 30.0], size=7)
+    y = (X[:, 0] + data.normal(size=n) > 0).astype(float)
+    nets, rngs = [], []
+    for _ in range(2):
+        rng = rng_from_seed(n)
+        net = MlpNetwork(7, hidden, 0.99, 1e-3, rng=rng)
+        net.out["W"] *= out_scale
+        nets.append(net)
+        rngs.append(rng)
+    got, ref = nets
+    if out_scale > 1.0:
+        z, _ = o_mlp_forward(ref, X, train=True)
+        assert np.abs(z).max() > 710.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference_train_mlp(ref, X, y, rngs[1], 3, batch_size, dropout)
+    train_mlp(got, X, y, rngs[0], epochs=3, batch_size=batch_size,
+              dropout=dropout, lr=1e-3, beta1=0.9, beta2=0.999,
+              adam_eps=1e-8)
+    assert got.params.tobytes() == ref.params.tobytes()
+    for a, b in zip(got.layers, ref.layers):
+        for key in ("run_mean", "run_var"):
+            assert a[key].tobytes() == b[key].tobytes(), key
+    probe = np.concatenate([X, X[:3] * 1e3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = o_sigmoid(o_mlp_forward(ref, probe, train=False)[0])
+    assert got.predict(probe).tobytes() == expected.tobytes()
+
+
+def reference_train_stacker(X, y, spec):
+    rng = rng_from_seed(spec.seed)
+    net = LstmStacker(spec.hidden, rng=rng)
+
+    def batch_grad(idx):
+        z, caches = o_lstm_forward(net, X[idx])
+        return o_lstm_backward(net, caches, z, y[idx])
+
+    adam = Adam(net.params, spec.lr, spec.beta1, spec.beta2, spec.adam_eps)
+    train_minibatch(adam, len(y), rng, spec.epochs, spec.batch_size,
+                    batch_grad)
+    return net
+
+
+@pytest.mark.parametrize("hidden, T, n, batch_size, scale", [
+    (4, 5, 30, 7, 1.0),     # a final batch of two rows
+    (3, 1, 9, 4, 1.0),      # one time step; a final batch of one row
+    (20, 6, 24, 20, 1.0),
+    (5, 4, 16, 5, 1e3),     # saturated gates and logits
+])
+def test_lstm_training_equals_reference_bitwise(hidden, T, n, batch_size,
+                                                scale):
+    data = np.random.default_rng(hidden * 10 + T)
+    X = data.random((n, T)) * scale
+    y = (data.random(n) < 0.5).astype(float)
+    spec = StackerSpec(hidden=hidden, epochs=3, batch_size=batch_size,
+                       seed=n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = reference_train_stacker(X, y, spec)
+        expected = o_sigmoid(o_lstm_forward(ref, X)[0])
+    got = train_stacker(X, y, spec)
+    assert got.params.tobytes() == ref.params.tobytes()
+    assert stack_score(got, X).tobytes() == expected.tobytes()
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

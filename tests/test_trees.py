@@ -1,4 +1,5 @@
-"""Trained tree models: a frozen golden file and degenerate input.
+"""Trained tree models: a frozen golden file, degenerate input, and the
+one forest descent against the per-tree reference in ``tests/oracles.py``.
 
 ``tests/data/golden_trees.json`` holds the ``to_blob`` documents and the
 probe-row scores of a small seeded decision tree, random forest and
@@ -19,9 +20,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import o_best_split
+from oracles import o_best_split, o_tree_leaves
 from swipebench.classifiers import (ClassifierSpec, from_blob, to_blob, train,
                                     tree)
+from swipebench.classifiers.isolation import (average_path_length,
+                                              node_path_lengths)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_trees.json"
 TOL = 1e-9
@@ -209,6 +212,97 @@ def test_best_split_sorts_once_per_node(monkeypatch):
         calls.clear()
         tree._best_split(Z, y, np.arange(m))
         assert calls == [(len(y), m)]
+
+
+# -- one descent for a whole forest, against the per-tree reference --------
+
+def model_trees(model) -> list:
+    return [model.tree] if hasattr(model, "tree") else model.trees
+
+
+def reference_score_std(model, Z):
+    """The per-tree scoring of each kind, tree by tree in tree order."""
+    trees = model_trees(model)
+    if model.spec.kind == "decision_tree":
+        return np.asarray(model.tree.value)[o_tree_leaves(model.tree, Z)]
+    if model.spec.kind == "random_forest":
+        acc = np.zeros(len(Z))
+        for t in trees:
+            acc += np.asarray(t.value)[o_tree_leaves(t, Z)]
+        return acc / len(trees)
+    depths = np.zeros(len(Z))
+    for t in trees:
+        depths += node_path_lengths(t)[o_tree_leaves(t, Z)]
+    mean_depth = depths / len(trees)
+    anomaly = np.power(2.0, -mean_depth / average_path_length(model.psi))
+    return 1.0 - anomaly
+
+
+def on_thresholds(trees, Z, rng):
+    """Rows of Z with one column set exactly to an internal node's
+    threshold, so the row takes the <= branch there."""
+    rows = []
+    for t in trees:
+        for node in np.flatnonzero(np.asarray(t.feature) >= 0)[:6]:
+            row = Z[rng.integers(len(Z))].copy()
+            row[t.feature[node]] = t.threshold[node]
+            rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("decision_tree", {}),
+    ("decision_tree", {"max_depth": 2}),
+    ("random_forest", {"n_trees": 24}),
+    ("random_forest", {"n_trees": 5, "max_depth": 3, "max_features": None}),
+    ("isolation_forest", {"n_trees": 30, "subsample": 32}),
+])
+def test_forest_descent_equals_per_tree_reference_bitwise(kind, params):
+    rng = np.random.default_rng(len(params) + len(kind))
+    X = np.round(rng.normal(size=(70, 6)), 1)
+    y = (X[:, 0] + X[:, 3] + 0.7 * rng.normal(size=70) > 0).astype(int)
+    model = train(ClassifierSpec(kind, params, seed=9), X, y)
+    trees = model_trees(model)
+    Z = model.standardizer.transform(X)
+    for probe in (Z, rng.normal(size=(40, 6)) * 3.0,
+                  on_thresholds(trees, Z, rng), Z[:0]):
+        leaves = tree.forest_leaves(model.forest, probe)
+        assert leaves.shape == (len(trees), len(probe))
+        for k, t in enumerate(trees):
+            assert np.array_equal(leaves[k] - model.forest.roots[k],
+                                  o_tree_leaves(t, probe))
+        got = (model._genuineness(probe) if kind == "isolation_forest"
+               else model._score_std(probe))
+        assert got.tobytes() == reference_score_std(model, probe).tobytes()
+    assert from_blob(to_blob(model)).score(X).tobytes() == \
+        model.score(X).tobytes()
+
+
+def test_forest_descent_with_root_only_trees():
+    """A forest that mixes root-only trees with grown ones: the root-only
+    trees send every row to their root without a step."""
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(30, 4))
+    y = (X[:, 1] > 0).astype(int)
+    grown = train(ClassifierSpec("random_forest", {"n_trees": 2}, seed=1),
+                  X, y).trees
+    root = tree.TreeArrays()
+    root.add()
+    root.value[0] = 0.25
+    trees = [root, grown[0], root, grown[1], root]
+    forest = tree.Forest.of(trees, [t.value for t in trees])
+    probe = np.concatenate([X, on_thresholds(grown, X, rng)])
+    leaves = tree.forest_leaves(forest, probe)
+    acc = np.zeros(len(probe))
+    for k, t in enumerate(trees):
+        local = o_tree_leaves(t, probe)
+        assert np.array_equal(leaves[k] - forest.roots[k], local)
+        acc += np.asarray(t.value)[local]
+    assert tree.forest_mean(forest, probe).tobytes() == \
+        (acc / len(trees)).tobytes()
+    only_root = tree.Forest.of([root], [root.value])
+    assert tree.forest_leaves(only_root, probe).tolist() == \
+        [[0] * len(probe)]
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
