@@ -26,13 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EmptyWindow
+from .spec import Spec
 from .stacking import StackerSpec
 
 METHODS = ("none", "mean", "median", "vote", "feed", "trust", "stacking")
 
 
 @dataclass(frozen=True)
-class TrustParams:
+class TrustParams(Spec):
     """Additive trust update, clamped to [0, 1].
 
     After score s the trust moves by reward*(s - threshold) when
@@ -53,17 +54,9 @@ class TrustParams:
             if getattr(self, name) < 0:
                 raise ConfigError(f"trust {name} must be >= 0")
 
-    def as_dict(self) -> dict:
-        return {"initial": self.initial, "threshold": self.threshold,
-                "reward": self.reward, "penalty": self.penalty}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrustParams":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class AggregationSpec:
+class AggregationSpec(Spec):
     method: str = "none"
     window: int = 5
     vote_threshold: float = 0.5
@@ -89,15 +82,6 @@ class AggregationSpec:
         if self.method == "stacking":
             d["stacker"] = self.stacker.as_dict()
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AggregationSpec":
-        kw = dict(d)
-        if "trust" in kw:
-            kw["trust"] = TrustParams.from_dict(kw["trust"])
-        if "stacker" in kw:
-            kw["stacker"] = StackerSpec.from_dict(kw["stacker"])
-        return cls(**kw)
 
 
 def window_slices(session_ids, window: int, stride: int) -> list[np.ndarray]:

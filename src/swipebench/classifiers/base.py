@@ -21,6 +21,7 @@ import numpy as np
 
 from ..errors import (ConfigError, DimensionMismatch,
                       SingleClassForBinarySpec, TooFewSamples)
+from ..spec import Spec
 
 KIND_ALIASES = {
     "svm": "svm_rbf",
@@ -80,7 +81,7 @@ def check_minibatch(epochs, batch_size) -> None:
 
 
 @dataclass(frozen=True)
-class ClassifierSpec:
+class ClassifierSpec(Spec):
     kind: str
     params: dict = field(default_factory=dict)
     seed: int = 0
@@ -93,7 +94,8 @@ class ClassifierSpec:
             raise ConfigError(
                 f"unknown params for {self.kind}: {sorted(unknown)}")
         merged = dict(defaults)
-        merged.update(self.params)
+        merged.update((k, tuple(v) if isinstance(v, list) else v)
+                      for k, v in self.params.items())
         if self.kind == "oc_svm_rbf":
             check_param("nu", merged["nu"], lambda v: 0 < v <= 1, "in (0, 1]")
         if self.kind == "neural_net":
@@ -101,25 +103,9 @@ class ClassifierSpec:
         object.__setattr__(self, "params", merged)
         object.__setattr__(self, "seed", int(self.seed) % 2 ** 32)
 
-    def with_seed(self, seed: int) -> "ClassifierSpec":
-        return ClassifierSpec(kind=self.kind,
-                              params={k: v for k, v in self.params.items()},
-                              seed=seed)
-
     @property
     def is_one_class(self) -> bool:
         return self.kind in ONE_CLASS_KINDS
-
-    def as_dict(self) -> dict:
-        params = {k: (list(v) if isinstance(v, tuple) else v)
-                  for k, v in self.params.items()}
-        return {"kind": self.kind, "params": params, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassifierSpec":
-        params = {k: (tuple(v) if isinstance(v, list) else v)
-                  for k, v in d.get("params", {}).items()}
-        return cls(kind=d["kind"], params=params, seed=d.get("seed", 0))
 
 
 @dataclass

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .errors import ConfigError, SwipebenchError
 from .experiments import (emit_plots, load_config, make_output_dir,
@@ -142,9 +143,7 @@ def _cmd_experiment(args, single_cell: bool) -> int:
             "'evaluate' runs a single feature_set x classifier cell; "
             "use 'matrix' for grids")
     if args.seed is not None:
-        proto = cfg.protocol.as_dict()
-        proto["seed"] = args.seed
-        cfg.protocol = type(cfg.protocol).from_dict(proto)
+        cfg.protocol = replace(cfg.protocol, seed=args.seed)
     if args.out:
         cfg.output_dir = args.out
     if args.format:

@@ -45,6 +45,7 @@ from .features.extract import FeatureTable, build_feature_table
 from .ingest import load_canonical, rewrite_text
 from .protocol import (CellSummary, ProtocolConfig, aggregation_key,
                        run_experiment)
+from .spec import read_object
 from .synthetic import SyntheticSpec, generate_synthetic
 from .touchdata import Dataset, EligibilityCriteria, filter_eligible
 
@@ -76,36 +77,32 @@ def resolve_feature_set(ref, position: int = 0) -> tuple[str, tuple[int, ...]]:
             return key, resolve_feature_ids(key)
         raise ConfigError(f"unknown feature set {ref!r}")
     if isinstance(ref, dict):
-        if "ids" not in ref:
-            raise ConfigError(f"feature set object needs 'ids': {ref!r}")
-        label = str(ref.get("name", f"custom{position}"))
-        return label, resolve_feature_ids(ref["ids"])
+        read_object(ref, {"name": str, "ids": list}, ("ids",),
+                    f"feature_set[{position}]")
+        return (ref.get("name", f"custom{position}"),
+                resolve_feature_ids(ref["ids"]))
     return f"custom{position}", resolve_feature_ids(ref)
 
 
 def _as_list(value) -> list:
-    if value is None:
-        raise ConfigError("missing required config entry")
     return value if isinstance(value, list) else [value]
 
 
-def _classifier_entry(entry) -> ClassifierSpec:
+def _classifier_entry(entry, path: str) -> ClassifierSpec:
     if isinstance(entry, str):
         return ClassifierSpec(kind=entry)
     if isinstance(entry, dict):
-        return ClassifierSpec.from_dict(
-            {"kind": entry["kind"], "params": entry.get("params", {}),
-             "seed": entry.get("seed", 0)})
-    raise ConfigError(f"bad classifier entry: {entry!r}")
+        return ClassifierSpec.from_dict(entry, path)
+    raise ConfigError(f"{path} must be a kind name or object: {entry!r}")
 
 
-def _aggregation_entry(entry) -> AggregationSpec:
+def _aggregation_entry(entry, path: str) -> AggregationSpec:
     if isinstance(entry, str):
         window = 1 if entry == "none" else 5
         return AggregationSpec(method=entry, window=window)
     if isinstance(entry, dict):
-        return AggregationSpec.from_dict(entry)
-    raise ConfigError(f"bad aggregation entry: {entry!r}")
+        return AggregationSpec.from_dict(entry, path)
+    raise ConfigError(f"{path} must be a method name or object: {entry!r}")
 
 
 @dataclass
@@ -130,21 +127,16 @@ class ExperimentConfig:
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("experiment config must be a JSON object")
-    unknown = set(doc) - {"dataset", "feature_set", "classifier",
-                          "aggregation", "protocol", "output"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "dataset" not in doc:
-        raise ConfigError("config needs a 'dataset' entry")
+    doc = read_object(doc, {
+        "dataset": dict, "feature_set": object, "classifier": object,
+        "aggregation": object, "protocol": ProtocolConfig, "output": dict,
+    }, ("dataset",))
     dataset = doc["dataset"]
-    if not isinstance(dataset, dict) or not (
-            "synthetic" in dataset or "path" in dataset):
+    if ("synthetic" in dataset) == ("path" in dataset):
         raise ConfigError(
-            "dataset must be {'synthetic': {...}} or {'path': ...}")
-    if "synthetic" in dataset:
-        SyntheticSpec.from_dict(dataset["synthetic"])   # validate early
+            "dataset must hold exactly one of 'synthetic' or 'path'")
+    read_object(dataset, {"synthetic": SyntheticSpec} if "synthetic" in
+                dataset else {"path": str, "name": str}, path="dataset")
 
     feature_sets = [resolve_feature_set(ref, i)
                     for i, ref in enumerate(_as_list(doc.get("feature_set", "all")))]
@@ -152,24 +144,25 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate feature set labels: {labels}")
 
-    classifiers = [_classifier_entry(e)
-                   for e in _as_list(doc.get("classifier", "ensemble"))]
-    aggregations = [_aggregation_entry(e) for e in _as_list(
-        doc.get("aggregation", {"method": "none", "window": 1}))]
+    classifiers = [_classifier_entry(e, f"classifier[{i}]") for i, e in
+                   enumerate(_as_list(doc.get("classifier", "ensemble")))]
+    aggregations = [_aggregation_entry(e, f"aggregation[{i}]") for i, e in
+                    enumerate(_as_list(doc.get(
+                        "aggregation", {"method": "none", "window": 1})))]
     keys = [aggregation_key(a) for a in aggregations]
     if len(set(keys)) != len(keys):
         raise ConfigError(f"duplicate aggregation variants: {keys}")
 
-    protocol = ProtocolConfig.from_dict(doc.get("protocol", {}))
-
-    output = doc.get("output", {})
+    protocol = doc.get("protocol", ProtocolConfig())
+    output = read_object(doc.get("output", {}), {"dir": str, "format": str},
+                         path="output")
     fmt = output.get("format", "both")
     if fmt == "both":
         formats: tuple[str, ...] = FORMATS
     elif fmt in FORMATS:
         formats = (fmt,)
     else:
-        raise ConfigError(f"unknown output format {fmt!r}")
+        raise ConfigError(f"unknown output.format {fmt!r}")
 
     return ExperimentConfig(
         dataset=dataset, feature_sets=feature_sets, classifiers=classifiers,

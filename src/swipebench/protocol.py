@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,11 +37,12 @@ from .errors import (ConfigError, EmptyGroup, NonFiniteScores,
                      TooFewAttackers, TooFewSessions)
 from .features.extract import FeatureTable
 from .metrics import eer_from_scores
+from .spec import Spec
 from .stacking import stack_score, train_stacker
 
 
 @dataclass(frozen=True)
-class ProtocolConfig:
+class ProtocolConfig(Spec):
     train_session_fraction: float = 0.8
     repetitions: int = 10
     seed: int = 0
@@ -57,15 +58,6 @@ class ProtocolConfig:
                 f"repetitions must be >= 1, got {self.repetitions}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-    def as_dict(self) -> dict:
-        return {"train_session_fraction": self.train_session_fraction,
-                "repetitions": self.repetitions, "seed": self.seed,
-                "attacker_split_fraction": self.attacker_split_fraction}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProtocolConfig":
-        return cls(**d)
 
 
 def split_user_sessions(sessions, fraction: float):
@@ -217,7 +209,7 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
     fit_rows = np.concatenate([train_rows, neg_rows])
     y = np.concatenate([np.ones(len(train_rows)), np.zeros(len(neg_rows))])
     eff_seed = (_entropy(children[3]) + classifier_spec.seed) % 2 ** 32
-    eff_spec = classifier_spec.with_seed(eff_seed)
+    eff_spec = replace(classifier_spec, seed=eff_seed)
     model = train(eff_spec, table.X[fit_rows], y,
                   defined=table.defined[fit_rows])
 
@@ -297,7 +289,7 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
                     entropy=entropy_stacker, spawn_key=(w,)))
                     + spec.stacker.seed) % 2 ** 32
                 net = train_stacker(np.array(sequences(fit_windows)), y_agg,
-                                    spec.stacker.with_seed(stacker_seed))
+                                    replace(spec.stacker, seed=stacker_seed))
 
                 def score(windows) -> np.ndarray:
                     return stack_score(net, np.array(sequences(windows)))

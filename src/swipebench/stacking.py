@@ -25,10 +25,11 @@ from .classifiers.base import check_minibatch, rng_from_seed
 from .classifiers.neural import (Adam, _sigmoid, _softplus, flat_buffer,
                                  train_minibatch)
 from .errors import InconsistentSequenceLength, TooFewSamples
+from .spec import Spec
 
 
 @dataclass(frozen=True)
-class StackerSpec:
+class StackerSpec(Spec):
     hidden: int = 20
     epochs: int = 50
     batch_size: int = 20
@@ -40,22 +41,6 @@ class StackerSpec:
 
     def __post_init__(self) -> None:
         check_minibatch(self.epochs, self.batch_size)
-
-    def with_seed(self, seed: int) -> "StackerSpec":
-        return StackerSpec(hidden=self.hidden, epochs=self.epochs,
-                           batch_size=self.batch_size, lr=self.lr,
-                           beta1=self.beta1, beta2=self.beta2,
-                           adam_eps=self.adam_eps, seed=int(seed) % 2 ** 32)
-
-    def as_dict(self) -> dict:
-        return {"hidden": self.hidden, "epochs": self.epochs,
-                "batch_size": self.batch_size, "lr": self.lr,
-                "beta1": self.beta1, "beta2": self.beta2,
-                "adam_eps": self.adam_eps, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StackerSpec":
-        return cls(**d)
 
 
 class LstmStacker:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .spec import Spec
 from .touchdata import Dataset, TouchSample, assemble_dataset
 
 SCREEN_W = 1080.0
@@ -37,7 +38,7 @@ _LATENT_ORDER = tuple(_LATENTS)
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(Spec):
     users: int = 10
     sessions_per_user: int = 4
     swipes_per_session: int = 40
@@ -56,17 +57,6 @@ class SyntheticSpec:
         if self.separability < 0:
             raise ConfigError(
                 f"separability must be >= 0, got {self.separability}")
-
-    def as_dict(self) -> dict:
-        return {"users": self.users,
-                "sessions_per_user": self.sessions_per_user,
-                "swipes_per_session": self.swipes_per_session,
-                "separability": self.separability,
-                "seed": self.seed, "name": self.name}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticSpec":
-        return cls(**d)
 
 
 def _user_latents(spec: SyntheticSpec, rng: np.random.Generator

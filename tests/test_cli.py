@@ -1,11 +1,17 @@
 """End-to-end command-line runs through main(argv)."""
 
+import contextlib
+import copy
+import io
 import json
 import multiprocessing
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swipebench.cli as cli
 import swipebench.experiments as experiments
@@ -380,3 +386,149 @@ def test_argparse_usage_errors(capsys):
     with pytest.raises(SystemExit):
         main(["not-a-verb"])
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# config schema: every nested key and type is checked before any work
+
+VALID_DOC = {
+    "dataset": {"synthetic": {"users": 4, "sessions_per_user": 2,
+                              "swipes_per_session": 8, "separability": 3.0,
+                              "seed": 11, "name": "probe"}},
+    "feature_set": [{"name": "f", "ids": [1, 2, 3]}],
+    "classifier": [{"kind": "knn", "params": {"k": 3}, "seed": 1}],
+    "aggregation": [
+        {"method": "vote", "window": 2, "vote_threshold": 0.5},
+        {"method": "trust", "window": 2,
+         "trust": {"initial": 0.5, "threshold": 0.5, "reward": 0.2,
+                   "penalty": 0.2}},
+        {"method": "stacking", "window": 2,
+         "stacker": {"hidden": 2, "epochs": 1, "batch_size": 4, "lr": 0.01,
+                     "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8,
+                     "seed": 0}}],
+    "protocol": {"train_session_fraction": 0.5, "repetitions": 1, "seed": 0,
+                 "attacker_split_fraction": 0.5},
+    "output": {"dir": "run", "format": "json"},
+}
+# these accept several forms (a name, a list or an object), and classifier
+# params values are checked by each kind
+MULTI_FORM = {("feature_set",), ("classifier",), ("aggregation",)}
+REQUIRED = [("dataset",), ("feature_set", 0, "ids"), ("classifier", 0, "kind")]
+
+TYPE_VALUES = {
+    "str": st.text(max_size=4),
+    "int": st.integers(-3, 3),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "bool": st.booleans(),
+    "list": st.lists(st.integers(0, 3), max_size=2),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+
+
+def _type_of(value) -> str:
+    for name, t in (("bool", bool), ("int", int), ("float", float),
+                    ("str", str), ("list", list)):
+        if isinstance(value, t):
+            return name
+    return "object"
+
+
+def _walk(node, path=()):
+    """(path, value) for every value below node, objects and lists
+    included."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,), value
+        yield from _walk(value, path + (key,))
+
+
+def _path_text(path) -> str:
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else (
+            f".{key}" if text else key)
+    return text
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+OBJECT_PATHS = [()] + [p for p, v in _walk(VALID_DOC) if isinstance(v, dict)]
+LEAF_PATHS = [p for p, _ in _walk(VALID_DOC)
+              if isinstance(p[-1], str) and p not in MULTI_FORM
+              and "params" not in p[:-1]]
+
+
+@st.composite
+def bad_configs(draw):
+    """(mutated doc, words the one error line must hold)."""
+    doc = copy.deepcopy(VALID_DOC)
+    mode = draw(st.sampled_from(["add", "drop", "swap"]))
+    if mode == "add":
+        path = draw(st.sampled_from(OBJECT_PATHS))
+        key = "zz_" + draw(st.text("abcxyz_", max_size=4))
+        _at(doc, path)[key] = draw(TYPE_VALUES["int"])
+        if path[-1:] == ("params",):    # a kind's params name the entry
+            return doc, [_path_text(path[:-1]), key]
+        return doc, [_path_text(path + (key,))]
+    if mode == "drop":
+        path = draw(st.sampled_from(REQUIRED))
+        del _at(doc, path[:-1])[path[-1]]
+        return doc, [_path_text(path)]
+    path = draw(st.sampled_from(LEAF_PATHS))
+    own = _type_of(_at(doc, path))
+    # an int is a float, so it is no swap away from one
+    other = draw(st.sampled_from([t for t in TYPE_VALUES if t != own
+                                  and (own, t) != ("float", "int")]))
+    _at(doc, path[:-1])[path[-1]] = draw(TYPE_VALUES[other])
+    return doc, [_path_text(path)]
+
+
+def test_valid_schema_doc_parses():
+    cfg = experiments.parse_config(VALID_DOC)
+    assert [a.method for a in cfg.aggregations] == \
+        ["vote", "trust", "stacking"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=bad_configs())
+def test_every_bad_nested_key_or_type_is_one_config_error(case):
+    doc, words = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = os.path.join(tmp, "run")
+        if isinstance(doc.get("output"), dict) and \
+                doc["output"].get("dir") == "run":
+            doc["output"]["dir"] = out_dir
+        cfg = os.path.join(tmp, "exp.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            rc = main(["evaluate", "--config", cfg])
+        assert not os.path.exists(out_dir)
+    text = err.getvalue()
+    assert rc == EXIT_CONFIG, text
+    assert text.startswith("config error: ") and text.count("\n") == 1, text
+    assert "Traceback" not in text and out.getvalue() == ""
+    for word in words:
+        assert word in text, (word, text)
+
+
+def test_int_where_float_expected_is_kept(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    doc = {"dataset": {"synthetic": {"users": 4, "sessions_per_user": 2,
+                                     "swipes_per_session": 8,
+                                     "separability": 8, "seed": 11}},
+           "feature_set": "frank2013", "classifier": "knn",
+           "protocol": {"repetitions": 1}, "output": {"dir": str(out_dir)}}
+    cfg = write_doc(tmp_path, doc)
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+    text = (out_dir / "report.json").read_text()
+    assert '"separability": 8,' in text
+    echo = json.loads(text)["config"]["dataset"]["synthetic"]
+    assert echo["separability"] == 8 and isinstance(echo["separability"], int)

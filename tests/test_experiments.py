@@ -3,6 +3,8 @@
 import json
 import multiprocessing
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +126,39 @@ def test_parse_config_entry_forms():
     with pytest.raises(ConfigError):
         parse_config({"dataset": {"synthetic": dict(SYNTH)},
                       "output": {"format": "xml"}})
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"dataset": {"synthetic": {**SYNTH, "separability": float("nan")}}},
+     "dataset.synthetic.separability"),
+    ({"dataset": {"synthetic": dict(SYNTH)},
+      "aggregation": {"method": "vote", "window": 2,
+                      "vote_threshold": float("inf")}},
+     "aggregation[0].vote_threshold"),
+    ({"dataset": {"synthetic": {**SYNTH, "separability": 10 ** 400}}},
+     "dataset.synthetic.separability"),
+    ({"dataset": {"synthetic": dict(SYNTH), "path": "x.csv"}}, "dataset"),
+    ({"dataset": {"synthetic": dict(SYNTH), "name": "x"}}, "dataset.name"),
+    ({"dataset": {"synthetic": dict(SYNTH)},
+      "aggregation": [{"method": "mean", "window": 0}]}, "aggregation[0]"),
+], ids=["nan", "inf", "int-beyond-float", "synthetic-and-path",
+        "synthetic-name", "range"])
+def test_parse_config_names_the_faulty_path(doc, path):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        parse_config(doc)
+
+
+def test_readme_schema_block_parses():
+    """The README's documented schema is a config the parser accepts."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Experiment config schema", 1)[1]
+    block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(json.loads(re.sub(r"//[^\n]*", "", block)))
+    assert [a.method for a in cfg.aggregations] == \
+        ["mean", "vote", "trust", "stacking"]
+    assert cfg.aggregations[3].stacker.hidden == 20
+    assert [label for label, _ in cfg.feature_sets] == \
+        ["frank2013", "ALL", "ANOVA", "custom3", "mine"]
 
 
 def test_load_config_file(tmp_path):
