@@ -20,8 +20,8 @@ from .protocol import (ProtocolConfig, partition_attackers, run_experiment,
 from .selection import anova_f_scores, select_features
 from .stacking import StackerSpec, stack_score, train_stacker
 from .synthetic import SyntheticSpec, generate_synthetic
-from .touchdata import (Dataset, EligibilityCriteria, Swipe, TouchSample,
-                        filter_eligible, segment_strokes)
+from .touchdata import (Dataset, EligibilityCriteria, Swipe, TouchColumns,
+                        TouchSample, filter_eligible, segment_strokes)
 
 __version__ = "0.1.0"
 
@@ -36,5 +36,6 @@ __all__ = [
     "split_user_sessions", "anova_f_scores", "select_features",
     "StackerSpec", "stack_score", "train_stacker", "SyntheticSpec",
     "generate_synthetic", "Dataset", "EligibilityCriteria", "Swipe",
-    "TouchSample", "filter_eligible", "segment_strokes", "__version__",
+    "TouchColumns", "TouchSample", "filter_eligible", "segment_strokes",
+    "__version__",
 ]

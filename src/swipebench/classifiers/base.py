@@ -74,6 +74,44 @@ def check_param(name: str, value, ok, rule: str) -> None:
         raise ConfigError(f"{name} must be a number {rule}, got {value!r}")
 
 
+def _is_number(v) -> bool:
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_kind(v) -> bool:
+    if not isinstance(v, str):
+        return False
+    k = v.strip().lower()
+    return KIND_ALIASES.get(k, k) in DEFAULT_PARAMS
+
+
+# param -> (check, what it accepts); any other param is a finite number,
+# an int accepted where a float is expected
+PARAM_TYPES = {
+    "gamma": (lambda v: v == "scale" or (_is_number(v) and v > 0),
+              '"scale" or a positive number'),
+    "max_depth": (lambda v: v is None or (_is_count(v) and v >= 1),
+                  "null or an integer >= 1"),
+    "max_features": (lambda v: v is None or v == "sqrt"
+                     or (_is_count(v) and v >= 1),
+                     '"sqrt", null or an integer >= 1'),
+    "hidden": (lambda v: isinstance(v, (list, tuple))
+               and all(_is_count(h) and h >= 1 for h in v),
+               "a list of positive integers"),
+    "members": (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+                and all(map(_is_kind, v)), "a non-empty list of kind names"),
+}
+for _name in ("k", "n_trees", "max_iter", "platt_folds", "subsample",
+              "epochs", "batch_size"):
+    PARAM_TYPES[_name] = (_is_count, "an integer")
+_NUMBER = (_is_number, "a finite number")
+
+
 def check_minibatch(epochs, batch_size) -> None:
     """The mini-batch schedule the MLP and the LSTM stacker train on."""
     check_param("epochs", epochs, lambda v: v >= 0, ">= 0")
@@ -93,6 +131,11 @@ class ClassifierSpec(Spec):
         if unknown:
             raise ConfigError(
                 f"unknown params for {self.kind}: {sorted(unknown)}")
+        for name, value in self.params.items():
+            ok, accepted = PARAM_TYPES.get(name, _NUMBER)
+            if not ok(value):
+                raise ConfigError(f"params.{name} must be {accepted}, "
+                                  f"got {value!r}")
         merged = dict(defaults)
         merged.update((k, tuple(v) if isinstance(v, list) else v)
                       for k, v in self.params.items())

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptyMatrix
-from ..touchdata import Dataset, Swipe
+from ..touchdata import Dataset, Swipe, gather
 from .catalog import ALL_IDS, FEATURE_COUNT, resolve_feature_ids
 from .kinematics import compute_kinematics
 
@@ -105,11 +105,8 @@ def _extract_block(swipes: list[Swipe], prev_ends: list[int | None]
     k, n = len(swipes), swipes[0].n
     if n < 3:
         raise ValueError("features need at least 3 samples")
-    t = np.array([s.t_ms for s in swipes])
-    xs = np.array([s.xs for s in swipes])
-    ys = np.array([s.ys for s in swipes])
-    pr = np.array([s.pressures for s in swipes])
-    ar = np.array([s.areas for s in swipes])
+    t, xs, ys, pr, ar = (a.reshape(k, n) for a in gather(
+        swipes, ("t_ms", "x", "y", "pressure", "area")))
     kin = compute_kinematics(t, xs, ys, pr, ar)
     vel, acc = kin.velocity, kin.acceleration
     dev, seg = kin.deviation, kin.seg_len

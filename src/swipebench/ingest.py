@@ -6,6 +6,11 @@ fields: dataset, user_id, session_id, device_model, t_ms, phase, x, y,
 pressure, area. pressure/area may be empty/null for datasets that lack the
 channel. Raw vendor exports are converted through small key=value adapter
 configs that map columns and phase codes onto this schema.
+
+Every parser reads its lines into one list of cells per field and converts
+and checks each field as a whole column, into a TouchColumns of the valid
+lines. A line fails on the first fault in field order, and its report
+example names that fault.
 """
 
 from __future__ import annotations
@@ -15,17 +20,25 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (ConfigError, DataError, EmptyDataset,
                      MalformedRateExceeded, UnparseableHeader)
-from .touchdata import (Dataset, SegmentationCounts, TouchSample,
-                        assemble_dataset)
+from .touchdata import (MS_LIMIT, PHASE_CODES, PHASES, Dataset,
+                        SegmentationCounts, TouchColumns, assemble_dataset,
+                        gather)
 
 REQUIRED_FIELDS = ("dataset", "user_id", "session_id", "device_model",
                    "t_ms", "phase", "x", "y", "pressure", "area")
+_REQUIRED = frozenset(REQUIRED_FIELDS)
 
 DEFAULT_MAX_MALFORMED_RATE = 0.01
+
+_CONVERSION_ERRORS = (ValueError, TypeError, OverflowError)
 
 
 def _read_text(path: Path) -> str:
@@ -68,60 +81,161 @@ def _optional_channel(raw) -> float:
     return float(raw)
 
 
-def _int_ms(raw) -> int:
-    v = float(raw)
-    if not math.isfinite(v) or v != int(v):
-        raise ValueError(f"timestamp {raw!r} is not an integer millisecond count")
-    return int(v)
+class _Lines:
+    """The non-blank lines of one parse and the first fault of each.
+
+    ``linenos`` numbers the rows that reach the column stage; a fault is
+    kept per line number, and a later fault of the same line is ignored,
+    so checking field after field keeps each line's first fault."""
+
+    def __init__(self) -> None:
+        self.total = 0
+        self.linenos: list[int] = []
+        self.faults: dict[int, str] = {}
+
+    def reject(self, lineno: int, err) -> None:
+        self.faults.setdefault(lineno, str(err))
+
+    def check(self, bad: np.ndarray, message) -> None:
+        """Reject the row of every true entry of bad, with message(row),
+        unless its line has a fault already."""
+        for i in np.flatnonzero(bad).tolist():
+            if self.linenos[i] not in self.faults:
+                self.faults[self.linenos[i]] = message(i)
+
+    def floats(self, name: str, values, convert=float) -> np.ndarray:
+        """convert over a column of cells, as float64. A cell it rejects,
+        or a JSON true/false, becomes NaN and rejects its line. convert
+        must agree with float on every cell float takes."""
+        try:
+            out = np.fromiter(map(float, values), dtype=float,
+                              count=len(values))
+        except _CONVERSION_ERRORS:
+            out = np.empty(len(values))
+            for i, v in enumerate(values):
+                try:
+                    out[i] = convert(v)
+                except _CONVERSION_ERRORS as err:
+                    out[i] = math.nan
+                    self.reject(self.linenos[i], err)
+        if bool in set(map(type, values)):
+            is_bool = np.fromiter((type(v) is bool for v in values),
+                                  dtype=bool, count=len(values))
+            out[is_bool] = math.nan
+            self.check(is_bool, lambda i: f"{name} must be a number, got "
+                                          f"{json.dumps(values[i])}")
+        return out
+
+    def check_range(self, t: np.ndarray, raw) -> None:
+        """Reject timestamps of 2**53 ms or more in magnitude."""
+        self.check(np.abs(t) >= MS_LIMIT, lambda i: (
+            f"timestamp {raw[i]!r} is out of range: |t| >= 2**53 ms"))
+
+    def report(self, source: str, records: TouchColumns) -> IngestReport:
+        """The parse's report; EmptyDataset when no line was valid."""
+        if self.total == 0 or not len(records):
+            raise EmptyDataset(f"{source}: no valid records")
+        first = sorted(self.faults)[:5]
+        return IngestReport(
+            source=source, lines_total=self.total,
+            lines_malformed=len(self.faults),
+            malformed_examples=[f"line {n}: {self.faults[n]}" for n in first])
+
+    def columns(self, dataset, user_id, session_id, device_model,
+                t: np.ndarray, phase: list[str], x: np.ndarray, y: np.ndarray,
+                pressure: np.ndarray, area: np.ndarray) -> TouchColumns:
+        """The rows without a fault, after the TouchSample checks, as
+        columns. t holds whole milliseconds below 2**53."""
+        code_of = {p: PHASE_CODES.get(p, -1) for p in set(phase)}
+        codes = np.fromiter(map(code_of.__getitem__, phase), dtype=np.int8,
+                            count=len(phase))
+        self.check(t < 0, lambda i: f"negative timestamp {int(t[i])}")
+        self.check(codes < 0, lambda i: f"unknown phase {phase[i]!r}")
+        self.check(~(np.isfinite(x) & np.isfinite(y)),
+                   lambda i: "non-finite coordinates")
+        for name, v in (("pressure", pressure), ("area", area)):
+            self.check(~np.isnan(v) & ~(np.isfinite(v) & (v >= 0.0)),
+                       lambda i: f"{name} must be >= 0 or NaN, "
+                                 f"got {float(v[i])}")
+        faults = self.faults
+        ok = np.fromiter((n not in faults for n in self.linenos), dtype=bool,
+                         count=len(self.linenos))
+
+        def strings(values) -> np.ndarray:
+            return np.array(values, dtype=object)[ok]
+
+        return TouchColumns(
+            dataset=strings(dataset), user_id=strings(user_id),
+            session_id=strings(session_id),
+            device_model=strings(device_model),
+            t=t[ok].astype(np.int64), phase=codes[ok],
+            x=x[ok], y=y[ok], pressure=pressure[ok], area=area[ok])
 
 
-def _record_from_mapping(m: dict) -> TouchSample:
-    return TouchSample(
-        dataset=str(m["dataset"]),
-        user_id=str(m["user_id"]),
-        session_id=str(m["session_id"]),
-        device_model=str(m["device_model"]),
-        t=_int_ms(m["t_ms"]),
-        phase=str(m["phase"]).strip().lower(),
-        x=float(m["x"]),
-        y=float(m["y"]),
-        pressure=_optional_channel(m["pressure"]),
-        area=_optional_channel(m["area"]),
-    )
+def _canonical_columns(lines: _Lines, cells: dict) -> TouchColumns:
+    """The canonical fields' cells, one sequence per field, as columns:
+    text fields through str, t_ms as whole milliseconds, phase stripped
+    and lower-cased, empty/null/nan channels as NaN."""
+    raw_t = cells["t_ms"]
+    t = lines.floats("t_ms", raw_t)
+    lines.check(~np.isfinite(t) | (t != np.trunc(t)), lambda i: (
+        f"timestamp {raw_t[i]!r} is not an integer millisecond count"))
+    lines.check_range(t, raw_t)
+    phase = [str(p).strip().lower() for p in cells["phase"]]
+    x = lines.floats("x", cells["x"])
+    y = lines.floats("y", cells["y"])
+    pressure = lines.floats("pressure", cells["pressure"], _optional_channel)
+    area = lines.floats("area", cells["area"], _optional_channel)
+    text = {f: list(map(str, cells[f]))
+            for f in ("dataset", "user_id", "session_id", "device_model")}
+    return lines.columns(t=t, phase=phase, x=x, y=y, pressure=pressure,
+                         area=area, **text)
 
 
-def _note(report: IngestReport, lineno: int, err: Exception) -> None:
-    report.lines_malformed += 1
-    if len(report.malformed_examples) < 5:
-        report.malformed_examples.append(f"line {lineno}: {err}")
+_SCAN = json.JSONDecoder().scan_once
+
+
+def _decode(line: str):
+    """json.loads(line), by one scanner call when the line is a single
+    value with no surrounding space."""
+    try:
+        obj, end = _SCAN(line, 0)
+        if end == len(line):
+            return obj
+    except StopIteration:
+        pass
+    return json.loads(line)
 
 
 def parse_canonical(text: str, source: str = "<string>",
                     max_malformed_rate: float = DEFAULT_MAX_MALFORMED_RATE,
-                    ) -> tuple[list[TouchSample], IngestReport]:
-    """Parse canonical text into records, tolerating a bounded malformed rate."""
-    report = IngestReport(source=source)
+                    ) -> tuple[TouchColumns, IngestReport]:
+    """Parse canonical text into columns, tolerating a bounded malformed
+    rate."""
     stripped = text.lstrip()
     if not stripped:
         raise EmptyDataset(f"{source}: no records")
-    records: list[TouchSample] = []
+    lines = _Lines()
 
+    rows = []          # the required fields' cells of each valid line
     if stripped[0] == "{":
-        lines = text.splitlines()
-        for lineno, line in enumerate(lines, start=1):
+        pick = itemgetter(*REQUIRED_FIELDS)
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            report.lines_total += 1
+            lines.total += 1
             try:
-                obj = json.loads(line)
+                obj = _decode(line)
                 if not isinstance(obj, dict):
                     raise ValueError("record is not an object")
-                missing = [f for f in REQUIRED_FIELDS if f not in obj]
-                if missing:
+                if not obj.keys() >= _REQUIRED:
+                    missing = [f for f in REQUIRED_FIELDS if f not in obj]
                     raise ValueError(f"missing fields {missing}")
-                records.append(_record_from_mapping(obj))
-            except (ValueError, TypeError, KeyError) as err:
-                _note(report, lineno, err)
+            except ValueError as err:
+                lines.reject(lineno, err)
+                continue
+            lines.linenos.append(lineno)
+            rows.append(pick(obj))
     else:
         reader = csv.reader(io.StringIO(text))
         try:
@@ -132,25 +246,27 @@ def parse_canonical(text: str, source: str = "<string>",
         missing = [f for f in REQUIRED_FIELDS if f not in cols]
         if missing:
             raise UnparseableHeader(f"{source}: header lacks columns {missing}")
-        idx = {f: cols.index(f) for f in REQUIRED_FIELDS}
+        pick = itemgetter(*[cols.index(f) for f in REQUIRED_FIELDS])
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            if not row or not (row[0].strip() or any(c.strip() for c in row)):
                 continue
-            report.lines_total += 1
-            try:
-                if len(row) < len(cols):
-                    raise ValueError(f"expected {len(cols)} fields, got {len(row)}")
-                records.append(_record_from_mapping(
-                    {f: row[i] for f, i in idx.items()}))
-            except (ValueError, TypeError) as err:
-                _note(report, lineno, err)
+            lines.total += 1
+            if len(row) < len(cols):
+                lines.reject(lineno,
+                             f"expected {len(cols)} fields, got {len(row)}")
+                continue
+            lines.linenos.append(lineno)
+            rows.append(pick(row))
 
-    if report.lines_total == 0 or not records:
-        raise EmptyDataset(f"{source}: no valid records")
+    cells = dict(zip(REQUIRED_FIELDS, zip(*rows))) if rows \
+        else {f: () for f in REQUIRED_FIELDS}
+    records = _canonical_columns(lines, cells)
+    report = lines.report(source, records)
     if report.malformed_rate > max_malformed_rate:
         raise MalformedRateExceeded(
-            f"{source}: {report.lines_malformed}/{report.lines_total} lines malformed "
-            f"({report.malformed_rate:.2%} > {max_malformed_rate:.2%})")
+            f"{source}: {report.lines_malformed}/{report.lines_total} lines "
+            f"malformed ({report.malformed_rate:.2%} > "
+            f"{max_malformed_rate:.2%})")
     return records, report
 
 
@@ -162,14 +278,10 @@ def load_canonical(path: str | Path, name: str | None = None,
     records, report = parse_canonical(_read_text(path), source=str(path),
                                       max_malformed_rate=max_malformed_rate)
     if name is None:
-        name = records[0].dataset
+        name = records.dataset[0]
     dataset, seg = assemble_dataset(name, records)
     report.segmentation = seg
     return dataset, report
-
-
-def _format_channel(v: float) -> str:
-    return "" if math.isnan(v) else repr(v)
 
 
 def rewrite_text(path: str | Path, text: str) -> None:
@@ -186,35 +298,50 @@ def rewrite_text(path: str | Path, text: str) -> None:
         raise DataError(f"cannot write {path}: {err}") from None
 
 
+_JSON_ROW = ('{"dataset": %s, "user_id": %s, "session_id": %s, '
+             '"device_model": %s, "t_ms": %d, "phase": %s, "x": %r, "y": %r, '
+             '"pressure": %s, "area": %s}')
+
+
+def _json_strings(values: list) -> list[str]:
+    # json.dumps's text for each string, encoded once per distinct value
+    enc = {v: json.dumps(v) for v in set(values)}
+    return [enc[v] for v in values]
+
+
+def _channel_cells(values: list[float], missing: str) -> list[str]:
+    return [missing if v != v else repr(v) for v in values]
+
+
 def write_canonical(dataset: Dataset, path: str | Path, fmt: str = "csv") -> None:
     """Write a dataset back out deterministically (users sorted, sessions and
-    swipes in chronological order)."""
+    swipes in chronological order), column by column. A line's bytes are
+    what ``json.dumps`` of its record, or the CSV cells with Python's float
+    repr and an empty cell for NaN, give."""
     path = Path(path)
-    rows = []
-    for user_id in dataset.user_ids():
-        for session in dataset.users[user_id].sessions:
-            for swipe in session.swipes:
-                rows.extend(swipe.samples)
+    swipes = [swipe for user_id in dataset.user_ids()
+              for session in dataset.users[user_id].sessions
+              for swipe in session.swipes]
+    cols = gather(swipes, ("user_id", "session_id", "device_model", "t",
+                           "phase", "x", "y", "pressure", "area"))
+    user, session, device, t, phase, x, y, pressure, area = [
+        c.tolist() for c in cols]
+    phase = [PHASES[c] for c in phase]
     if fmt == "csv":
-        lines = [",".join(REQUIRED_FIELDS)]
-        for s in rows:
-            lines.append(",".join([
-                dataset.name, s.user_id, s.session_id, s.device_model,
-                str(s.t), s.phase, repr(s.x), repr(s.y),
-                _format_channel(s.pressure), _format_channel(s.area)]))
-        rewrite_text(path, "\n".join(lines) + "\n")
+        rows = zip(repeat(dataset.name), user, session, device, map(str, t),
+                   phase, map(repr, x), map(repr, y),
+                   _channel_cells(pressure, ""), _channel_cells(area, ""))
+        lines = [",".join(REQUIRED_FIELDS), *map(",".join, rows)]
     elif fmt == "jsonl":
-        lines = []
-        for s in rows:
-            obj = {"dataset": dataset.name, "user_id": s.user_id,
-                   "session_id": s.session_id, "device_model": s.device_model,
-                   "t_ms": s.t, "phase": s.phase, "x": s.x, "y": s.y,
-                   "pressure": None if math.isnan(s.pressure) else s.pressure,
-                   "area": None if math.isnan(s.area) else s.area}
-            lines.append(json.dumps(obj))
-        rewrite_text(path, "\n".join(lines) + "\n")
+        rows = zip(repeat(json.dumps(dataset.name)), _json_strings(user),
+                   _json_strings(session), _json_strings(device), t,
+                   _json_strings(phase), x, y,
+                   _channel_cells(pressure, "null"),
+                   _channel_cells(area, "null"))
+        lines = [_JSON_ROW % row for row in rows]
     else:
         raise ConfigError(f"unknown canonical format {fmt!r}")
+    rewrite_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +400,11 @@ class AdapterConfig:
 
 def convert_raw(raw_path: str | Path, adapter: AdapterConfig,
                 max_malformed_rate: float = DEFAULT_MAX_MALFORMED_RATE,
-                ) -> tuple[list[TouchSample], IngestReport]:
-    """Apply an adapter to a raw CSV export, yielding canonical records."""
+                ) -> tuple[TouchColumns, IngestReport]:
+    """Apply an adapter to a raw CSV export, yielding canonical columns."""
     raw_path = Path(raw_path)
-    report = IngestReport(source=str(raw_path))
-    records: list[TouchSample] = []
+    lines = _Lines()
+    rows = []
     try:
         fh = raw_path.open(newline="")
     except OSError as err:
@@ -302,38 +429,59 @@ def convert_raw(raw_path: str | Path, adapter: AdapterConfig,
             except ValueError as err:
                 raise ConfigError(f"headerless adapter needs integer columns: {err}")
             start = 1
-        scale = _TIME_SCALE[adapter.t_unit]
         for lineno, row in enumerate(reader, start=start):
-            if not row or all(not c.strip() for c in row):
+            if not row or not (row[0].strip() or any(c.strip() for c in row)):
                 continue
-            report.lines_total += 1
-            try:
-                def cell(fld: str) -> str:
-                    return row[index[fld]].strip()
+            lines.total += 1
+            lines.linenos.append(lineno)
+            rows.append(row)
 
-                raw_phase = cell("phase")
-                phase = adapter.phase_map.get(raw_phase, raw_phase.lower())
-                device = (adapter.device_constant
-                          if "device_model" not in index else cell("device_model"))
-                records.append(TouchSample(
-                    dataset=adapter.dataset,
-                    user_id=cell("user_id"),
-                    session_id=cell("session_id"),
-                    device_model=device if device is not None else "unknown",
-                    t=int(round(float(cell("t")) * scale)),
-                    phase=phase,
-                    x=float(cell("x")),
-                    y=float(cell("y")),
-                    pressure=_optional_channel(cell("pressure"))
-                    if "pressure" in index else math.nan,
-                    area=_optional_channel(cell("area"))
-                    if "area" in index else math.nan,
-                ))
-            except (ValueError, IndexError, KeyError) as err:
-                _note(report, lineno, err)
-    if not records:
-        raise EmptyDataset(f"{raw_path}: no valid records")
+    def cells(fld: str) -> list[str]:
+        """fld's stripped cell of every row; a row without one is
+        rejected and reads an empty cell."""
+        i = index[fld]
+        try:
+            return [row[i].strip() for row in rows]
+        except IndexError:
+            out = []
+            for k, row in enumerate(rows):
+                try:
+                    out.append(row[i].strip())
+                except IndexError as err:
+                    lines.reject(lines.linenos[k], err)
+                    out.append("")
+            return out
+
+    def channel(fld: str) -> np.ndarray:
+        if fld not in index:
+            return np.full(len(rows), math.nan)
+        return lines.floats(fld, cells(fld), _optional_channel)
+
+    # cells in the order a row's fields are read, so a row fails on the
+    # first of them that is missing or bad
+    raw_phase = cells("phase")
+    mapped = {p: adapter.phase_map.get(p, p.lower()) for p in set(raw_phase)}
+    phase = [mapped[p] for p in raw_phase]
+    if "device_model" in index:
+        device = cells("device_model")
+    else:
+        device = [adapter.device_constant if adapter.device_constant is not None
+                  else "unknown"] * len(rows)
+    user_id, session_id = cells("user_id"), cells("session_id")
+    raw_t = cells("t")
+    t = np.rint(lines.floats("t", raw_t) * _TIME_SCALE[adapter.t_unit])
+    lines.check(np.isnan(t), lambda i: "cannot convert float NaN to integer")
+    lines.check(np.isinf(t),
+                lambda i: "cannot convert float infinity to integer")
+    lines.check_range(t, raw_t)
+    x = lines.floats("x", cells("x"))
+    y = lines.floats("y", cells("y"))
+    pressure, area = channel("pressure"), channel("area")
+    records = lines.columns([adapter.dataset] * len(rows), user_id,
+                            session_id, device, t, phase, x, y, pressure, area)
+    report = lines.report(str(raw_path), records)
     if report.malformed_rate > max_malformed_rate:
         raise MalformedRateExceeded(
-            f"{raw_path}: {report.lines_malformed}/{report.lines_total} rows malformed")
+            f"{raw_path}: {report.lines_malformed}/{report.lines_total} rows "
+            "malformed")
     return records, report

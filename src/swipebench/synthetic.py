@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .spec import Spec
-from .touchdata import Dataset, TouchSample, assemble_dataset
+from .touchdata import DOWN, MOVE, UP, Dataset, TouchColumns, assemble_dataset
 
 SCREEN_W = 1080.0
 SCREEN_H = 1920.0
@@ -74,10 +74,9 @@ def _user_latents(spec: SyntheticSpec, rng: np.random.Generator
     return out
 
 
-def _stroke_samples(lat: dict[str, float], rng: np.random.Generator,
-                    start_ms: int, user_id: str, session_id: str,
-                    dataset: str) -> tuple[list[TouchSample], int]:
-    """One swipe's samples plus the timestamp of its last sample."""
+def _stroke_series(lat: dict[str, float], rng: np.random.Generator,
+                   start_ms: int) -> tuple[np.ndarray, ...]:
+    """One swipe's t, x, y, pressure and area series."""
     def draw(key: str) -> float:
         base, within = _LATENTS[key]
         return lat[key] + within * rng.standard_normal()
@@ -129,33 +128,40 @@ def _stroke_samples(lat: dict[str, float], rng: np.random.Generator,
     areas = np.maximum(0.01, level_a * profile
                        + rng.normal(0.0, 0.01, size=n_pts))
 
-    samples = []
-    for i in range(n_pts):
-        phase = "down" if i == 0 else ("up" if i == n_pts - 1 else "move")
-        samples.append(TouchSample(
-            dataset=dataset, user_id=user_id, session_id=session_id,
-            device_model="synthetic-device", t=int(t[i]), phase=phase,
-            x=float(xs[i]), y=float(ys[i]),
-            pressure=float(pressures[i]), area=float(areas[i])))
-    return samples, int(t[-1])
+    return t, xs, ys, pressures, areas
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
     latents = _user_latents(spec, rng)
 
-    records: list[TouchSample] = []
+    series = []             # (t, x, y, pressure, area) per stroke
+    sessions = []           # (user, session) per stroke
     for ui in range(spec.users):
         user_id = f"u{ui:02d}"
         for si in range(spec.sessions_per_user):
             session_id = f"s{si:02d}"
             clock = si * SESSION_GAP_MS
             for _ in range(spec.swipes_per_session):
-                samples, last_ms = _stroke_samples(
-                    latents[ui], rng, clock, user_id, session_id, spec.name)
-                records.extend(samples)
-                clock = last_ms + int(rng.integers(200, 2000))
+                stroke = _stroke_series(latents[ui], rng, clock)
+                series.append(stroke)
+                sessions.append((user_id, session_id))
+                clock = int(stroke[0][-1]) + int(rng.integers(200, 2000))
 
+    lengths = [len(stroke[0]) for stroke in series]
+    t, x, y, pressure, area = (np.concatenate(c) for c in zip(*series))
+    user_id, session_id = (np.repeat(np.array(c, dtype=object), lengths)
+                           for c in zip(*sessions))
+    phase = np.full(len(t), MOVE, dtype=np.int8)
+    stops = np.cumsum(lengths)
+    phase[stops - 1] = UP
+    phase[stops - lengths] = DOWN
+    records = TouchColumns(
+        dataset=np.full(len(t), spec.name, dtype=object), user_id=user_id,
+        session_id=session_id,
+        device_model=np.full(len(t), "synthetic-device", dtype=object),
+        t=t.astype(np.int64), phase=phase, x=x, y=y, pressure=pressure,
+        area=area)
     dataset, counts = assemble_dataset(spec.name, records)
     # the generator only emits valid strokes; nothing may be discarded
     assert counts.samples_kept == counts.samples_in, counts.as_dict()

@@ -1,35 +1,48 @@
-"""Core data model: touch samples, swipes, sessions, datasets, segmentation.
+"""Core data model: touch events, swipes, sessions, datasets, segmentation.
 
-A swipe is a single-finger down -> move* -> up trace. Segmentation consumes
-per-session event streams and is order independent: events are sorted by a
-canonical key before strokes are cut, so a shuffled copy of the same stream
-yields an identical dataset.
+Touch events are stored by column (``TouchColumns``): one array per field,
+so parsing, segmentation and feature extraction each work on whole columns
+instead of one object per event. ``TouchSample`` is the row type, the
+validated event a column set yields row by row.
+
+A swipe is a single-finger down -> move* -> up trace, kept as a range of
+rows of a column set. Segmentation is order independent: events are
+sorted by a canonical key before strokes are cut, so a shuffled copy of
+the same stream yields an identical dataset.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NoEligibleUsers
 
 PHASES = ("down", "move", "up")
-_PHASE_RANK = {"down": 0, "move": 1, "up": 2}
+# phase codes, indices into PHASES: also the phase's rank in the sort key
+DOWN, MOVE, UP = range(len(PHASES))
+PHASE_CODES = {p: i for i, p in enumerate(PHASES)}
 
 MIN_SAMPLES = 4
 MIN_DURATION_MS = 30
 
 CHANNELS = ("pressure", "area")
 
+# Timestamps lie below this in magnitude (ms): float64 holds every integer
+# below it exactly, and a parsed number at or beyond it never rounds below.
+MS_LIMIT = 2 ** 53
+
 
 @dataclass(frozen=True, slots=True)
 class TouchSample:
     """One touch event.
 
-    t is in milliseconds. pressure/area may be NaN when the capture device
-    did not report that channel; coordinates and time must be finite.
+    t is in milliseconds, below 2**53. pressure/area may be NaN when the
+    capture device did not report that channel; coordinates and time must
+    be finite.
     """
 
     dataset: str
@@ -51,6 +64,9 @@ class TouchSample:
         object.__setattr__(self, "area", float(self.area))
         if self.t < 0:
             raise ValueError(f"negative timestamp {self.t}")
+        if self.t >= MS_LIMIT:
+            raise ValueError(
+                f"timestamp {self.t} is out of range: t >= 2**53 ms")
         if self.phase not in PHASES:
             raise ValueError(f"unknown phase {self.phase!r}")
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
@@ -61,90 +77,191 @@ class TouchSample:
                 raise ValueError(f"{name} must be >= 0 or NaN, got {v}")
 
 
-def sample_sort_key(s: TouchSample) -> tuple:
-    # Full-content key: ties at equal t resolve identically however the
-    # input was ordered, which keeps duplicate collapse deterministic.
-    return (s.t, _PHASE_RANK[s.phase], s.x, s.y, s.pressure, s.area)
+def _channel_values(a: np.ndarray) -> list[float]:
+    # a missing channel reads as math.nan, the object the parsers gave
+    return [v if v == v else math.nan for v in a.tolist()]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class TouchColumns:
+    """Touch events as one read-only array per field; row i is one event.
+
+    The string fields are object arrays, t holds integer milliseconds and
+    phase holds codes into PHASES. Every row satisfies the TouchSample
+    invariants: whatever makes a column set (the parsers, the generator,
+    ``of``) checks them or starts from rows that did.
+    """
+
+    dataset: np.ndarray
+    user_id: np.ndarray
+    session_id: np.ndarray
+    device_model: np.ndarray
+    t: np.ndarray
+    phase: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    pressure: np.ndarray
+    area: np.ndarray
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+    @classmethod
+    def of(cls, records) -> "TouchColumns":
+        """records as columns: a TouchColumns as it is, a sequence of
+        TouchSample converted once."""
+        if isinstance(records, cls):
+            return records
+
+        def column(name: str, dtype) -> np.ndarray:
+            return np.array([getattr(s, name) for s in records], dtype=dtype)
+
+        return cls(
+            **{f: column(f, object) for f in ("dataset", "user_id",
+                                              "session_id", "device_model")},
+            t=column("t", np.int64),
+            phase=np.array([PHASE_CODES[s.phase] for s in records],
+                           dtype=np.int8),
+            **{f: column(f, float) for f in ("x", "y", "pressure", "area")})
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @cached_property
+    def samples(self) -> tuple[TouchSample, ...]:
+        """Every row as a TouchSample, built on first use."""
+        return tuple(map(
+            TouchSample, self.dataset.tolist(), self.user_id.tolist(),
+            self.session_id.tolist(), self.device_model.tolist(),
+            self.t.tolist(), [PHASES[c] for c in self.phase.tolist()],
+            self.x.tolist(), self.y.tolist(), _channel_values(self.pressure),
+            _channel_values(self.area)))
+
+    def take(self, index: np.ndarray) -> "TouchColumns":
+        """The rows at index, as a new column set."""
+        return TouchColumns(**{f.name: getattr(self, f.name)[index]
+                               for f in fields(self)})
+
+    @cached_property
+    def t_ms(self) -> np.ndarray:
+        """t as float64, exactly: |t| < 2**53."""
+        out = self.t.astype(float)
+        out.flags.writeable = False
+        return out
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The concatenated aranges start..stop of each pair."""
+    lengths = stops - starts
+    return (np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+            + np.arange(lengths.sum()))
+
+
+def gather(swipes, names) -> list[np.ndarray]:
+    """Each named column (a TouchColumns field or ``t_ms``) over the
+    swipes' rows, concatenated in swipe order: one fancy-index per
+    column."""
+    if not swipes:
+        return [np.empty(0) for _ in names]
+    sources = {id(s.columns): s.columns for s in swipes}
+    offsets, total = {}, 0
+    for key, cols in sources.items():
+        offsets[key] = total
+        total += len(cols)
+    starts = np.array([s.start + offsets[id(s.columns)] for s in swipes])
+    index = _ranges(starts, starts + np.array([s.n for s in swipes]))
+    out = []
+    for name in names:
+        parts = [getattr(cols, name) for cols in sources.values()]
+        column = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        out.append(column[index])
+    return out
+
+
+@dataclass(eq=False)
 class Swipe:
-    """A validated stroke. Samples are strictly increasing in t."""
+    """A validated stroke: rows start..stop of a column set, strictly
+    increasing in t."""
 
-    samples: tuple[TouchSample, ...]
-    _arrays: dict = field(default_factory=dict, repr=False, compare=False)
+    columns: TouchColumns
+    start: int
+    stop: int
+
+    @classmethod
+    def from_samples(cls, samples) -> "Swipe":
+        samples = tuple(samples)
+        return cls(TouchColumns.of(samples), 0, len(samples))
+
+    @property
+    def samples(self) -> tuple[TouchSample, ...]:
+        return self.columns.samples[self.start:self.stop]
 
     @property
     def n(self) -> int:
-        return len(self.samples)
+        return self.stop - self.start
 
     @property
     def user_id(self) -> str:
-        return self.samples[0].user_id
+        return self.columns.user_id[self.start]
 
     @property
     def session_id(self) -> str:
-        return self.samples[0].session_id
+        return self.columns.session_id[self.start]
 
     @property
     def device_model(self) -> str:
-        return self.samples[0].device_model
+        return self.columns.device_model[self.start]
 
     @property
     def start_ms(self) -> int:
-        return self.samples[0].t
+        return int(self.columns.t[self.start])
 
     @property
     def end_ms(self) -> int:
-        return self.samples[-1].t
+        return int(self.columns.t[self.stop - 1])
 
     @property
     def duration_ms(self) -> int:
-        return self.samples[-1].t - self.samples[0].t
-
-    def _array(self, name: str) -> np.ndarray:
-        arr = self._arrays.get(name)
-        if arr is None:
-            arr = np.array([getattr(s, name) for s in self.samples], dtype=float)
-            self._arrays[name] = arr
-        return arr
+        return self.end_ms - self.start_ms
 
     @property
     def t_ms(self) -> np.ndarray:
-        return self._array("t")
+        return self.columns.t_ms[self.start:self.stop]
 
     @property
     def xs(self) -> np.ndarray:
-        return self._array("x")
+        return self.columns.x[self.start:self.stop]
 
     @property
     def ys(self) -> np.ndarray:
-        return self._array("y")
+        return self.columns.y[self.start:self.stop]
 
     @property
     def pressures(self) -> np.ndarray:
-        return self._array("pressure")
+        return self.columns.pressure[self.start:self.stop]
 
     @property
     def areas(self) -> np.ndarray:
-        return self._array("area")
+        return self.columns.area[self.start:self.stop]
 
     def validate(self, min_samples: int = MIN_SAMPLES,
                  min_duration_ms: int = MIN_DURATION_MS) -> None:
         """Raise ValueError unless this swipe satisfies the type invariants."""
         if self.n < min_samples:
             raise ValueError(f"swipe has {self.n} samples, needs >= {min_samples}")
-        ts = [s.t for s in self.samples]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        rows = slice(self.start, self.stop)
+        if (np.diff(self.columns.t[rows]) <= 0).any():
             raise ValueError("timestamps not strictly increasing")
         if self.duration_ms < min_duration_ms:
             raise ValueError(f"duration {self.duration_ms} ms < {min_duration_ms} ms")
-        phases = [s.phase for s in self.samples]
-        if phases[0] != "down" or phases[-1] != "up":
+        phases = self.columns.phase[rows]
+        if phases[0] != DOWN or phases[-1] != UP:
             raise ValueError("swipe must start with down and end with up")
-        if any(p != "move" for p in phases[1:-1]):
+        if (phases[1:-1] != MOVE).any():
             raise ValueError("interior samples must be move events")
-        keys = {(s.user_id, s.session_id) for s in self.samples}
+        keys = set(zip(self.columns.user_id[rows].tolist(),
+                       self.columns.session_id[rows].tolist()))
         if len(keys) != 1:
             raise ValueError("samples span multiple users or sessions")
 
@@ -195,81 +312,98 @@ class SegmentationCounts:
         }
 
 
-def _collapse_duplicates(run: list[TouchSample]) -> tuple[list[TouchSample], int]:
-    """Keep the last sample at each timestamp. Input must be sorted."""
-    kept: list[TouchSample] = []
-    dropped = 0
-    for s in run:
-        if kept and kept[-1].t == s.t:
-            kept[-1] = s
-            dropped += 1
-        else:
-            kept.append(s)
-    return kept, dropped
+def _segment(cols: TouchColumns, group: np.ndarray, min_samples: int,
+             min_duration_ms: int) -> tuple[list[Swipe], np.ndarray,
+                                            SegmentationCounts]:
+    """Cut each group's event stream into validated swipes, all groups in
+    one pass over the columns sorted by (group, t, phase rank, x, y,
+    pressure, area).
 
+    Returns the swipes (groups in code order, each group's in time order)
+    over one new column set, each swipe's group, and the counts.
+    """
+    n = len(cols)
+    counts = SegmentationCounts(samples_in=n)
+    # Full-content key: ties at equal t resolve identically however the
+    # input was ordered, which keeps duplicate collapse deterministic. A
+    # NaN channel sorts after every number.
+    order = np.lexsort((cols.area, cols.pressure, cols.y, cols.x, cols.phase,
+                        cols.t, group))
+    g, t, phase = group[order], cols.t[order], cols.phase[order]
+    down, up = phase == DOWN, phase == UP
 
-def _normalize_phases(run: list[TouchSample]) -> list[TouchSample]:
+    # A segment starts at each down and at each group's first event. A
+    # down opens a candidate run that ends at the segment's first up;
+    # events before a group's first down or after that up are orphans,
+    # and a run with no up before the next down is unterminated.
+    head = down.copy()
+    head[:1] = True
+    head[1:] |= g[1:] != g[:-1]
+    seg = np.cumsum(head) - 1
+    first = np.flatnonzero(head)
+    ups_before = np.cumsum(up) - up
+    in_run = down[first][seg] & (ups_before == ups_before[first][seg])
+    closed = np.zeros(len(first), dtype=bool)
+    closed[seg[in_run & up]] = True
+    run = in_run & closed[seg]
+    counts.discarded_orphan = int(n - in_run.sum())
+    counts.discarded_unterminated = int((in_run & ~run).sum())
+    counts.strokes_unterminated = int((down[first] & ~closed).sum())
+
+    # Keep the last event at each timestamp of a run.
+    dup = np.zeros(n, dtype=bool)
+    dup[:-1] = run[:-1] & run[1:] & (seg[:-1] == seg[1:]) & (t[:-1] == t[1:])
+    counts.discarded_duplicate = int(dup.sum())
+    kept = np.flatnonzero(run & ~dup)
+
+    # Runs too short in samples or time are taps.
+    run_seg = seg[kept]
+    new_run = np.ones(len(kept), dtype=bool)
+    new_run[1:] = run_seg[1:] != run_seg[:-1]
+    starts = np.flatnonzero(new_run)
+    lengths = np.diff(np.append(starts, len(kept)))
+    duration = t[kept[starts + lengths - 1]] - t[kept[starts]]
+    tap = (lengths < min_samples) | (duration < min_duration_ms)
+    counts.discarded_short = int(lengths[tap].sum())
+    counts.taps_discarded = int(tap.sum())
+    rows = order[kept[np.repeat(~tap, lengths)]]
+    groups = g[kept[starts[~tap]]]
+    lengths = lengths[~tap]
+    counts.samples_kept = int(lengths.sum())
+    counts.swipes = len(lengths)
+    counts.check_conservation()
+
     # Duplicate collapse may have eaten the original down/up events, so the
     # boundary phases are structural, not inherited.
-    out = []
-    last = len(run) - 1
-    for i, s in enumerate(run):
-        want = "down" if i == 0 else ("up" if i == last else "move")
-        out.append(s if s.phase == want else replace(s, phase=want))
-    return out
+    stops = np.cumsum(lengths)
+    starts = stops - lengths
+    phase = np.full(len(rows), MOVE, dtype=np.int8)
+    phase[stops - 1] = UP
+    phase[starts] = DOWN
+    columns = replace(cols.take(rows), phase=phase)
+    swipes = [Swipe(columns, a, b)
+              for a, b in zip(starts.tolist(), stops.tolist())]
+    return swipes, groups, counts
 
 
 def segment_strokes(events, min_samples: int = MIN_SAMPLES,
                     min_duration_ms: int = MIN_DURATION_MS,
                     ) -> tuple[list[Swipe], SegmentationCounts]:
-    """Cut one session's event stream into validated swipes.
+    """Cut one session's event stream (TouchColumns or a sequence of
+    TouchSample) into validated swipes.
 
     Events may arrive in any order. A down opens a candidate; a down while a
     candidate is open discards the open one as unterminated. Candidates that
     end up with fewer than min_samples samples or shorter than min_duration_ms
     are discarded as taps. Every input sample lands either in a swipe or in
-    exactly one discard bucket.
+    exactly one discard bucket. Raises ValueError when the events span more
+    than one (user, session).
     """
-    counts = SegmentationCounts(samples_in=len(events))
-    ordered = sorted(events, key=sample_sort_key)
-
-    swipes: list[Swipe] = []
-    open_run: list[TouchSample] | None = None
-
-    def close_unterminated(run: list[TouchSample]) -> None:
-        counts.discarded_unterminated += len(run)
-        counts.strokes_unterminated += 1
-
-    def finish(run: list[TouchSample]) -> None:
-        run, dropped = _collapse_duplicates(run)
-        counts.discarded_duplicate += dropped
-        duration = run[-1].t - run[0].t
-        if len(run) < min_samples or duration < min_duration_ms:
-            counts.discarded_short += len(run)
-            counts.taps_discarded += 1
-            return
-        swipe = Swipe(samples=tuple(_normalize_phases(run)))
-        swipe.validate(min_samples=min_samples, min_duration_ms=min_duration_ms)
-        counts.samples_kept += swipe.n
-        counts.swipes += 1
-        swipes.append(swipe)
-
-    for s in ordered:
-        if s.phase == "down":
-            if open_run is not None:
-                close_unterminated(open_run)
-            open_run = [s]
-        elif open_run is None:
-            counts.discarded_orphan += 1
-        else:
-            open_run.append(s)
-            if s.phase == "up":
-                finish(open_run)
-                open_run = None
-    if open_run is not None:
-        close_unterminated(open_run)
-
-    counts.check_conservation()
+    cols = TouchColumns.of(events)
+    if len(set(zip(cols.user_id.tolist(), cols.session_id.tolist()))) > 1:
+        raise ValueError("events span multiple users or sessions")
+    swipes, _, counts = _segment(cols, np.zeros(len(cols), dtype=np.intp),
+                                 min_samples, min_duration_ms)
     return swipes, counts
 
 
@@ -318,25 +452,30 @@ def assemble_dataset(name: str, records,
                      min_samples: int = MIN_SAMPLES,
                      min_duration_ms: int = MIN_DURATION_MS,
                      ) -> tuple[Dataset, SegmentationCounts]:
-    """Group raw samples by (user, session), segment, and order sessions
-    chronologically (first event time, ties by session id)."""
-    groups: dict[tuple[str, str], list[TouchSample]] = {}
-    devices: dict[tuple[str, str], str] = {}
-    for rec in records:
-        key = (rec.user_id, rec.session_id)
-        groups.setdefault(key, []).append(rec)
-        devices.setdefault(key, rec.device_model)
+    """Group events (TouchColumns or a sequence of TouchSample) by (user,
+    session), segment, and order sessions chronologically (first event
+    time, ties by session id). A session's device is that of its first
+    event in input order."""
+    cols = TouchColumns.of(records)
+    keys = list(zip(cols.user_id.tolist(), cols.session_id.tolist()))
+    codes = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    group = np.fromiter(map(codes.__getitem__, keys), dtype=np.intp,
+                        count=len(keys))
+    _, first = np.unique(group, return_index=True)
+    swipes, groups, totals = _segment(cols, group, min_samples,
+                                      min_duration_ms)
 
-    totals = SegmentationCounts()
+    by_group: dict[int, list[Swipe]] = {}
+    for code, swipe in zip(groups.tolist(), swipes):
+        by_group.setdefault(code, []).append(swipe)
+    key_of = list(codes)
     per_user: dict[str, list[Session]] = {}
-    for (user_id, session_id), events in groups.items():
-        swipes, counts = segment_strokes(events, min_samples, min_duration_ms)
-        totals.merge(counts)
-        if swipes:
-            per_user.setdefault(user_id, []).append(
-                Session(session_id=session_id,
-                        device_model=devices[(user_id, session_id)],
-                        swipes=swipes))
+    for code, session_swipes in by_group.items():
+        user_id, session_id = key_of[code]
+        per_user.setdefault(user_id, []).append(
+            Session(session_id=session_id,
+                    device_model=cols.device_model[first[code]],
+                    swipes=session_swipes))
 
     users: dict[str, UserData] = {}
     for user_id in sorted(per_user):
@@ -359,13 +498,8 @@ class EligibilityCriteria:
 
 
 def _channels_complete(sessions: list[Session], channels: tuple[str, ...]) -> bool:
-    for session in sessions:
-        for swipe in session.swipes:
-            for ch in channels:
-                vals = swipe.pressures if ch == "pressure" else swipe.areas
-                if np.isnan(vals).any():
-                    return False
-    return True
+    swipes = [swipe for session in sessions for swipe in session.swipes]
+    return not any(np.isnan(values).any() for values in gather(swipes, channels))
 
 
 def filter_eligible(dataset: Dataset, criteria: EligibilityCriteria = EligibilityCriteria(),

@@ -25,7 +25,7 @@ def build_swipe(t, x, y, pressure=None, area=None, **kw) -> Swipe:
         pressure = [0.5] * n
     if area is None:
         area = [0.3] * n
-    return Swipe(samples=tuple(build_samples(t, x, y, pressure, area, **kw)))
+    return Swipe.from_samples(build_samples(t, x, y, pressure, area, **kw))
 
 
 def random_swipe(rng: np.random.Generator, n: int | None = None,

@@ -17,6 +17,7 @@ import swipebench.cli as cli
 import swipebench.experiments as experiments
 from swipebench.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL,
                             main)
+from swipebench.classifiers.base import DEFAULT_PARAMS
 from swipebench.classifiers.simple import KnnModel
 from swipebench.errors import DataError
 from swipebench.ingest import load_canonical
@@ -363,6 +364,43 @@ def test_out_of_range_training_params_are_config_errors(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("classifier, words", [
+    ({"kind": "svm_rbf", "params": {"C": "1"}}, "params.C"),
+    ({"kind": "knn", "params": {"k": "3"}}, "params.k"),
+    ({"kind": "knn", "params": {"k": 2.5}}, "params.k"),
+    ({"kind": "knn", "params": {"k": True}}, "params.k"),
+    ({"kind": "svm_rbf", "params": {"gamma": "auto"}}, "params.gamma"),
+    ({"kind": "decision_tree", "params": {"max_depth": 0}}, "params.max_depth"),
+    ({"kind": "neural_net", "params": {"hidden": [8, 0]}}, "params.hidden"),
+    ({"kind": "ensemble", "params": {"members": ["svm", "forest"]}},
+     "params.members"),
+], ids=["C-str", "k-str", "k-float", "k-bool", "gamma-str", "depth-0",
+        "hidden-0", "members-unknown"])
+def test_mistyped_params_are_config_errors(tmp_path, capsys, classifier,
+                                           words):
+    src = synth_file(tmp_path)
+    cfg = write_doc(tmp_path, experiment_doc(src, tmp_path / "run",
+                                             classifier=classifier))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: classifier") and err.count("\n") == 1
+    assert words in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_params_of_the_accepted_types_parse():
+    doc = copy.deepcopy(VALID_DOC)
+    doc["classifier"] = [
+        {"kind": "svm_rbf", "params": {"C": 2, "gamma": 0.5, "max_iter": 10}},
+        {"kind": "random_forest", "params": {"max_depth": None,
+                                             "max_features": 3}},
+        {"kind": "neural_net", "params": {"hidden": [4, 2], "lr": 1}},
+        {"kind": "ensemble", "params": {"members": ["svm", "rf"]}}]
+    kinds = [c.kind for c in experiments.parse_config(doc).classifiers]
+    assert kinds == ["svm_rbf", "random_forest", "neural_net", "ensemble"]
+
+
 def test_bad_config_file_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -410,8 +448,8 @@ VALID_DOC = {
                  "attacker_split_fraction": 0.5},
     "output": {"dir": "run", "format": "json"},
 }
-# these accept several forms (a name, a list or an object), and classifier
-# params values are checked by each kind
+# these accept several forms (a name, a list or an object); classifier
+# params values are mutated by bad_param_values
 MULTI_FORM = {("feature_set",), ("classifier",), ("aggregation",)}
 REQUIRED = [("dataset",), ("feature_set", 0, "ids"), ("classifier", 0, "kind")]
 
@@ -463,11 +501,56 @@ LEAF_PATHS = [p for p, _ in _walk(VALID_DOC)
               and "params" not in p[:-1]]
 
 
+COUNT_PARAMS = ("k", "n_trees", "max_iter", "platt_folds", "subsample",
+                "epochs", "batch_size")
+
+
+def _one_of_types(*names):
+    return st.one_of(*[TYPE_VALUES[n] for n in names])
+
+
+def bad_param_values(name: str):
+    """Values that param ``name`` must reject, of any kind."""
+    fraction = st.floats(allow_nan=False, allow_infinity=False).filter(
+        lambda v: not v.is_integer())
+    if name in COUNT_PARAMS:
+        return st.one_of(_one_of_types("str", "bool", "list", "object"),
+                         fraction, st.none())
+    if name == "gamma":
+        return st.one_of(_one_of_types("bool", "list", "object"), st.none(),
+                         st.text(max_size=5).filter(lambda v: v != "scale"),
+                         st.floats(max_value=0.0, allow_nan=False))
+    if name in ("max_depth", "max_features"):
+        return st.one_of(_one_of_types("bool", "list", "object"),
+                         st.text(max_size=5).filter(lambda v: v != "sqrt"
+                                                    or name != "max_features"),
+                         st.integers(max_value=0), st.floats(allow_nan=False))
+    if name == "hidden":
+        bad_unit = st.one_of(st.integers(max_value=0), st.booleans(),
+                             st.text(max_size=2), st.floats(allow_nan=False))
+        return st.one_of(_one_of_types("str", "bool", "int", "float", "object"),
+                         st.none(), st.lists(bad_unit, min_size=1, max_size=3))
+    if name == "members":
+        bad_kind = st.one_of(st.sampled_from(["forest", "svm2", ""]),
+                             st.integers(), st.booleans(), st.none())
+        return st.one_of(_one_of_types("str", "bool", "int", "object"),
+                         st.none(), st.just([]),
+                         st.lists(bad_kind, min_size=1, max_size=3))
+    return st.one_of(_one_of_types("str", "bool", "list", "object"),
+                     st.none())
+
+
 @st.composite
 def bad_configs(draw):
     """(mutated doc, words the one error line must hold)."""
     doc = copy.deepcopy(VALID_DOC)
-    mode = draw(st.sampled_from(["add", "drop", "swap"]))
+    mode = draw(st.sampled_from(["add", "drop", "swap", "param"]))
+    if mode == "param":
+        kind = draw(st.sampled_from(sorted(DEFAULT_PARAMS)))
+        name = draw(st.sampled_from(sorted(DEFAULT_PARAMS[kind])))
+        doc["classifier"][0] = {"kind": kind, "seed": 1,
+                                "params": {name: draw(bad_param_values(name))}}
+        return doc, ["classifier[0]", f"params.{name}"]
     if mode == "add":
         path = draw(st.sampled_from(OBJECT_PATHS))
         key = "zz_" + draw(st.text("abcxyz_", max_size=4))
@@ -494,7 +577,7 @@ def test_valid_schema_doc_parses():
         ["vote", "trust", "stacking"]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(case=bad_configs())
 def test_every_bad_nested_key_or_type_is_one_config_error(case):
     doc, words = case

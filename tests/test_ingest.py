@@ -1,9 +1,11 @@
 """Canonical format parsing, writing, and raw-export adapters."""
 
+import json
 import math
 
 import pytest
 
+from swipebench.cli import EXIT_DATA, EXIT_OK, main
 from swipebench.errors import (ConfigError, EmptyDataset,
                                MalformedRateExceeded, UnparseableHeader)
 from swipebench.ingest import (AdapterConfig, convert_raw, load_canonical,
@@ -29,7 +31,7 @@ def test_parse_csv_roundtrip_fields():
     records, report = parse_canonical(text)
     assert len(records) == 5
     assert report.lines_total == 5 and report.lines_malformed == 0
-    first = records[0]
+    first = records.samples[0]
     assert (first.user_id, first.session_id, first.phase) == ("u1", "s1", "down")
     assert first.pressure == 0.5
 
@@ -44,14 +46,15 @@ def test_parse_jsonl():
             % (i * 20, phase, float(i)))
     records, report = parse_canonical("\n".join(lines))
     assert len(records) == 4
-    assert math.isnan(records[0].pressure)
-    assert records[0].area == 0.3
+    assert math.isnan(records.samples[0].pressure)
+    assert records.samples[0].area == 0.3
 
 
 def test_empty_channel_becomes_nan():
     text = "\n".join([HEADER, csv_line(0, "down", pressure="", area="nan")])
     records, _ = parse_canonical(text)
-    assert math.isnan(records[0].pressure) and math.isnan(records[0].area)
+    first = records.samples[0]
+    assert math.isnan(first.pressure) and math.isnan(first.area)
 
 
 def test_malformed_lines_tolerated_below_rate():
@@ -175,7 +178,7 @@ def test_adapter_loads_and_converts(tmp_path):
     records, report = convert_raw(raw, adapter)
     assert len(records) == 5
     assert report.lines_malformed == 0
-    first = records[0]
+    first = records.samples[0]
     assert first.dataset == "vendor"
     assert (first.user_id, first.session_id) == ("42", "7")
     assert first.device_model == "phone9"
@@ -209,7 +212,7 @@ def test_adapter_time_scaling(tmp_path):
         rows.append(f"p,1,1,{i * 0.5},{code},9,{float(i)},{float(i)},0.4,0.2")
     raw.write_text("\n".join(rows) + "\n")
     records, _ = convert_raw(raw, adapter)
-    assert [r.t for r in records] == [0, 500, 1000, 1500]
+    assert records.t.tolist() == [0, 500, 1000, 1500]
 
 
 def test_packaged_touchalytics_adapter_parses():
@@ -222,3 +225,114 @@ def test_packaged_touchalytics_adapter_parses():
     for fld in ("user_id", "session_id", "t", "phase", "x", "y",
                 "pressure", "area", "device_model"):
         assert fld in adapter.columns, fld
+
+
+# ---------------------------------------------------------------------------
+# numbers out of range or of the wrong JSON type: one malformed line each,
+# counted toward the rate, never a traceback
+
+def json_record(t, **over):
+    rec = {"dataset": "unit", "user_id": "u1", "session_id": "s1",
+           "device_model": "dev", "t_ms": t, "phase": "move", "x": 1.0,
+           "y": 2.0, "pressure": 0.5, "area": 0.3}
+    rec.update(over)
+    return json.dumps(rec)
+
+
+def stroke_records(t0, n):
+    phases = ["down"] + ["move"] * (n - 2) + ["up"]
+    return [json_record(t0 + 20 * i, phase=ph, x=float(i))
+            for i, ph in enumerate(phases)]
+
+
+def ingest_cli(tmp_path, capsys, src, *extra):
+    """The ingest verb's exit code, its summary and its stderr."""
+    capsys.readouterr()
+    rc = main(["ingest", "--input", str(src), "--out",
+               str(tmp_path / "out.csv"), *extra])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return rc, json.loads(out) if rc == EXIT_OK else None, err
+
+
+@pytest.mark.parametrize("cell, example", [
+    ("9007199254740992", "timestamp '9007199254740992' is out of range: "
+                         "|t| >= 2**53 ms"),
+    ("9007199254740993", "timestamp '9007199254740993' is out of range: "
+                         "|t| >= 2**53 ms"),
+    ("-1e20", "timestamp '-1e20' is out of range: |t| >= 2**53 ms"),
+    ("1e400", "timestamp '1e400' is not an integer millisecond count"),
+])
+def test_csv_timestamp_out_of_range_is_malformed(tmp_path, capsys, cell,
+                                                 example):
+    lines = [HEADER] + stroke_lines(0, 120)
+    lines.insert(7, csv_line(cell, "move"))
+    src = tmp_path / "in.csv"
+    src.write_text("\n".join(lines) + "\n")
+    records, report = parse_canonical(src.read_text())
+    assert report.malformed_examples == [f"line 8: {example}"]
+    assert len(records) == 120
+    rc, summary, _ = ingest_cli(tmp_path, capsys, src)
+    assert rc == EXIT_OK
+    assert summary["lines_malformed"] == 1
+    assert summary["malformed_examples"] == [f"line 8: {example}"]
+
+
+@pytest.mark.parametrize("line, example", [
+    (json_record(10 ** 400), "int too large to convert to float"),
+    (json_record(2 ** 53 + 2), "timestamp 9007199254740994 is out of range: "
+                               "|t| >= 2**53 ms"),
+    (json_record(True), "t_ms must be a number, got true"),
+    (json_record(5, x=False), "x must be a number, got false"),
+    (json_record(5, y=10 ** 400), "int too large to convert to float"),
+    (json_record(5, pressure=True), "pressure must be a number, got true"),
+    (json_record(5, area=False), "area must be a number, got false"),
+])
+def test_jsonl_out_of_range_and_bool_numbers_are_malformed(tmp_path, capsys,
+                                                           line, example):
+    lines = stroke_records(0, 120)
+    lines.insert(3, line)
+    src = tmp_path / "in.jsonl"
+    src.write_text("\n".join(lines) + "\n")
+    records, report = parse_canonical(src.read_text())
+    assert report.malformed_examples == [f"line 4: {example}"]
+    assert len(records) == 120
+    rc, summary, _ = ingest_cli(tmp_path, capsys, src)
+    assert rc == EXIT_OK
+    assert summary["malformed_examples"] == [f"line 4: {example}"]
+
+
+@pytest.mark.parametrize("cell, example", [
+    ("inf", "cannot convert float infinity to integer"),
+    ("-inf", "cannot convert float infinity to integer"),
+    ("nan", "cannot convert float NaN to integer"),
+    ("1e20", "timestamp '1e20' is out of range: |t| >= 2**53 ms"),
+])
+def test_raw_timestamp_out_of_range_is_malformed(tmp_path, capsys, cell,
+                                                 example):
+    conf = tmp_path / "vendor.conf"
+    conf.write_text(ADAPTER)
+    rows = [f"phone9,42,7,{k * 1000 + i * 20},{code},9,{10.0 + i},"
+            f"{20.0 + i},0.4,0.2"
+            for k in range(25) for i, code in enumerate("02221")]
+    rows.insert(9, f"phone9,42,7,{cell},2,9,1.0,2.0,0.4,0.2")
+    raw = tmp_path / "raw.csv"
+    raw.write_text("\n".join(rows) + "\n")
+    records, report = convert_raw(raw, AdapterConfig.load(conf))
+    assert report.malformed_examples == [f"line 10: {example}"]
+    assert len(records) == 125
+    rc, summary, _ = ingest_cli(tmp_path, capsys, raw, "--adapter", str(conf))
+    assert rc == EXIT_OK
+    assert summary["malformed_examples"] == [f"line 10: {example}"]
+    assert summary["swipes"] == 25
+
+
+def test_malformed_out_of_range_lines_count_toward_the_rate(tmp_path, capsys):
+    lines = stroke_records(0, 20) + [json_record(10 ** 400)] * 3
+    src = tmp_path / "in.jsonl"
+    src.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedRateExceeded, match="3/23 lines malformed"):
+        parse_canonical(src.read_text())
+    rc, _, err = ingest_cli(tmp_path, capsys, src)
+    assert rc == EXIT_DATA
+    assert err.startswith("data error: ") and err.count("\n") == 1

@@ -131,6 +131,12 @@ def test_every_sample_is_accounted_for(events, rnd):
         swipe.validate()
 
 
+def test_segment_strokes_takes_one_session():
+    events = stroke_events(0, 5) + stroke_events(10, 5, session="s2")
+    with pytest.raises(ValueError, match="multiple users or sessions"):
+        segment_strokes(events)
+
+
 def test_assemble_groups_and_orders_sessions():
     records = (stroke_events(5000, 5, session="late")
                + stroke_events(100, 5, session="early")
@@ -236,6 +242,6 @@ def test_swipe_validate_rejects_malformed():
     samples = list(bad_phase.samples)
     from dataclasses import replace
     samples[0] = replace(samples[0], phase="move")
-    bad = type(good)(samples=tuple(samples))
+    bad = type(good).from_samples(samples)
     with pytest.raises(ValueError):
         bad.validate()
