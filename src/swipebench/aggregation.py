@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EmptyWindow
-from .spec import Spec
+from .spec import Spec, count, number
 from .stacking import StackerSpec
 
 METHODS = ("none", "mean", "median", "vote", "feed", "trust", "stacking")
@@ -45,14 +45,8 @@ class TrustParams(Spec):
     reward: float = 0.2
     penalty: float = 0.2
 
-    def __post_init__(self):
-        for name in ("initial", "threshold"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"trust {name} must be in [0, 1], got {v}")
-        for name in ("reward", "penalty"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"trust {name} must be >= 0")
+    RULES = {"initial": number(0, 1), "threshold": number(0, 1),
+             "reward": number(0), "penalty": number(0)}
 
 
 @dataclass(frozen=True)
@@ -63,13 +57,14 @@ class AggregationSpec(Spec):
     trust: TrustParams = field(default_factory=TrustParams)
     stacker: StackerSpec = field(default_factory=StackerSpec)
 
+    RULES = {"window": count(1), "vote_threshold": number(0, 1)}
+
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(
                 f"unknown aggregation method {self.method!r}, "
                 f"expected one of {METHODS}")
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
+        super().__post_init__()
         if self.method == "none" and self.window != 1:
             raise ConfigError("method 'none' requires window == 1")
 

@@ -13,15 +13,13 @@ rows that check_training_inputs keeps.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..errors import (ConfigError, DimensionMismatch,
                       SingleClassForBinarySpec, TooFewSamples)
-from ..spec import Spec
+from ..spec import Spec, check, count, is_count, is_number, number
 
 KIND_ALIASES = {
     "svm": "svm_rbf",
@@ -66,23 +64,6 @@ def canonical_kind(kind: str) -> str:
     return k
 
 
-def check_param(name: str, value, ok, rule: str) -> None:
-    """ConfigError unless value is a finite number for which ok(value)
-    holds."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or not ok(value)):
-        raise ConfigError(f"{name} must be a number {rule}, got {value!r}")
-
-
-def _is_number(v) -> bool:
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and math.isfinite(v))
-
-
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_kind(v) -> bool:
     if not isinstance(v, str):
         return False
@@ -90,32 +71,39 @@ def _is_kind(v) -> bool:
     return KIND_ALIASES.get(k, k) in DEFAULT_PARAMS
 
 
-# param -> (check, what it accepts); any other param is a finite number,
-# an int accepted where a float is expected
-PARAM_TYPES = {
-    "gamma": (lambda v: v == "scale" or (_is_number(v) and v > 0),
-              '"scale" or a positive number'),
-    "max_depth": (lambda v: v is None or (_is_count(v) and v >= 1),
+# every kind's param -> its rule; an int is accepted where a float is
+PARAM_RULES = {
+    "C": number(0, ends="()"),
+    "gamma": (lambda v: v == "scale" or (is_number(v) and v > 0),
+              '"scale" or a number > 0'),
+    "tol": number(0, ends="()"),
+    "max_iter": count(1),
+    "platt_folds": count(2),
+    "n_trees": count(1),
+    "max_depth": (lambda v: v is None or (is_count(v) and v >= 1),
                   "null or an integer >= 1"),
     "max_features": (lambda v: v is None or v == "sqrt"
-                     or (_is_count(v) and v >= 1),
+                     or (is_count(v) and v >= 1),
                      '"sqrt", null or an integer >= 1'),
     "hidden": (lambda v: isinstance(v, (list, tuple))
-               and all(_is_count(h) and h >= 1 for h in v),
+               and all(is_count(h) and h >= 1 for h in v),
                "a list of positive integers"),
+    "dropout": number(0, 1, "[)"),
+    "lr": number(0, ends="()"),
+    "beta1": number(0, 1, "[)"),
+    "beta2": number(0, 1, "[)"),
+    "adam_eps": number(0, ends="()"),
+    "batch_size": count(1),
+    "epochs": count(0),
+    "bn_momentum": number(0, 1),
+    "bn_eps": number(0, ends="()"),
+    "var_smoothing": number(0, ends="()"),
+    "k": count(1),
+    "nu": number(0, 1, "(]"),
+    "subsample": count(2),
     "members": (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
                 and all(map(_is_kind, v)), "a non-empty list of kind names"),
 }
-for _name in ("k", "n_trees", "max_iter", "platt_folds", "subsample",
-              "epochs", "batch_size"):
-    PARAM_TYPES[_name] = (_is_count, "an integer")
-_NUMBER = (_is_number, "a finite number")
-
-
-def check_minibatch(epochs, batch_size) -> None:
-    """The mini-batch schedule the MLP and the LSTM stacker train on."""
-    check_param("epochs", epochs, lambda v: v >= 0, ">= 0")
-    check_param("batch_size", batch_size, lambda v: v >= 1, ">= 1")
 
 
 @dataclass(frozen=True)
@@ -132,17 +120,10 @@ class ClassifierSpec(Spec):
             raise ConfigError(
                 f"unknown params for {self.kind}: {sorted(unknown)}")
         for name, value in self.params.items():
-            ok, accepted = PARAM_TYPES.get(name, _NUMBER)
-            if not ok(value):
-                raise ConfigError(f"params.{name} must be {accepted}, "
-                                  f"got {value!r}")
+            check(f"params.{name}", value, PARAM_RULES[name])
         merged = dict(defaults)
         merged.update((k, tuple(v) if isinstance(v, list) else v)
                       for k, v in self.params.items())
-        if self.kind == "oc_svm_rbf":
-            check_param("nu", merged["nu"], lambda v: 0 < v <= 1, "in (0, 1]")
-        if self.kind == "neural_net":
-            check_minibatch(merged["epochs"], merged["batch_size"])
         object.__setattr__(self, "params", merged)
         object.__setattr__(self, "seed", int(self.seed) % 2 ** 32)
 

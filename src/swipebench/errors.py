@@ -11,6 +11,11 @@ class ConfigError(SwipebenchError):
     """Invalid experiment or adapter configuration."""
 
 
+class RuleError(ConfigError):
+    """A config value outside its declared range. The message starts with
+    the value's name, so an enclosing spec joins its own path with a dot."""
+
+
 class DataError(SwipebenchError):
     """Input data cannot be turned into a usable dataset."""
 

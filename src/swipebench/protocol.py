@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .errors import (ConfigError, EmptyGroup, NonFiniteScores,
                      TooFewAttackers, TooFewSessions)
 from .features.extract import FeatureTable
 from .metrics import eer_from_scores
-from .spec import Spec
+from .spec import Spec, count, number
 from .stacking import stack_score, train_stacker
 
 
@@ -48,16 +48,9 @@ class ProtocolConfig(Spec):
     seed: int = 0
     attacker_split_fraction: float = 0.5
 
-    def __post_init__(self):
-        for name in ("train_session_fraction", "attacker_split_fraction"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ConfigError(f"{name} must be in (0, 1), got {v}")
-        if self.repetitions < 1:
-            raise ConfigError(
-                f"repetitions must be >= 1, got {self.repetitions}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+    RULES = {"train_session_fraction": number(0, 1, "()"),
+             "repetitions": count(1), "seed": count(0),
+             "attacker_split_fraction": number(0, 1, "()")}
 
 
 def split_user_sessions(sessions, fraction: float):
@@ -337,16 +330,7 @@ class CellSummary:
     skip_reasons: dict[str, int]
 
     def as_dict(self) -> dict:
-        return {
-            "aggregation": self.aggregation,
-            "per_user": self.per_user,
-            "user_means": self.user_means,
-            "mean_eer": self.mean_eer,
-            "std_eer": self.std_eer,
-            "n_users_evaluated": self.n_users_evaluated,
-            "n_users_skipped": self.n_users_skipped,
-            "skip_reasons": self.skip_reasons,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def summarize_cell(spec: AggregationSpec,

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers.base import check_minibatch, rng_from_seed
+from .classifiers.base import PARAM_RULES, rng_from_seed
 from .classifiers.neural import (Adam, _sigmoid, _softplus, flat_buffer,
                                  train_minibatch)
 from .errors import InconsistentSequenceLength, TooFewSamples
-from .spec import Spec
+from .spec import Spec, count
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class StackerSpec(Spec):
     adam_eps: float = 1e-8
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        check_minibatch(self.epochs, self.batch_size)
+    RULES = {"hidden": count(1), **{name: PARAM_RULES[name] for name in (
+        "epochs", "batch_size", "lr", "beta1", "beta2", "adam_eps")}}
 
 
 class LstmStacker:

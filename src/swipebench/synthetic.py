@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .spec import Spec
+from .spec import Spec, count, number
 from .touchdata import DOWN, MOVE, UP, Dataset, TouchColumns, assemble_dataset
 
 SCREEN_W = 1080.0
@@ -46,17 +45,9 @@ class SyntheticSpec(Spec):
     seed: int = 0
     name: str = "synthetic"
 
-    def __post_init__(self):
-        if self.users < 2:
-            raise ConfigError(f"users must be >= 2, got {self.users}")
-        if self.sessions_per_user < 2:
-            raise ConfigError(
-                f"sessions_per_user must be >= 2, got {self.sessions_per_user}")
-        if self.swipes_per_session < 1:
-            raise ConfigError("swipes_per_session must be >= 1")
-        if self.separability < 0:
-            raise ConfigError(
-                f"separability must be >= 0, got {self.separability}")
+    RULES = {"users": count(2), "sessions_per_user": count(2),
+             "swipes_per_session": count(1), "separability": number(0),
+             "seed": count(0)}
 
 
 def _user_latents(spec: SyntheticSpec, rng: np.random.Generator

@@ -284,11 +284,9 @@ class SegmentationCounts:
     strokes_unterminated: int = 0
 
     def merge(self, other: "SegmentationCounts") -> None:
-        for f in ("samples_in", "samples_kept", "discarded_orphan",
-                  "discarded_unterminated", "discarded_short",
-                  "discarded_duplicate", "swipes", "taps_discarded",
-                  "strokes_unterminated"):
-            setattr(self, f, getattr(self, f) + getattr(other, f))
+        for f in fields(self):
+            setattr(self, f.name,
+                    getattr(self, f.name) + getattr(other, f.name))
 
     def check_conservation(self) -> None:
         total = (self.samples_kept + self.discarded_orphan
@@ -299,17 +297,7 @@ class SegmentationCounts:
                 f"sample conservation violated: {self.samples_in} in, {total} accounted")
 
     def as_dict(self) -> dict:
-        return {
-            "samples_in": self.samples_in,
-            "samples_kept": self.samples_kept,
-            "discarded_orphan": self.discarded_orphan,
-            "discarded_unterminated": self.discarded_unterminated,
-            "discarded_short": self.discarded_short,
-            "discarded_duplicate": self.discarded_duplicate,
-            "swipes": self.swipes,
-            "taps_discarded": self.taps_discarded,
-            "strokes_unterminated": self.strokes_unterminated,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _segment(cols: TouchColumns, group: np.ndarray, min_samples: int,

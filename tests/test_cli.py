@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import multiprocessing
 import os
 import tempfile
@@ -337,30 +338,81 @@ def test_matrix_non_finite_scores_are_skips(tmp_path, monkeypatch, capsys):
         assert cell[key]["mean_eer"] is None
 
 
-@pytest.mark.parametrize("overrides", [
-    {"classifier": {"kind": "oc_svm_rbf", "params": {"nu": 0}}},
-    {"classifier": {"kind": "oc_svm_rbf", "params": {"nu": -0.5}}},
-    {"classifier": {"kind": "oc_svm_rbf", "params": {"nu": 1.5}}},
-    {"classifier": {"kind": "neural_net", "params": {"batch_size": 0}}},
-    {"classifier": {"kind": "neural_net", "params": {"epochs": -1}}},
-    {"aggregation": {"method": "stacking", "window": 2,
-                     "stacker": {"batch_size": 0}}},
-    {"aggregation": {"method": "stacking", "window": 2,
-                     "stacker": {"epochs": -1}}},
+def _stacker(**values):
+    return {"aggregation": {"method": "stacking", "window": 2,
+                            "stacker": values}}
+
+
+def _params(kind, **values):
+    return {"classifier": {"kind": kind, "params": values}}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (_params("oc_svm_rbf", nu=0),
+     "classifier[0].params.nu must be a number in (0, 1], got 0"),
+    (_params("oc_svm_rbf", nu=-0.5), "classifier[0].params.nu must be"),
+    (_params("oc_svm_rbf", nu=1.5), "classifier[0].params.nu must be"),
+    (_params("neural_net", batch_size=0),
+     "classifier[0].params.batch_size must be an integer >= 1, got 0"),
+    (_params("neural_net", epochs=-1),
+     "classifier[0].params.epochs must be an integer >= 0, got -1"),
+    (_stacker(batch_size=0),
+     "aggregation[0].stacker.batch_size must be an integer >= 1, got 0"),
+    (_stacker(epochs=-1),
+     "aggregation[0].stacker.epochs must be an integer >= 0, got -1"),
+    # a traceback from training before the value had a rule
+    (_stacker(hidden=0),
+     "aggregation[0].stacker.hidden must be an integer >= 1, got 0"),
+    (_params("random_forest", n_trees=0),
+     "classifier[0].params.n_trees must be an integer >= 1, got 0"),
+    (_params("svm_rbf", platt_folds=0),
+     "classifier[0].params.platt_folds must be an integer >= 2, got 0"),
+    ({"dataset": {"synthetic": {"users": 4, "sessions_per_user": 2,
+                                "swipes_per_session": 8, "seed": -1}}},
+     "dataset.synthetic.seed must be an integer >= 0, got -1"),
+    # NaN or constant scores from training before the value had a rule
+    (_params("knn", k=0), "classifier[0].params.k must be an integer >= 1"),
+    (_params("knn", k=-2), "classifier[0].params.k must be an integer >= 1"),
+    (_params("svm_rbf", C=-1), "classifier[0].params.C must be a number > 0"),
+    (_params("svm_rbf", tol=-1),
+     "classifier[0].params.tol must be a number > 0"),
+    (_params("svm_rbf", max_iter=-5),
+     "classifier[0].params.max_iter must be an integer >= 1"),
+    (_params("svm_rbf", platt_folds=1),
+     "classifier[0].params.platt_folds must be an integer >= 2"),
+    (_params("gaussian_nb", var_smoothing=-1),
+     "classifier[0].params.var_smoothing must be a number > 0"),
+    (_params("neural_net", dropout=1.0),
+     "classifier[0].params.dropout must be a number in [0, 1), got 1.0"),
+    (_params("neural_net", bn_eps=-1),
+     "classifier[0].params.bn_eps must be a number > 0"),
+    (_params("isolation_forest", subsample=0),
+     "classifier[0].params.subsample must be an integer >= 2"),
+    (_stacker(beta2=1.0),
+     "aggregation[0].stacker.beta2 must be a number in [0, 1), got 1.0"),
+    ({"protocol": {"repetitions": 0}},
+     "protocol.repetitions must be an integer >= 1, got 0"),
 ], ids=["nu-0", "nu-negative", "nu-above-1", "nn-batch-0", "nn-epochs-negative",
-        "stacker-batch-0", "stacker-epochs-negative"])
+        "stacker-batch-0", "stacker-epochs-negative",
+        "stacker-hidden-0", "rf-trees-0", "svm-folds-0", "synthetic-seed",
+        "knn-k-0", "knn-k-negative", "svm-C-negative", "svm-tol-negative",
+        "svm-iter-negative", "svm-folds-1", "nb-smoothing-negative",
+        "nn-dropout-1", "nn-bn-eps-negative", "if-subsample-0",
+        "stacker-beta2-1", "repetitions-0"])
 def test_out_of_range_training_params_are_config_errors(tmp_path, capsys,
-                                                        overrides):
-    """Exit 2 with one line before any training, not a traceback from
-    the solver or the mini-batch loop, nor a model that scores NaN."""
+                                                        overrides, message):
+    """Exit 2 with one line naming the value's dotted path before any
+    training, not a traceback from the solver or the mini-batch loop, nor
+    a model that scores NaN."""
     src = synth_file(tmp_path)
     cfg = write_doc(tmp_path, experiment_doc(src, tmp_path / "run",
                                              **overrides))
     capsys.readouterr()
     assert main(["evaluate", "--config", str(cfg)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: " + message)
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert "Traceback" not in captured.err
     assert not (tmp_path / "run").exists()
 
 
@@ -503,6 +555,26 @@ LEAF_PATHS = [p for p, _ in _walk(VALID_DOC)
 
 COUNT_PARAMS = ("k", "n_trees", "max_iter", "platt_folds", "subsample",
                 "epochs", "batch_size")
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+_NEGATIVE = st.floats(max_value=-math.ulp(0.0), **_FINITE)
+_NOT_POSITIVE = st.floats(max_value=0.0, **_FINITE)
+# the out-of-range numbers of every number and count param, written out
+# here rather than read from the package's rules
+OUT_OF_RANGE = {
+    **dict.fromkeys(("C", "tol", "lr", "adam_eps", "bn_eps", "var_smoothing"),
+                    _NOT_POSITIVE),
+    "nu": st.one_of(_NOT_POSITIVE, st.floats(min_value=1.0, exclude_min=True,
+                                             **_FINITE)),
+    **dict.fromkeys(("dropout", "beta1", "beta2"),
+                    st.one_of(_NEGATIVE, st.floats(min_value=1.0, **_FINITE))),
+    "bn_momentum": st.one_of(_NEGATIVE, st.floats(min_value=1.0,
+                                                  exclude_min=True, **_FINITE)),
+    **dict.fromkeys(("k", "n_trees", "max_iter", "batch_size"),
+                    st.integers(max_value=0)),
+    "platt_folds": st.integers(max_value=1),
+    "subsample": st.integers(max_value=1),
+    "epochs": st.integers(max_value=-1),
+}
 
 
 def _one_of_types(*names):
@@ -511,11 +583,10 @@ def _one_of_types(*names):
 
 def bad_param_values(name: str):
     """Values that param ``name`` must reject, of any kind."""
-    fraction = st.floats(allow_nan=False, allow_infinity=False).filter(
-        lambda v: not v.is_integer())
+    fraction = st.floats(**_FINITE).filter(lambda v: not v.is_integer())
     if name in COUNT_PARAMS:
         return st.one_of(_one_of_types("str", "bool", "list", "object"),
-                         fraction, st.none())
+                         fraction, st.none(), OUT_OF_RANGE[name])
     if name == "gamma":
         return st.one_of(_one_of_types("bool", "list", "object"), st.none(),
                          st.text(max_size=5).filter(lambda v: v != "scale"),
@@ -537,7 +608,7 @@ def bad_param_values(name: str):
                          st.none(), st.just([]),
                          st.lists(bad_kind, min_size=1, max_size=3))
     return st.one_of(_one_of_types("str", "bool", "list", "object"),
-                     st.none())
+                     st.none(), OUT_OF_RANGE[name])
 
 
 @st.composite

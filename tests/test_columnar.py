@@ -2,7 +2,7 @@
 
 Seeded fuzzed streams in all three formats (canonical CSV, canonical
 JSONL, a raw adapter export) go through the package and through the
-per-event parsers, segmentation and writer in oracles.py. Reports,
+per-event parsers, segmentation and writer in ingest_oracles.py. Reports,
 segmentation counts, swipes, session order, feature tables and the
 canonical bytes written back must be identical.
 
@@ -20,8 +20,9 @@ import json
 import numpy as np
 import pytest
 
-from oracles import (o_assemble_dataset, o_convert_raw, o_extract_features,
-                     o_parse_canonical, o_write_canonical)
+from ingest_oracles import (o_assemble_dataset, o_convert_raw,
+                            o_parse_canonical, o_write_canonical)
+from oracles import o_extract_features
 from swipebench.errors import SwipebenchError
 from swipebench.features.extract import build_feature_table
 from swipebench.ingest import (REQUIRED_FIELDS, AdapterConfig, convert_raw,
