@@ -51,8 +51,10 @@ class TrustParams(Spec):
 
 @dataclass(frozen=True)
 class AggregationSpec(Spec):
+    """An omitted window follows the method: 1 for ``none``, else 5."""
+
     method: str = "none"
-    window: int = 5
+    window: int = None
     vote_threshold: float = 0.5
     trust: TrustParams = field(default_factory=TrustParams)
     stacker: StackerSpec = field(default_factory=StackerSpec)
@@ -64,6 +66,9 @@ class AggregationSpec(Spec):
             raise ConfigError(
                 f"unknown aggregation method {self.method!r}, "
                 f"expected one of {METHODS}")
+        if self.window is None:
+            object.__setattr__(self, "window",
+                               1 if self.method == "none" else 5)
         super().__post_init__()
         if self.method == "none" and self.window != 1:
             raise ConfigError("method 'none' requires window == 1")

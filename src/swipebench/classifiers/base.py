@@ -1,13 +1,14 @@
 """Shared classifier machinery: specs, standardization, serialization.
 
-All models consume a feature matrix plus an optional defined-mask. Feature
-standardization is fitted per model on mask-defined training entries;
-masked entries become 0 after standardization, i.e. the training mean.
-Scores are always in [0, 1], higher = more genuine.
+All models consume a feature matrix plus a defined-mask of its shape; a
+missing mask is all-true. Feature standardization is fitted per model on
+mask-defined training entries; masked entries become 0 after
+standardization, i.e. the training mean. Scores are always in [0, 1],
+higher = more genuine.
 
 Each model kind declares its learned state once, as dataclass fields
-named after its blob's payload keys. One-class kinds train on the genuine
-rows that check_training_inputs keeps.
+named after its blob's payload keys. Every kind but the ensemble trains
+on what ``training_inputs`` returns; one-class kinds keep genuine rows.
 """
 
 from __future__ import annotations
@@ -134,9 +135,9 @@ class ClassifierSpec(Spec):
 
 @dataclass
 class Standardizer:
-    """Per-feature (x - mean) / std with stats from defined training entries.
-    Zero-variance (or never-defined) columns map to 0; masked entries map to
-    0 after the transform."""
+    """Per-feature (x - mean) / std with stats from defined training entries;
+    fit(X) is fit(X, all-true). Zero-variance (or never-defined) columns map
+    to 0; masked entries map to 0 after the transform."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -144,27 +145,23 @@ class Standardizer:
     @classmethod
     def fit(cls, X: np.ndarray, defined: np.ndarray | None = None) -> "Standardizer":
         X = np.asarray(X, dtype=float)
-        n, d = X.shape
-        if defined is None:
-            mean = X.mean(axis=0)
-            std = X.std(axis=0)
-        else:
-            # columns grouped by their mask, packed into one bytes key; each
-            # group's contiguous (columns, defined rows) block then sums
-            # pairwise along its rows, as a per-column call would
-            packed = np.ascontiguousarray(np.packbits(defined, axis=0).T)
-            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-            _, first, group = np.unique(keys, return_index=True,
-                                        return_inverse=True)
-            mean = np.zeros(d)
-            std = np.zeros(d)
-            for g, j in enumerate(first):
-                rows = defined[:, j]
-                if rows.any():
-                    cols = np.flatnonzero(group == g)
-                    block = np.ascontiguousarray(X.T[cols][:, rows])
-                    mean[cols] = np.mean(block, axis=1)
-                    std[cols] = np.std(block, axis=1)
+        defined = checked_mask(defined, X)
+        # columns grouped by their mask, packed into one bytes key; each
+        # group's contiguous (columns, defined rows) block then sums
+        # pairwise along its rows, as a per-column call would
+        packed = np.ascontiguousarray(np.packbits(defined, axis=0).T)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, group = np.unique(keys, return_index=True,
+                                    return_inverse=True)
+        mean = np.zeros(X.shape[1])
+        std = np.zeros(X.shape[1])
+        for g, j in enumerate(first):
+            rows = defined[:, j]
+            if rows.any():
+                cols = np.flatnonzero(group == g)
+                block = np.ascontiguousarray(X.T[cols][:, rows])
+                mean[cols] = np.mean(block, axis=1)
+                std[cols] = np.std(block, axis=1)
         return cls(mean=mean, std=std)
 
     def transform(self, X: np.ndarray, defined: np.ndarray | None = None) -> np.ndarray:
@@ -200,7 +197,7 @@ class TrainedModel:
         if X.shape[1] != self.n_features:
             raise DimensionMismatch(
                 f"model expects {self.n_features} features, got {X.shape[1]}")
-        Z = self.standardizer.transform(X, defined)
+        Z = self.standardizer.transform(X, checked_mask(defined, X))
         s = np.asarray(self._score_std(Z), dtype=float)
         return np.clip(s, 0.0, 1.0)
 
@@ -267,16 +264,29 @@ def from_blob(blob: bytes) -> TrainedModel:
     return cls._from_payload(spec, standardizer, doc["n_features"], doc["model"])
 
 
+def checked_mask(defined, X: np.ndarray) -> np.ndarray:
+    """``defined`` as a bool array of X's shape, all-true when None;
+    DimensionMismatch for any other shape (after ``atleast_2d``)."""
+    if defined is None:
+        return np.ones(X.shape, dtype=bool)
+    defined = np.atleast_2d(np.asarray(defined, dtype=bool))
+    if defined.shape != X.shape:
+        raise DimensionMismatch(f"mask of shape {defined.shape} for "
+                                f"features of shape {X.shape}")
+    return defined
+
+
 def check_training_inputs(spec: ClassifierSpec, X: np.ndarray,
                           y: np.ndarray | None, defined: np.ndarray | None,
                           ) -> tuple[np.ndarray, np.ndarray | None,
-                                     np.ndarray | None]:
+                                     np.ndarray]:
     """Validated (X, y, defined); one-class kinds keep the genuine rows."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise TooFewSamples(f"training matrix must be 2-d, got shape {X.shape}")
     if X.shape[0] < 2:
         raise TooFewSamples(f"need >= 2 training rows, got {X.shape[0]}")
+    defined = checked_mask(defined, X)
     if y is None:
         if not spec.is_one_class:
             raise SingleClassForBinarySpec(
@@ -292,12 +302,24 @@ def check_training_inputs(spec: ClassifierSpec, X: np.ndarray,
             f"{spec.kind} needs both classes in training data")
     if spec.is_one_class:
         keep = y == 1
-        X, y = X[keep], y[keep]
-        defined = defined[keep] if defined is not None else None
+        X, y, defined = X[keep], y[keep], defined[keep]
         if len(y) < 2:
             raise TooFewSamples("one-class training needs >= 2 genuine rows")
     return X, y, defined
 
 
-def rng_from_seed(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+def training_inputs(spec: ClassifierSpec, X: np.ndarray,
+                    y: np.ndarray | None, defined: np.ndarray | None,
+                    ) -> tuple[Standardizer, np.ndarray, np.ndarray | None]:
+    """The checked rows' standardizer, fitted on their defined entries, and
+    their standardized features Z and labels y."""
+    X, y, defined = check_training_inputs(spec, X, y, defined)
+    std = Standardizer.fit(X, defined)
+    return std, std.transform(X, defined), y
+
+
+def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(len(A), len(B)) squared euclidean distances |a|^2 + |b|^2 - 2 a.b,
+    which rounding can take slightly below 0."""
+    return (np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
+            - 2.0 * A @ B.T)

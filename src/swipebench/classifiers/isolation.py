@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import (ClassifierSpec, Standardizer, TrainedModel,
-                   check_training_inputs, min_max_scale, register_model)
+from .base import (ClassifierSpec, TrainedModel, min_max_scale,
+                   register_model, training_inputs)
 from .tree import Forest, TreeArrays, forest_mean, grow
 
 _EULER = 0.5772156649015329
@@ -83,9 +83,7 @@ class IsolationForestModel(TrainedModel):
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y=None, defined=None
               ) -> "IsolationForestModel":
-        X, _, defined = check_training_inputs(spec, X, y, defined)
-        std = Standardizer.fit(X, defined)
-        Z = std.transform(X, defined)
+        std, Z, _ = training_inputs(spec, X, y, defined)
         p = spec.params
         n = len(Z)
         psi = min(int(p["subsample"]), n)
@@ -93,10 +91,10 @@ class IsolationForestModel(TrainedModel):
         seeds = np.random.SeedSequence(spec.seed).spawn(int(p["n_trees"]))
         trees = []
         for ss in seeds:
-            rng = np.random.Generator(np.random.PCG64(ss))
+            rng = np.random.default_rng(ss)
             sample = Z[rng.choice(n, size=psi, replace=False)]
             trees.append(grow(sample, random_split(sample, rng, depth_limit)))
-        model = cls(spec, std, X.shape[1], trees, psi, 0.0, 1.0)
+        model = cls(spec, std, Z.shape[1], trees, psi, 0.0, 1.0)
         raw = model._genuineness(Z)
         model.lo = float(raw.min())
         model.hi = float(raw.max())

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import (ClassifierSpec, Standardizer, TrainedModel,
-                   check_training_inputs, register_model, rng_from_seed)
+from .base import ClassifierSpec, TrainedModel, register_model, training_inputs
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -280,18 +279,16 @@ class NeuralNetModel(TrainedModel):
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None) -> "NeuralNetModel":
-        X, y, defined = check_training_inputs(spec, X, y, defined)
-        std = Standardizer.fit(X, defined)
-        Z = std.transform(X, defined)
+        std, Z, y = training_inputs(spec, X, y, defined)
         p = spec.params
-        rng = rng_from_seed(spec.seed)
+        rng = np.random.default_rng(spec.seed)
         net = MlpNetwork(Z.shape[1], tuple(p["hidden"]), p["bn_momentum"],
                          p["bn_eps"], rng=rng)
         train_mlp(net, Z, y.astype(float), rng, epochs=int(p["epochs"]),
                   batch_size=int(p["batch_size"]), dropout=float(p["dropout"]),
                   lr=p["lr"], beta1=p["beta1"], beta2=p["beta2"],
                   adam_eps=p["adam_eps"])
-        return cls(spec, std, X.shape[1], net)
+        return cls(spec, std, Z.shape[1], net)
 
     def _score_std(self, Z: np.ndarray) -> np.ndarray:
         return self.net.predict(Z)

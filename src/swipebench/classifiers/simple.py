@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .base import (ClassifierSpec, Standardizer, TrainedModel,
-                   check_training_inputs, register_model)
+from .base import (ClassifierSpec, TrainedModel, register_model,
+                   squared_distances, training_inputs)
 
 
 @register_model("gaussian_nb")
@@ -20,9 +20,7 @@ class GaussianNbModel(TrainedModel):
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None) -> "GaussianNbModel":
-        X, y, defined = check_training_inputs(spec, X, y, defined)
-        std = Standardizer.fit(X, defined)
-        Z = std.transform(X, defined)
+        std, Z, y = training_inputs(spec, X, y, defined)
         d = Z.shape[1]
         theta = np.zeros((2, d))
         var = np.zeros((2, d))
@@ -34,7 +32,7 @@ class GaussianNbModel(TrainedModel):
             var[c] = block.var(axis=0) + eps
             prior[c] = len(block) / len(y)
         var[var <= 0.0] = spec.params["var_smoothing"]
-        return cls(spec, std, X.shape[1], theta, var, np.log(prior))
+        return cls(spec, std, d, theta, var, np.log(prior))
 
     def _score_std(self, Z: np.ndarray) -> np.ndarray:
         jll = np.empty((len(Z), 2))
@@ -60,16 +58,12 @@ class KnnModel(TrainedModel):
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None) -> "KnnModel":
-        X, y, defined = check_training_inputs(spec, X, y, defined)
-        std = Standardizer.fit(X, defined)
-        return cls(spec, std, X.shape[1], std.transform(X, defined),
-                   y.astype(float))
+        std, Z, y = training_inputs(spec, X, y, defined)
+        return cls(spec, std, Z.shape[1], Z, y.astype(float))
 
     def _score_std(self, Z: np.ndarray) -> np.ndarray:
         k = min(int(self.spec.params["k"]), len(self.y_train))
-        sq = (np.sum(Z * Z, axis=1)[:, None]
-              + np.sum(self.Z_train * self.Z_train, axis=1)[None, :]
-              - 2.0 * Z @ self.Z_train.T)
+        sq = squared_distances(Z, self.Z_train)
         order = np.argsort(sq, axis=1, kind="stable")[:, :k]
         return self.y_train[order].mean(axis=1)
 
@@ -86,9 +80,7 @@ class LogisticRegressionModel(TrainedModel):
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None
               ) -> "LogisticRegressionModel":
-        X, y, defined = check_training_inputs(spec, X, y, defined)
-        std = Standardizer.fit(X, defined)
-        Z = std.transform(X, defined)
+        std, Z, y = training_inputs(spec, X, y, defined)
         zpm = np.where(y == 1, 1.0, -1.0)
         C = float(spec.params["C"])
         d = Z.shape[1]
@@ -110,7 +102,7 @@ class LogisticRegressionModel(TrainedModel):
         res = minimize(objective, np.zeros(d + 1), jac=True, method="L-BFGS-B",
                        options={"maxiter": int(spec.params["max_iter"])})
         wb = res.x
-        return cls(spec, std, X.shape[1], wb[:d].copy(), float(wb[d]))
+        return cls(spec, std, d, wb[:d].copy(), float(wb[d]))
 
     def _score_std(self, Z: np.ndarray) -> np.ndarray:
         f = np.clip(Z @ self.w + self.b, -500, 500)

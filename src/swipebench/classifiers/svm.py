@@ -18,14 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import (ClassifierSpec, Standardizer, TrainedModel,
-                   check_training_inputs, min_max_scale, register_model,
-                   rng_from_seed)
+from .base import (ClassifierSpec, TrainedModel, min_max_scale,
+                   register_model, squared_distances, training_inputs)
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    sq = (np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
-          - 2.0 * A @ B.T)
+    sq = squared_distances(A, B)
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-gamma * sq)
 
@@ -181,9 +179,7 @@ class SvmModel(TrainedModel):
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None) -> "SvmModel":
-        X, y, defined = check_training_inputs(spec, X, y, defined)
-        std = Standardizer.fit(X, defined)
-        Z = std.transform(X, defined)
+        std, Z, y = training_inputs(spec, X, y, defined)
         p = spec.params
         gamma = gamma_value(p["gamma"], Z)
         ypm = np.where(y == 1, 1.0, -1.0)
@@ -198,7 +194,7 @@ class SvmModel(TrainedModel):
 
         # Calibration decision values come from internal cross-validation so
         # the sigmoid does not see resubstitution optimism.
-        rng = rng_from_seed(spec.seed)
+        rng = np.random.default_rng(spec.seed)
         n_folds = int(p["platt_folds"])
         counts = np.bincount(y, minlength=2)
         all_idx = np.arange(len(y))
@@ -221,7 +217,7 @@ class SvmModel(TrainedModel):
         keep = alpha > 1e-12
         if not keep.any():
             keep = np.ones(len(alpha), dtype=bool)
-        return cls(spec, std, X.shape[1], Z[keep].copy(), coef[keep].copy(),
+        return cls(spec, std, Z.shape[1], Z[keep].copy(), coef[keep].copy(),
                    float(b), float(gamma), float(A), float(B))
 
     def decision_values(self, Z: np.ndarray) -> np.ndarray:
@@ -247,9 +243,7 @@ class OneClassSvmModel(TrainedModel):
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y=None, defined=None) -> "OneClassSvmModel":
-        X, _, defined = check_training_inputs(spec, X, y, defined)
-        std = Standardizer.fit(X, defined)
-        Z = std.transform(X, defined)
+        std, Z, _ = training_inputs(spec, X, y, defined)
         p = spec.params
         gamma = gamma_value(p["gamma"], Z)
         K = rbf_kernel(Z, Z, gamma)
@@ -272,7 +266,7 @@ class OneClassSvmModel(TrainedModel):
         keep = alpha > 1e-12
         dec_train = g - rho
         lo, hi = float(dec_train.min()), float(dec_train.max())
-        return cls(spec, std, X.shape[1], Z[keep].copy(), alpha[keep].copy(),
+        return cls(spec, std, Z.shape[1], Z[keep].copy(), alpha[keep].copy(),
                    rho, float(gamma), lo, hi)
 
     def decision_values(self, Z: np.ndarray) -> np.ndarray:

@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import (ClassifierSpec, Standardizer, TrainedModel,
-                   check_training_inputs, register_model)
+from .base import ClassifierSpec, TrainedModel, register_model, training_inputs
 
 
 class TreeArrays:
@@ -205,11 +204,9 @@ class DecisionTreeModel(TrainedModel):
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None) -> "DecisionTreeModel":
-        X, y, defined = check_training_inputs(spec, X, y, defined)
-        std = Standardizer.fit(X, defined)
-        Z = std.transform(X, defined)
+        std, Z, y = training_inputs(spec, X, y, defined)
         tree = grow_tree(Z, y, spec.params["max_depth"], None, None)
-        return cls(spec, std, X.shape[1], tree)
+        return cls(spec, std, Z.shape[1], tree)
 
     def _score_std(self, Z: np.ndarray) -> np.ndarray:
         return forest_mean(self.forest, Z)
@@ -234,9 +231,7 @@ class RandomForestModel(TrainedModel):
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None) -> "RandomForestModel":
-        X, y, defined = check_training_inputs(spec, X, y, defined)
-        std = Standardizer.fit(X, defined)
-        Z = std.transform(X, defined)
+        std, Z, y = training_inputs(spec, X, y, defined)
         p = spec.params
         d = Z.shape[1]
         if p["max_features"] == "sqrt":
@@ -249,10 +244,10 @@ class RandomForestModel(TrainedModel):
         seeds = np.random.SeedSequence(spec.seed).spawn(int(p["n_trees"]))
         trees = []
         for ss in seeds:
-            rng = np.random.Generator(np.random.PCG64(ss))
+            rng = np.random.default_rng(ss)
             boot = rng.integers(0, n, size=n)
             trees.append(grow_tree(Z[boot], y[boot], p["max_depth"], m, rng))
-        return cls(spec, std, X.shape[1], trees)
+        return cls(spec, std, d, trees)
 
     def _score_std(self, Z: np.ndarray) -> np.ndarray:
         return forest_mean(self.forest, Z)

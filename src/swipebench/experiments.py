@@ -98,8 +98,7 @@ def _classifier_entry(entry, path: str) -> ClassifierSpec:
 
 def _aggregation_entry(entry, path: str) -> AggregationSpec:
     if isinstance(entry, str):
-        window = 1 if entry == "none" else 5
-        return AggregationSpec(method=entry, window=window)
+        return AggregationSpec(method=entry)
     if isinstance(entry, dict):
         return AggregationSpec.from_dict(entry, path)
     raise ConfigError(f"{path} must be a method name or object: {entry!r}")
@@ -147,8 +146,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     classifiers = [_classifier_entry(e, f"classifier[{i}]") for i, e in
                    enumerate(_as_list(doc.get("classifier", "ensemble")))]
     aggregations = [_aggregation_entry(e, f"aggregation[{i}]") for i, e in
-                    enumerate(_as_list(doc.get(
-                        "aggregation", {"method": "none", "window": 1})))]
+                    enumerate(_as_list(doc.get("aggregation", "none")))]
     keys = [aggregation_key(a) for a in aggregations]
     if len(set(keys)) != len(keys):
         raise ConfigError(f"duplicate aggregation variants: {keys}")

@@ -305,7 +305,8 @@ def resolve_feature_ids(spec) -> tuple[int, ...]:
 
 
 def catalog_as_dict() -> dict:
-    """JSON-friendly dump of the catalog (used by the CLI export)."""
+    """JSON-friendly dump of the catalog: every feature with its family and
+    studies, and every study's feature set."""
     return {
         "features": [
             {"id": f.fid, "name": f.name, "family": f.family,

@@ -377,9 +377,6 @@ class FeatureTable:
     def n_rows(self) -> int:
         return self.X.shape[0]
 
-    def labels(self) -> np.ndarray:
-        return np.array(self.user_ids, dtype=object)
-
     def rows_of_user(self, user_id: str) -> np.ndarray:
         return np.concatenate([idx for _, idx in self.user_sessions[user_id]])
 

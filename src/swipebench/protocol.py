@@ -126,10 +126,6 @@ class UserRepOutcome:
         return self.eer is None
 
 
-def _rng(seedseq: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seedseq))
-
-
 def _entropy(seedseq: np.random.SeedSequence) -> int:
     return int(seedseq.generate_state(1, dtype=np.uint64)[0])
 
@@ -176,7 +172,8 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
     if len(others) < 2:
         return {k: skipped("too-few-attackers") for k in keys}
     train_group, test_group = partition_attackers(
-        others, _rng(children[0]), config.attacker_split_fraction)
+        others, np.random.default_rng(children[0]),
+        config.attacker_split_fraction)
 
     # attacker streams are keyed by user id, the target's splits by
     # (user_id, split), which no user id can equal
@@ -195,7 +192,8 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
     # balanced negatives for the base model, from the training attackers
     train_pools = [(v, table.rows_of_user(v)) for v in train_group]
     neg_rows = np.array(sample_negatives(
-        train_pools, len(train_rows), _rng(children[1])), dtype=int)
+        train_pools, len(train_rows), np.random.default_rng(children[1])),
+        dtype=int)
     assert len(neg_rows) == len(train_rows)
     assert all(table.user_ids[r] != user_id for r in neg_rows)
 
@@ -248,7 +246,7 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
         imp_pools = pools(test_group, w, w)
         if not imp_pools:
             return skipped("no-impostor-windows")
-        test_rng = _rng(np.random.SeedSequence(
+        test_rng = np.random.default_rng(np.random.SeedSequence(
             entropy=entropy_test, spawn_key=(m_idx, w)))
         imp_windows = sample_negatives(imp_pools, len(gen_windows), test_rng)
         assert len(imp_windows) == len(gen_windows)
@@ -267,7 +265,7 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
             fit_pools = pools(train_group, w, 1)
             if not fit_pools:
                 return skipped("no-impostor-train-windows")
-            train_w_rng = _rng(np.random.SeedSequence(
+            train_w_rng = np.random.default_rng(np.random.SeedSequence(
                 entropy=entropy_train_w, spawn_key=(m_idx, w)))
             imp_train = sample_negatives(fit_pools, len(gen_train),
                                          train_w_rng)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers.base import PARAM_RULES, rng_from_seed
+from .classifiers.base import PARAM_RULES
 from .classifiers.neural import (Adam, _sigmoid, _softplus, flat_buffer,
                                  train_minibatch)
 from .errors import InconsistentSequenceLength, TooFewSamples
@@ -189,7 +189,7 @@ def train_stacker(sequences, labels, spec: StackerSpec = StackerSpec()
             f"{len(X)} sequences but {len(y)} labels")
     if len(X) < 2:
         raise TooFewSamples("stacker training needs >= 2 sequences")
-    rng = rng_from_seed(spec.seed)
+    rng = np.random.default_rng(spec.seed % 2 ** 32)   # as ClassifierSpec
     net = LstmStacker(spec.hidden, rng=rng)
 
     grad = net._buffer()

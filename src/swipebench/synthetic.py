@@ -123,7 +123,7 @@ def _stroke_series(lat: dict[str, float], rng: np.random.Generator,
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
+    rng = np.random.default_rng(spec.seed)
     latents = _user_latents(spec, rng)
 
     series = []             # (t, x, y, pressure, area) per stroke

@@ -232,6 +232,25 @@ def test_evaluate_single_cell(tmp_path, capsys):
     assert "report.json" in printed
 
 
+def test_an_aggregation_object_without_a_window_follows_its_method(
+        tmp_path, capsys):
+    src = synth_file(tmp_path)
+    out_dir = tmp_path / "run"
+    cfg = write_doc(tmp_path, experiment_doc(
+        src, out_dir, aggregation=[{"method": "none"}, {"method": "mean"}]))
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_OK
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["config"]["aggregations"] == [
+        {"method": "none", "window": 1}, {"method": "mean", "window": 5}]
+    for bad in ({"method": "none", "window": 5},
+                {"method": "none", "window": None}):
+        cfg = write_doc(tmp_path, experiment_doc(src, tmp_path / "bad",
+                                                 aggregation=bad))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: aggregation")
+
+
 def test_evaluate_rejects_grids(tmp_path, capsys):
     src = synth_file(tmp_path)
     cfg = write_doc(tmp_path, experiment_doc(

@@ -20,7 +20,6 @@ import pytest
 from oracles import (o_lstm_backward, o_lstm_forward, o_mlp_backward,
                      o_mlp_forward, o_sigmoid)
 from swipebench.classifiers import ClassifierSpec, train
-from swipebench.classifiers.base import rng_from_seed
 from swipebench.classifiers.neural import (Adam, MlpNetwork, _sigmoid,
                                            train_minibatch, train_mlp)
 from swipebench.stacking import (LstmStacker, StackerSpec, stack_score,
@@ -180,7 +179,7 @@ def test_mlp_training_equals_reference_bitwise(hidden, dropout, n,
     y = (X[:, 0] + data.normal(size=n) > 0).astype(float)
     nets, rngs = [], []
     for _ in range(2):
-        rng = rng_from_seed(n)
+        rng = np.random.default_rng(n)
         net = MlpNetwork(7, hidden, 0.99, 1e-3, rng=rng)
         net.out["W"] *= out_scale
         nets.append(net)
@@ -205,7 +204,7 @@ def test_mlp_training_equals_reference_bitwise(hidden, dropout, n,
 
 
 def reference_train_stacker(X, y, spec):
-    rng = rng_from_seed(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     net = LstmStacker(spec.hidden, rng=rng)
 
     def batch_grad(idx):

@@ -31,10 +31,24 @@ def test_every_default_param_has_a_rule_it_passes():
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.__name__)
 def test_every_spec_default_passes_its_own_rules(spec):
-    defaults = {f.name: f.default for f in fields(spec)}
-    assert set(spec.RULES) <= set(defaults)
+    """Each spec builds with no arguments, so its defaults pass its field
+    rules and its cross-field rules alike."""
+    made = spec()
+    assert set(spec.RULES) <= {f.name for f in fields(spec)}
     for name, (ok, phrase) in spec.RULES.items():
-        assert ok(defaults[name]), (name, phrase)
+        assert ok(getattr(made, name)), (name, phrase)
+
+
+def test_an_omitted_aggregation_window_follows_the_method():
+    assert AggregationSpec().window == 1
+    assert AggregationSpec("mean").window == 5
+    assert AggregationSpec.from_dict({"method": "none"}).window == 1
+    assert AggregationSpec.from_dict({"method": "vote"}).window == 5
+    assert AggregationSpec.from_dict({"method": "mean", "window": 2}).window == 2
+    with pytest.raises(ConfigError, match="method 'none' requires window"):
+        AggregationSpec.from_dict({"method": "none", "window": 5})
+    with pytest.raises(ConfigError, match="window must be an integer"):
+        AggregationSpec.from_dict({"method": "mean", "window": None})
 
 
 @pytest.mark.parametrize("rule, good, bad, phrase", [

@@ -62,6 +62,15 @@ def test_different_seeds_start_differently():
     assert not np.array_equal(a.param_vector(), b.param_vector())
 
 
+def test_seed_is_taken_mod_2_to_the_32():
+    """As for a ClassifierSpec: a negative seed trains, as its residue."""
+    rng = np.random.default_rng(43)
+    X, y = toy_sequences(rng, n_per=10)
+    a = train_stacker(X, y, StackerSpec(epochs=1, seed=-1))
+    b = train_stacker(X, y, StackerSpec(epochs=1, seed=2 ** 32 - 1))
+    assert a.param_vector().tobytes() == b.param_vector().tobytes()
+
+
 def test_ragged_sequences_rejected():
     with pytest.raises(InconsistentSequenceLength):
         train_stacker([[0.1, 0.2], [0.3, 0.4, 0.5]], [1, 0])
