@@ -88,25 +88,21 @@ def window_slices(session_ids, window: int, stride: int) -> list[np.ndarray]:
     """Index windows over a swipe stream, restarting at session changes.
 
     session_ids is the per-swipe session labels in stream order. Returns
-    one integer index array per window; only full windows are emitted.
-    Sessions shorter than the window contribute nothing.
+    one integer index array per window, each a row of one (n, window)
+    matrix; only full windows are emitted. Sessions shorter than the
+    window contribute nothing.
     """
     if window < 1 or stride < 1:
         raise ConfigError("window and stride must be >= 1")
-    session_ids = list(session_ids)
-    out: list[np.ndarray] = []
-    run_start = 0
-    n = len(session_ids)
-    for pos in range(n + 1):
-        boundary = pos == n or (pos > run_start
-                                and session_ids[pos] != session_ids[run_start])
-        if not boundary:
-            continue
-        run_len = pos - run_start
-        for off in range(0, run_len - window + 1, stride):
-            out.append(np.arange(run_start + off, run_start + off + window))
-        run_start = pos
-    return out
+    labels = list(session_ids)
+    starts = np.array([0] + [i for i in range(1, len(labels))
+                             if labels[i] != labels[i - 1]])
+    lengths = np.diff(starts, append=len(labels))
+    counts = np.maximum(0, (lengths - window) // stride + 1)
+    # window k of a run starts at run start + stride * (k - first k of run)
+    k = np.arange(counts.sum())
+    firsts = np.repeat(starts + stride * (counts - np.cumsum(counts)), counts)
+    return list((firsts + stride * k)[:, None] + np.arange(window))
 
 
 def reduce_scores(scores, spec: AggregationSpec) -> float:
@@ -115,13 +111,18 @@ def reduce_scores(scores, spec: AggregationSpec) -> float:
     if s.size == 0:
         raise EmptyWindow("cannot aggregate an empty window")
     if spec.method in ("none", "mean"):
-        return float(s.mean())
+        return float(np.add.reduce(s) / s.size)
     if spec.method == "median":
-        return float(np.median(s))
+        t = np.sort(s)
+        if t[-1] != t[-1]:    # NaN sorts last; np.median returns it
+            return float(np.median(s))
+        # the mean of the middle one or two values, as np.median takes it
+        middle = t[(t.size - 1) // 2:t.size // 2 + 1]
+        return float(np.add.reduce(middle) / middle.size)
     if spec.method == "vote":
-        return float(np.mean(s >= spec.vote_threshold))
+        return float(np.count_nonzero(s >= spec.vote_threshold) / s.size)
     if spec.method == "trust":
-        return float(trust_trace(s, spec.trust)[-1])
+        return _trust_walk(s.tolist(), spec.trust)[-1]
     raise ConfigError(
         f"method {spec.method!r} is not a closed-form reducer")
 
@@ -131,16 +132,24 @@ def trust_trace(scores, params: TrustParams = TrustParams()) -> np.ndarray:
     s = np.asarray(scores, dtype=float)
     if s.size == 0:
         raise EmptyWindow("trust trace needs at least one score")
-    out = np.empty(s.size)
+    return np.array(_trust_walk(s.tolist(), params))
+
+
+def _trust_walk(scores: list[float], params: TrustParams) -> list[float]:
+    out = []
     trust = params.initial
-    for i, score in enumerate(s):
+    for score in scores:
         delta = score - params.threshold
         weight = params.reward if delta >= 0 else params.penalty
         trust = min(1.0, max(0.0, trust + weight * delta))
-        out[i] = trust
+        out.append(trust)
     return out
 
 
 def concat_window(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Feature vectors of one window laid out end to end (feed variant)."""
-    return np.asarray(X)[idx].ravel()
+    """Feature vectors of a window laid out end to end (feed variant).
+
+    idx is one window of row indices, or an (n, w) matrix of windows,
+    which gives one row per window."""
+    idx = np.asarray(idx)
+    return np.asarray(X)[idx].reshape(*idx.shape[:-1], -1)

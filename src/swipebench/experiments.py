@@ -44,7 +44,7 @@ from .features.catalog import STUDY_SETS, resolve_feature_ids
 from .features.extract import FeatureTable, build_feature_table
 from .ingest import load_canonical, rewrite_text
 from .protocol import (CellSummary, ProtocolConfig, aggregation_key,
-                       run_experiment)
+                       run_experiment, sampling_plans)
 from .spec import read_object
 from .synthetic import SyntheticSpec, generate_synthetic
 from .touchdata import Dataset, EligibilityCriteria, filter_eligible
@@ -98,7 +98,7 @@ def _classifier_entry(entry, path: str) -> ClassifierSpec:
 
 def _aggregation_entry(entry, path: str) -> AggregationSpec:
     if isinstance(entry, str):
-        return AggregationSpec(method=entry)
+        return AggregationSpec.from_dict({"method": entry}, path)
     if isinstance(entry, dict):
         return AggregationSpec.from_dict(entry, path)
     raise ConfigError(f"{path} must be a method name or object: {entry!r}")
@@ -201,10 +201,12 @@ def _classifier_labels(classifiers: list[ClassifierSpec]) -> list[str]:
 
 def _run_cell(table: FeatureTable, spec: ClassifierSpec,
               aggregations: list[AggregationSpec], protocol: ProtocolConfig,
+              plans: list[dict],
               ) -> dict[str, CellSummary] | SwipebenchError:
     """One cell's summaries, or the toolkit error that failed it."""
     try:
-        return run_experiment(table, spec, aggregations, protocol)
+        return run_experiment(table, spec, aggregations, protocol,
+                              plans=plans)
     except SwipebenchError as err:
         return err
 
@@ -269,6 +271,12 @@ def run_matrix(cfg: ExperimentConfig, workers: int | None = None,
     t0 = time.monotonic()
     dataset, eligibility = load_experiment_dataset(cfg.dataset)
     full_table = build_feature_table(dataset)
+    # every cell's table shares full_table's sessions, so one plan per
+    # (user, repetition) serves them all
+    try:
+        plans = sampling_plans(full_table, cfg.aggregations, cfg.protocol)
+    except SwipebenchError as err:
+        plans = err     # no cell can run; each records this one error
 
     clf_labels = _classifier_labels(cfg.classifiers)
     names, tasks = [], []
@@ -276,9 +284,12 @@ def run_matrix(cfg: ExperimentConfig, workers: int | None = None,
         sliced = full_table.select(ids)
         for clf_label, spec in zip(clf_labels, cfg.classifiers):
             names.append((fs_label, clf_label))
-            tasks.append((sliced, spec, cfg.aggregations, cfg.protocol))
+            tasks.append((sliced, spec, cfg.aggregations, cfg.protocol,
+                          plans))
 
-    if workers and workers > 1:
+    if isinstance(plans, SwipebenchError):
+        outcomes = [plans] * len(tasks)
+    elif workers and workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             futures = [ex.submit(_run_cell, *task) for task in tasks]
             outcomes = [_pool_result(fut) for fut in futures]

@@ -38,12 +38,12 @@ def compute_roc(genuine, impostor) -> RocCurve:
     imp = np.asarray(impostor, dtype=float)
     if gen.size == 0 or imp.size == 0:
         raise EmptyScores("both genuine and impostor scores are required")
-    if not (np.isfinite(gen).all() and np.isfinite(imp).all()):
+    both = np.sort(np.concatenate([gen, imp]))
+    if not np.isfinite(both).all():
         raise NonFiniteScores("scores must be finite")
-    lo = min(gen.min(), imp.min()) - 1.0
-    hi = max(gen.max(), imp.max()) + 1.0
-    thresholds = np.concatenate(
-        ([lo], np.unique(np.concatenate([gen, imp])), [hi]))
+    distinct = both[np.concatenate(([True], both[1:] != both[:-1]))]
+    thresholds = np.concatenate(([both[0] - 1.0], distinct,
+                                 [both[-1] + 1.0]))
     gen_sorted = np.sort(gen)
     imp_sorted = np.sort(imp)
     far = (imp.size - np.searchsorted(imp_sorted, thresholds, side="left")) / imp.size
@@ -56,16 +56,20 @@ def compute_eer(roc: RocCurve) -> EerResult:
     evaluated threshold (first such, i.e. lowest threshold), otherwise the
     linear interpolation across the first sign change of FAR - FRR."""
     d = roc.far - roc.frr
-    for i in range(len(d)):
-        if d[i] == 0.0:
-            return EerResult(eer=float(roc.far[i]),
-                             threshold=float(roc.thresholds[i]))
-        if i + 1 < len(d) and d[i] > 0.0 and d[i + 1] < 0.0:
-            lam = d[i] / (d[i] - d[i + 1])
-            eer = roc.far[i] + lam * (roc.far[i + 1] - roc.far[i])
-            thr = roc.thresholds[i] + lam * (roc.thresholds[i + 1] - roc.thresholds[i])
-            return EerResult(eer=float(eer), threshold=float(thr))
-    raise AssertionError("FAR - FRR never crossed zero; sentinel invariant broken")
+    hit = d == 0.0
+    hit[:-1] |= (d[:-1] > 0.0) & (d[1:] < 0.0)
+    hits = np.flatnonzero(hit)
+    if not hits.size:
+        raise AssertionError(
+            "FAR - FRR never crossed zero; sentinel invariant broken")
+    i = int(hits[0])
+    if d[i] == 0.0:
+        return EerResult(eer=float(roc.far[i]),
+                         threshold=float(roc.thresholds[i]))
+    lam = d[i] / (d[i] - d[i + 1])
+    eer = roc.far[i] + lam * (roc.far[i + 1] - roc.far[i])
+    thr = roc.thresholds[i] + lam * (roc.thresholds[i + 1] - roc.thresholds[i])
+    return EerResult(eer=float(eer), threshold=float(thr))
 
 
 def eer_from_scores(genuine, impostor) -> EerResult:

@@ -7,10 +7,16 @@ disjoint group of attackers, so no impostor identity seen in training
 is ever scored at test time. Negative counts are balanced against
 positive counts in both splits, and the whole procedure is repeated
 with fresh attacker partitions; reported numbers are means over users
-of per-user means over repetitions. Every score window is a pair
-(stream key, positions) over one stream of session-ordered swipes: an
-attacker's, or the target's training or test split, so genuine and
-impostor windows are scored by the same code.
+of per-user means over repetitions. Every score window is a row of
+table rows from one stream of session-ordered swipes: an attacker's, or
+the target's training or test split, so genuine and impostor windows
+are scored by the same code.
+
+Every draw of a (user, repetition) is made before training, into a
+``SamplingPlan``: the attacker split, the balanced negatives and every
+variant's windows. The plan depends only on the table's sessions, the
+seed and the aggregation specs, so one plan serves every feature set
+and classifier of a matrix.
 
 Seeding: repetition r derives all of its randomness from
 ``config.seed + r``. Within a repetition, each user gets six
@@ -90,7 +96,9 @@ def sample_negatives(pools, count: int, rng: np.random.Generator) -> list:
     uniformly random item per visit (with replacement across cycles).
 
     pools is a sequence of (user_id, items); every retained pool must be
-    non-empty.
+    non-empty. All item draws are one bounded-integer call over the
+    visit order, which yields the values, and leaves the generator in
+    the state, of one scalar draw per visit.
     """
     pools = list(pools)
     if not pools:
@@ -98,14 +106,11 @@ def sample_negatives(pools, count: int, rng: np.random.Generator) -> list:
     for uid, items in pools:
         if len(items) == 0:
             raise EmptyGroup(f"user {uid!r} has no items to sample")
+    sizes = np.array([len(items) for _, items in pools])
     order = rng.permutation(len(pools))
-    out = []
-    visit = 0
-    while len(out) < count:
-        _, items = pools[order[visit % len(pools)]]
-        out.append(items[int(rng.integers(0, len(items)))])
-        visit += 1
-    return out
+    visits = order[np.arange(count) % len(pools)]
+    picks = rng.integers(0, sizes[visits])
+    return [pools[v][1][p] for v, p in zip(visits.tolist(), picks.tolist())]
 
 
 def aggregation_key(spec: AggregationSpec) -> str:
@@ -126,6 +131,44 @@ class UserRepOutcome:
         return self.eer is None
 
 
+@dataclass(frozen=True)
+class Windows:
+    """Score windows: row i of ``rows`` holds the table rows of window i,
+    and ``streams`` names every stream those rows come from."""
+
+    rows: np.ndarray
+    streams: tuple
+
+
+@dataclass(frozen=True)
+class VariantPlan:
+    """One aggregation variant's test windows and, for the learned
+    aggregators, their training windows and labels."""
+
+    genuine: Windows
+    impostor: Windows
+    counts: dict
+    fit: Windows | None = None
+    fit_labels: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class SamplingPlan:
+    """Every draw of one (user, repetition) that precedes training.
+
+    It depends on the table's sessions, the seed and the aggregation
+    specs only, so every feature set and classifier shares it.
+    ``variants`` maps each aggregation key to its plan or skip reason.
+    """
+
+    train_rows: np.ndarray
+    test_rows: np.ndarray
+    neg_rows: np.ndarray
+    variants: dict
+    classifier_entropy: int
+    stacker_entropy: int
+
+
 def _entropy(seedseq: np.random.SeedSequence) -> int:
     return int(seedseq.generate_state(1, dtype=np.uint64)[0])
 
@@ -137,40 +180,31 @@ def _stream(table: FeatureTable, sessions) -> tuple[np.ndarray, list[str]]:
     return rows, labels
 
 
-def evaluate_user_repetition(table: FeatureTable, user_id: str,
-                             classifier_spec: ClassifierSpec,
-                             aggregation_specs: list[AggregationSpec],
-                             config: ProtocolConfig, repetition: int,
-                             ) -> dict[str, UserRepOutcome]:
-    """Evaluate one user in one repetition under several aggregation
-    variants sharing a single trained base model.
-
-    Returns a dict keyed by aggregation_key. Precondition failures
-    (too few sessions or attackers, no full window) and non-finite
-    scores come back as skipped outcomes; real errors propagate.
-    """
+def sampling_plan(table: FeatureTable, user_id: str,
+                  aggregation_specs: list[AggregationSpec],
+                  config: ProtocolConfig, repetition: int,
+                  ) -> SamplingPlan | str:
+    """The attacker split, balanced negatives and every variant's
+    windows of one (user, repetition), or the reason the user is
+    skipped (too few sessions or attackers)."""
     keys = [aggregation_key(s) for s in aggregation_specs]
     if len(set(keys)) != len(keys):
         raise ConfigError(f"duplicate aggregation variants: {keys}")
 
-    def skipped(reason: str) -> UserRepOutcome:
-        return UserRepOutcome(eer=None, skip_reason=reason)
-
     users = sorted(table.user_sessions)
-    user_index = users.index(user_id)
     root = np.random.SeedSequence(entropy=config.seed + repetition,
-                                  spawn_key=(user_index,))
+                                  spawn_key=(users.index(user_id),))
     children = root.spawn(6)
 
     sessions = table.user_sessions[user_id]
     if len(sessions) < 2:
-        return {k: skipped("too-few-sessions") for k in keys}
+        return "too-few-sessions"
     train_sessions, test_sessions = split_user_sessions(
         sessions, config.train_session_fraction)
 
     others = [u for u in users if u != user_id and table.user_sessions[u]]
     if len(others) < 2:
-        return {k: skipped("too-few-attackers") for k in keys}
+        return "too-few-attackers"
     train_group, test_group = partition_attackers(
         others, np.random.default_rng(children[0]),
         config.attacker_split_fraction)
@@ -178,128 +212,186 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
     # attacker streams are keyed by user id, the target's splits by
     # (user_id, split), which no user id can equal
     train_key, test_key = (user_id, "train"), (user_id, "test")
-    sessions_of = {**table.user_sessions, train_key: train_sessions,
-                   test_key: test_sessions}
+    streams = {v: _stream(table, table.user_sessions[v]) for v in others}
+    streams[train_key] = _stream(table, train_sessions)
+    streams[test_key] = _stream(table, test_sessions)
 
-    @functools.cache
-    def stream_of(key) -> tuple[np.ndarray, list[str]]:
-        return _stream(table, sessions_of[key])
-
-    train_rows, _ = stream_of(train_key)
-    test_rows, _ = stream_of(test_key)
+    train_rows, test_rows = streams[train_key][0], streams[test_key][0]
     assert not set(train_rows.tolist()) & set(test_rows.tolist())
 
     # balanced negatives for the base model, from the training attackers
-    train_pools = [(v, table.rows_of_user(v)) for v in train_group]
     neg_rows = np.array(sample_negatives(
-        train_pools, len(train_rows), np.random.default_rng(children[1])),
-        dtype=int)
+        [(v, streams[v][0]) for v in train_group], len(train_rows),
+        np.random.default_rng(children[1])), dtype=int)
     assert len(neg_rows) == len(train_rows)
     assert all(table.user_ids[r] != user_id for r in neg_rows)
 
-    fit_rows = np.concatenate([train_rows, neg_rows])
-    y = np.concatenate([np.ones(len(train_rows)), np.zeros(len(neg_rows))])
-    eff_seed = (_entropy(children[3]) + classifier_spec.seed) % 2 ** 32
-    eff_spec = replace(classifier_spec, seed=eff_seed)
-    model = train(eff_spec, table.X[fit_rows], y,
-                  defined=table.defined[fit_rows])
-
-    # every variant shares one stream, score and window list per key
     @functools.cache
-    def scores_of(key) -> np.ndarray:
-        rows, _ = stream_of(key)
-        return model.score(table.X[rows], table.defined[rows])
+    def windows_of(key, w: int, stride: int) -> np.ndarray:
+        """(n, w) table rows; windows never span a session change."""
+        rows, labels = streams[key]
+        pos = window_slices(labels, w, stride)
+        return rows[np.array(pos, dtype=int).reshape(-1, w)]
 
-    @functools.cache
-    def windows_of(key, w: int, stride: int) -> list:
-        """Windows never span a session change or mix two streams."""
-        _, labels = stream_of(key)
-        return [(key, pos) for pos in window_slices(labels, w, stride)]
-
-    def pools(group, w: int, stride: int) -> list:
-        """(user_id, its windows) per attacker with a full window."""
-        return [(v, wins) for v in group if (wins := windows_of(v, w, stride))]
-
-    def sequences(windows) -> list[np.ndarray]:
-        return [scores_of(k)[pos] for k, pos in windows]
-
-    def concat(M: np.ndarray, windows) -> np.ndarray:
-        return np.stack([concat_window(M, stream_of(k)[0][pos])
-                         for k, pos in windows])
-
-    entropy_test = _entropy(children[2])
-    entropy_stacker = _entropy(children[4])
-    entropy_train_w = _entropy(children[5])
+    def draw(group, w: int, stride: int, count: int, entropy: int,
+             spawn_key: tuple) -> Windows | None:
+        """count windows sampled round-robin over the attackers of group
+        with a full window; None when none has one."""
+        pools = [(v, wins) for v in group
+                 if len(wins := windows_of(v, w, stride))]
+        if not pools:
+            return None
+        rng = np.random.default_rng(np.random.SeedSequence(
+            entropy=entropy, spawn_key=spawn_key))
+        rows = np.array(sample_negatives(pools, count, rng)).reshape(-1, w)
+        streams_used = dict.fromkeys(table.user_ids[r] for r in rows[:, 0])
+        return Windows(rows, tuple(streams_used))
 
     base_counts = {
         "n_train_pos": len(train_rows), "n_train_neg": len(neg_rows),
         "n_attackers_train": len(train_group),
         "n_attackers_test": len(test_group),
     }
+    entropy_test = _entropy(children[2])
+    entropy_train_w = _entropy(children[5])
 
-    def evaluate(spec: AggregationSpec) -> UserRepOutcome:
+    def plan(spec: AggregationSpec) -> VariantPlan | str:
         w = spec.window
-        m_idx = METHODS.index(spec.method)
-        gen_windows = windows_of(test_key, w, w)
-        if not gen_windows:
-            return skipped("no-genuine-test-windows")
-        imp_pools = pools(test_group, w, w)
-        if not imp_pools:
-            return skipped("no-impostor-windows")
-        test_rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=entropy_test, spawn_key=(m_idx, w)))
-        imp_windows = sample_negatives(imp_pools, len(gen_windows), test_rng)
-        assert len(imp_windows) == len(gen_windows)
-        counts = dict(base_counts, n_test_genuine=len(gen_windows),
-                      n_test_impostor=len(imp_windows))
-
+        spawn_key = (METHODS.index(spec.method), w)
+        gen = windows_of(test_key, w, w)
+        if not len(gen):
+            return "no-genuine-test-windows"
+        imp = draw(test_group, w, w, len(gen), entropy_test, spawn_key)
+        if imp is None:
+            return "no-impostor-windows"
+        assert len(imp.rows) == len(gen)
+        counts = dict(base_counts, n_test_genuine=len(gen),
+                      n_test_impostor=len(imp.rows))
+        genuine = Windows(gen, (test_key,))
         if spec.method not in ("stacking", "feed"):
-            def score(windows) -> np.ndarray:
-                return np.array([reduce_scores(s, spec)
-                                 for s in sequences(windows)])
+            return VariantPlan(genuine, imp, counts)
+
+        # learned aggregators need their own balanced training windows
+        gen_train = windows_of(train_key, w, 1)
+        if not len(gen_train):
+            return "no-genuine-train-windows"
+        imp_train = draw(train_group, w, 1, len(gen_train), entropy_train_w,
+                         spawn_key)
+        if imp_train is None:
+            return "no-impostor-train-windows"
+        counts["n_agg_train_genuine"] = len(gen_train)
+        counts["n_agg_train_impostor"] = len(imp_train.rows)
+        fit = Windows(np.concatenate([gen_train, imp_train.rows]),
+                      (train_key, *imp_train.streams))
+        labels = np.concatenate([np.ones(len(gen_train)),
+                                 np.zeros(len(imp_train.rows))])
+        return VariantPlan(genuine, imp, counts, fit, labels)
+
+    return SamplingPlan(
+        train_rows=train_rows, test_rows=test_rows, neg_rows=neg_rows,
+        variants={key: plan(spec)
+                  for spec, key in zip(aggregation_specs, keys)},
+        classifier_entropy=_entropy(children[3]),
+        stacker_entropy=_entropy(children[4]))
+
+
+def sampling_plans(table: FeatureTable,
+                   aggregation_specs: list[AggregationSpec],
+                   config: ProtocolConfig) -> list[dict]:
+    """Per repetition, every user's sampling plan (or skip reason)."""
+    users = sorted(table.user_sessions)
+    return [{uid: sampling_plan(table, uid, aggregation_specs, config, rep)
+             for uid in users} for rep in range(config.repetitions)]
+
+
+def evaluate_user_repetition(table: FeatureTable, user_id: str,
+                             classifier_spec: ClassifierSpec,
+                             aggregation_specs: list[AggregationSpec],
+                             config: ProtocolConfig, repetition: int,
+                             plan: SamplingPlan | str | None = None,
+                             ) -> dict[str, UserRepOutcome]:
+    """Evaluate one user in one repetition under several aggregation
+    variants sharing a single trained base model.
+
+    ``plan`` is this (user, repetition)'s sampling plan; it is built
+    when absent. Returns a dict keyed by aggregation_key. Precondition
+    failures (too few sessions or attackers, no full window) and
+    non-finite scores come back as skipped outcomes; real errors
+    propagate.
+    """
+    if plan is None:
+        plan = sampling_plan(table, user_id, aggregation_specs, config,
+                             repetition)
+    keys = [aggregation_key(s) for s in aggregation_specs]
+
+    def skipped(reason: str) -> UserRepOutcome:
+        return UserRepOutcome(eer=None, skip_reason=reason)
+
+    if isinstance(plan, str):
+        return {k: skipped(plan) for k in keys}
+
+    fit_rows = np.concatenate([plan.train_rows, plan.neg_rows])
+    y = np.concatenate([np.ones(len(plan.train_rows)),
+                        np.zeros(len(plan.neg_rows))])
+    eff_seed = (plan.classifier_entropy + classifier_spec.seed) % 2 ** 32
+    eff_spec = replace(classifier_spec, seed=eff_seed)
+    model = train(eff_spec, table.X[fit_rows], y,
+                  defined=table.defined[fit_rows])
+
+    # every variant shares one score per row; each stream is scored
+    # once, whole, in one call
+    row_scores = np.empty(table.n_rows)
+    scored = set()
+    splits = {(user_id, "train"): plan.train_rows,
+              (user_id, "test"): plan.test_rows}
+
+    def window_scores(windows: Windows) -> np.ndarray:
+        for key in windows.streams:
+            if key not in scored:
+                rows = (splits[key] if key in splits
+                        else table.rows_of_user(key))
+                row_scores[rows] = model.score(table.X[rows],
+                                               table.defined[rows])
+                scored.add(key)
+        return row_scores[windows.rows]
+
+    def concat(windows: Windows) -> tuple[np.ndarray, np.ndarray]:
+        return (concat_window(table.X, windows.rows),
+                concat_window(table.defined, windows.rows))
+
+    def evaluate(spec: AggregationSpec, vp: VariantPlan | str
+                 ) -> UserRepOutcome:
+        if isinstance(vp, str):
+            return skipped(vp)
+        if spec.method == "stacking":
+            stacker_seed = (_entropy(np.random.SeedSequence(
+                entropy=plan.stacker_entropy, spawn_key=(spec.window,)))
+                + spec.stacker.seed) % 2 ** 32
+            net = train_stacker(window_scores(vp.fit), vp.fit_labels,
+                                replace(spec.stacker, seed=stacker_seed))
+
+            def score(windows: Windows) -> np.ndarray:
+                return stack_score(net, window_scores(windows))
+        elif spec.method == "feed":
+            X_fit, defined_fit = concat(vp.fit)
+            feed_model = train(eff_spec, X_fit, vp.fit_labels,
+                               defined=defined_fit)
+
+            def score(windows: Windows) -> np.ndarray:
+                return feed_model.score(*concat(windows))
         else:
-            # learned aggregators need their own balanced training windows
-            gen_train = windows_of(train_key, w, 1)
-            if not gen_train:
-                return skipped("no-genuine-train-windows")
-            fit_pools = pools(train_group, w, 1)
-            if not fit_pools:
-                return skipped("no-impostor-train-windows")
-            train_w_rng = np.random.default_rng(np.random.SeedSequence(
-                entropy=entropy_train_w, spawn_key=(m_idx, w)))
-            imp_train = sample_negatives(fit_pools, len(gen_train),
-                                         train_w_rng)
-            fit_windows = gen_train + imp_train
-            y_agg = np.concatenate([np.ones(len(gen_train)),
-                                    np.zeros(len(imp_train))])
-            counts["n_agg_train_genuine"] = len(gen_train)
-            counts["n_agg_train_impostor"] = len(imp_train)
-
-            if spec.method == "stacking":
-                stacker_seed = (_entropy(np.random.SeedSequence(
-                    entropy=entropy_stacker, spawn_key=(w,)))
-                    + spec.stacker.seed) % 2 ** 32
-                net = train_stacker(np.array(sequences(fit_windows)), y_agg,
-                                    replace(spec.stacker, seed=stacker_seed))
-
-                def score(windows) -> np.ndarray:
-                    return stack_score(net, np.array(sequences(windows)))
-            else:
-                feed_model = train(eff_spec, concat(table.X, fit_windows),
-                                   y_agg,
-                                   defined=concat(table.defined, fit_windows))
-
-                def score(windows) -> np.ndarray:
-                    return feed_model.score(concat(table.X, windows),
-                                            concat(table.defined, windows))
+            def score(windows: Windows) -> np.ndarray:
+                return np.array([reduce_scores(s, spec)
+                                 for s in window_scores(windows)])
 
         try:
-            result = eer_from_scores(score(gen_windows), score(imp_windows))
+            result = eer_from_scores(score(vp.genuine), score(vp.impostor))
         except NonFiniteScores:
             return skipped("non-finite-scores")
-        return UserRepOutcome(eer=result.eer, counts=counts)
+        return UserRepOutcome(eer=result.eer, counts=dict(vp.counts))
 
-    return {key: evaluate(spec) for spec, key in zip(aggregation_specs, keys)}
+    return {key: evaluate(spec, plan.variants[key])
+            for spec, key in zip(aggregation_specs, keys)}
 
 
 def run_user_evaluation(table: FeatureTable, user_id: str,
@@ -354,10 +446,15 @@ def summarize_cell(spec: AggregationSpec,
 
 def run_experiment(table: FeatureTable, classifier_spec: ClassifierSpec,
                    aggregation_specs: list[AggregationSpec],
-                   config: ProtocolConfig,
+                   config: ProtocolConfig, plans: list[dict] | None = None,
                    ) -> dict[str, CellSummary]:
     """Evaluate every user over every repetition for each aggregation
-    variant (variants share base models within each user-repetition)."""
+    variant (variants share base models within each user-repetition).
+
+    ``plans`` is ``sampling_plans(table, aggregation_specs, config)``,
+    or of any table with the same sessions; it is built when absent."""
+    if plans is None:
+        plans = sampling_plans(table, aggregation_specs, config)
     users = sorted(table.user_sessions)
     keys = [aggregation_key(s) for s in aggregation_specs]
     per_key: dict[str, dict[str, list[float | None]]] = {
@@ -366,7 +463,8 @@ def run_experiment(table: FeatureTable, classifier_spec: ClassifierSpec,
     for rep in range(config.repetitions):
         for uid in users:
             res = evaluate_user_repetition(
-                table, uid, classifier_spec, aggregation_specs, config, rep)
+                table, uid, classifier_spec, aggregation_specs, config, rep,
+                plan=plans[rep][uid])
             for key in keys:
                 outcome = res[key]
                 per_key[key][uid].append(outcome.eer)

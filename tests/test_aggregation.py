@@ -53,6 +53,28 @@ def test_window_slices_nonconsecutive_runs_of_same_label():
     assert [w.tolist() for w in wins] == [[0, 1]]
 
 
+def loop_window_slices(labels, window, stride) -> list[list[int]]:
+    """Windows position by position, restarting at each label change."""
+    out, run_start = [], 0
+    for pos in range(len(labels) + 1):
+        if pos < len(labels) and labels[pos] == labels[run_start]:
+            continue
+        for off in range(0, pos - run_start - window + 1, stride):
+            out.append(list(range(run_start + off, run_start + off + window)))
+        run_start = pos
+    return out
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from("abc"), max_size=40),
+       st.integers(1, 6), st.integers(1, 6))
+def test_window_slices_equal_a_per_position_loop(labels, window, stride):
+    wins = window_slices(labels, window, stride)
+    assert [w.tolist() for w in wins] == \
+        loop_window_slices(labels, window, stride)
+    assert all(w.dtype == np.int64 for w in wins)
+
+
 def test_reduce_mean_median_and_none():
     scores = np.array([0.2, 0.8, 0.5])
     assert reduce_scores(scores, AggregationSpec("mean", 3)) == \
@@ -95,6 +117,25 @@ def test_reduce_trust_returns_final_trust():
     assert reduce_scores(scores, spec) == trust_trace(scores, params)[-1]
 
 
+@settings(max_examples=200)
+@given(st.lists(st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
+    [0.5, -0.0, float("nan"), float("inf"), -float("inf")])),
+    min_size=1, max_size=9), st.floats(0.0, 1.0))
+def test_reducers_equal_numpy_bit_for_bit(scores, threshold):
+    s = np.array(scores)
+    params = TrustParams(threshold=threshold)
+    with np.errstate(invalid="ignore"):
+        want = {"mean": np.mean(s), "median": np.median(s),
+                "vote": np.mean(s >= threshold),
+                "trust": trust_trace(s, params)[-1]}
+        for method, value in want.items():
+            spec = AggregationSpec(method, len(scores),
+                                   vote_threshold=threshold, trust=params)
+            got = reduce_scores(s, spec)
+            assert type(got) is float
+            assert repr(got) == repr(float(value)), method
+
+
 @settings(max_examples=100)
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
        st.floats(0.0, 1.0), st.floats(0.0, 1.0),
@@ -112,6 +153,14 @@ def test_concat_window_layout():
     X = np.arange(12.0).reshape(4, 3)
     flat = concat_window(X, np.array([2, 0]))
     np.testing.assert_array_equal(flat, [6.0, 7.0, 8.0, 0.0, 1.0, 2.0])
+
+
+def test_concat_window_stacks_a_window_matrix():
+    X = np.arange(12.0).reshape(4, 3)
+    windows = np.array([[2, 0], [1, 3], [3, 3]])
+    np.testing.assert_array_equal(
+        concat_window(X, windows),
+        np.stack([concat_window(X, w) for w in windows]))
 
 
 def test_spec_validation():

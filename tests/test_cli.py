@@ -251,6 +251,16 @@ def test_an_aggregation_object_without_a_window_follows_its_method(
         assert capsys.readouterr().err.startswith("config error: aggregation")
 
 
+def test_unknown_aggregation_name_error_names_its_entry(tmp_path, capsys):
+    src = synth_file(tmp_path)
+    cfg = write_doc(tmp_path, experiment_doc(
+        src, tmp_path / "run", aggregation=["mean", "bogus"]))
+    assert main(["matrix", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: aggregation[1]: unknown aggregation "
+                          "method 'bogus'") and err.count("\n") == 1, err
+
+
 def test_evaluate_rejects_grids(tmp_path, capsys):
     src = synth_file(tmp_path)
     cfg = write_doc(tmp_path, experiment_doc(
@@ -317,7 +327,7 @@ def test_matrix_partial_failures_exit_code(tmp_path, monkeypatch, capsys):
     src = synth_file(tmp_path)
     cfg = write_doc(tmp_path, experiment_doc(src, tmp_path / "run"))
 
-    def boom(table, spec, aggregations, protocol):
+    def boom(table, spec, aggregations, protocol, plans=None):
         raise DataError("injected")
 
     monkeypatch.setattr(experiments, "run_experiment", boom)
@@ -334,7 +344,7 @@ def test_matrix_dead_worker_exit_code(tmp_path, monkeypatch, capsys):
     out_dir = tmp_path / "run"
     cfg = write_doc(tmp_path, experiment_doc(src, out_dir))
     monkeypatch.setattr(experiments, "run_experiment",
-                        lambda *args: os._exit(1))
+                        lambda *args, **kwargs: os._exit(1))
     rc = main(["matrix", "--config", str(cfg), "--workers", "2"])
     assert rc == EXIT_PARTIAL
     assert "1 cell(s) failed" in capsys.readouterr().err

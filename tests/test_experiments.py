@@ -250,10 +250,10 @@ def test_workers_match_serial(small_report):
 def test_cell_failures_are_recorded(monkeypatch, error):
     real = experiments.run_experiment
 
-    def flaky(table, spec, aggregations, protocol):
+    def flaky(table, spec, aggregations, protocol, plans=None):
         if spec.kind == "knn":
             raise error("injected failure")
-        return real(table, spec, aggregations, protocol)
+        return real(table, spec, aggregations, protocol, plans)
 
     monkeypatch.setattr(experiments, "run_experiment", flaky)
     result = run_matrix(small_config())
@@ -274,6 +274,28 @@ def test_cell_failures_are_recorded(monkeypatch, error):
                result.report["aggregation_row"]["mean_eer_percent"].values())
 
 
+@pytest.mark.parametrize("workers", [None, 2])
+def test_a_plan_error_fails_every_cell_without_running_any(monkeypatch,
+                                                           workers):
+    """Sampling plans are built once per matrix; when that fails, every
+    cell records the one error and no cell is run."""
+    def no_plans(table, aggregations, protocol):
+        raise DataError("injected plan failure")
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a cell ran without plans")
+
+    monkeypatch.setattr(experiments, "sampling_plans", no_plans)
+    monkeypatch.setattr(experiments, "run_experiment", must_not_run)
+    result = run_matrix(small_config(), workers=workers)
+    assert result.n_failed_cells == 4
+    assert {f["error"] for f in result.report["failures"]} == \
+        {"DataError: injected plan failure"}
+    assert all(cell == {"error": "DataError: injected plan failure"}
+               for row in result.report["cells"].values()
+               for cell in row.values())
+
+
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the patched function reaches workers by fork")
@@ -282,10 +304,10 @@ def test_dead_worker_fails_the_cells_the_pool_lost(monkeypatch):
     cell the pool lost is a failed cell, the others keep their results."""
     real = experiments.run_experiment
 
-    def dies_on_knn(table, spec, aggregations, protocol):
+    def dies_on_knn(table, spec, aggregations, protocol, plans=None):
         if spec.kind == "knn":
             os._exit(1)
-        return real(table, spec, aggregations, protocol)
+        return real(table, spec, aggregations, protocol, plans)
 
     monkeypatch.setattr(experiments, "run_experiment", dies_on_knn)
     result = run_matrix(small_config(), workers=2)

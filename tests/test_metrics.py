@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_eer, oracle_roc
 from swipebench.errors import NonFiniteScores
-from swipebench.metrics import compute_eer, compute_roc, eer_from_scores
+from swipebench.metrics import (EerResult, RocCurve, compute_eer, compute_roc,
+                                eer_from_scores)
 
 N_FUZZED = 100
 
@@ -139,3 +140,65 @@ def test_eer_always_in_unit_interval(g, i):
 def test_compute_eer_consumes_roc():
     g, i = [0.2, 0.9, 0.6], [0.1, 0.5, 0.55]
     assert compute_eer(compute_roc(g, i)).eer == eer_from_scores(g, i).eer
+
+
+# ---------------------------------------------------------------------------
+# the vectorised curve and search against their plain forms
+
+def unique_roc(genuine, impostor) -> RocCurve:
+    """The curve with np.unique thresholds and per-side extremes."""
+    gen = np.asarray(genuine, dtype=float)
+    imp = np.asarray(impostor, dtype=float)
+    lo = min(gen.min(), imp.min()) - 1.0
+    hi = max(gen.max(), imp.max()) + 1.0
+    thresholds = np.concatenate(
+        ([lo], np.unique(np.concatenate([gen, imp])), [hi]))
+    far = (imp.size - np.searchsorted(np.sort(imp), thresholds)) / imp.size
+    frr = np.searchsorted(np.sort(gen), thresholds) / gen.size
+    return RocCurve(thresholds=thresholds, far=far, frr=frr)
+
+
+def loop_eer(roc: RocCurve) -> EerResult:
+    """The first exact zero or sign change of FAR - FRR, index by index."""
+    d = roc.far - roc.frr
+    for i in range(len(d)):
+        if d[i] == 0.0:
+            return EerResult(eer=float(roc.far[i]),
+                             threshold=float(roc.thresholds[i]))
+        if i + 1 < len(d) and d[i] > 0.0 and d[i + 1] < 0.0:
+            lam = d[i] / (d[i] - d[i + 1])
+            eer = roc.far[i] + lam * (roc.far[i + 1] - roc.far[i])
+            thr = (roc.thresholds[i]
+                   + lam * (roc.thresholds[i + 1] - roc.thresholds[i]))
+            return EerResult(eer=float(eer), threshold=float(thr))
+    raise AssertionError("no crossing")
+
+
+EXACT_ZERO = ([1.0, 2.0], [0.0, 3.0])             # FAR = FRR at t = 2
+CROSSING = ([1.0, 2.0, 3.0], [0.0, 1.5])          # crosses in (1.5, 2)
+scores = st.one_of(
+    st.lists(st.integers(0, 6).map(lambda k: k / 6.0), min_size=1,
+             max_size=30),
+    st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=1,
+             max_size=30),
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30))
+
+
+def test_examples_hit_both_branches():
+    assert (compute_roc(*EXACT_ZERO).far
+            == compute_roc(*EXACT_ZERO).frr).any()
+    roc = compute_roc(*CROSSING)
+    assert not (roc.far == roc.frr).any()
+
+
+@settings(max_examples=300)
+@example(*EXACT_ZERO)
+@example(*CROSSING)
+@given(scores, scores)
+def test_curve_and_eer_equal_plain_forms_bit_for_bit(g, i):
+    roc, ref = compute_roc(g, i), unique_roc(g, i)
+    for got, want in ((roc.thresholds, ref.thresholds), (roc.far, ref.far),
+                      (roc.frr, ref.frr)):
+        assert got.tobytes() == want.tobytes()
+    got, want = compute_eer(roc), loop_eer(ref)
+    assert repr((got.eer, got.threshold)) == repr((want.eer, want.threshold))

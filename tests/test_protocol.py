@@ -1,5 +1,7 @@
 """Per-user evaluation protocol: splits, sampling, and the full loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,8 @@ from swipebench.protocol import (ProtocolConfig, UserRepOutcome,
                                  aggregation_key, evaluate_user_repetition,
                                  partition_attackers, run_experiment,
                                  run_user_evaluation, sample_negatives,
-                                 split_user_sessions, summarize_cell)
+                                 sampling_plan, split_user_sessions,
+                                 summarize_cell)
 
 KNN = ClassifierSpec(kind="knn")
 
@@ -149,6 +152,30 @@ def test_sampler_is_deterministic():
     assert a == b
 
 
+def scalar_sample_negatives(pools, count, rng) -> list:
+    """The round-robin sampler with one scalar draw per visit."""
+    order = rng.permutation(len(pools))
+    out = []
+    visit = 0
+    while len(out) < count:
+        _, items = pools[order[visit % len(pools)]]
+        out.append(items[int(rng.integers(0, len(items)))])
+        visit += 1
+    return out
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=9),
+       st.integers(0, 80), st.integers(0, 2 ** 64 - 1))
+def test_sampler_equals_one_scalar_draw_per_visit(sizes, count, seed):
+    pools = [(f"u{j}", list(range(100 * j, 100 * j + n)))
+             for j, n in enumerate(sizes)]
+    batched, scalar = (np.random.default_rng(seed) for _ in range(2))
+    assert sample_negatives(pools, count, batched) == \
+        scalar_sample_negatives(pools, count, scalar)
+    assert batched.random() == scalar.random()
+
+
 # ---------------------------------------------------------------------------
 # single user, single repetition
 
@@ -223,6 +250,40 @@ def test_duplicate_variants_rejected(small_table):
         evaluate_user_repetition(small_table, "u00", KNN,
                                  specs(("mean", 3), ("mean", 3)),
                                  ProtocolConfig(), 0)
+
+
+def array_entries(obj) -> int:
+    """Array entries held anywhere in a sampling plan."""
+    if isinstance(obj, np.ndarray):
+        return obj.size
+    if dataclasses.is_dataclass(obj):
+        obj = vars(obj).values()
+    elif isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return 0
+    return sum(array_entries(v) for v in obj)
+
+
+def test_a_plan_grows_with_the_target_not_the_attackers():
+    """Matrices share their plans across cells and workers, so a plan
+    holds the target's rows and balanced windows only: giving every
+    attacker three times the sessions leaves its size unchanged."""
+    rng = np.random.default_rng(5)
+    target = sessions_of(rng, "a", [8, 8, 8])
+    aggs = specs(("none", 1), ("mean", 3), ("feed", 2), ("stacking", 3))
+    sizes = []
+    for n_sessions in (2, 6):
+        per_user = {"a": target}
+        per_user.update({u: sessions_of(rng, u, [8] * n_sessions)
+                         for u in "bcde"})
+        table = table_of(per_user)
+        plan = sampling_plan(table, "a", aggs, ProtocolConfig(), 0)
+        np.testing.assert_array_equal(
+            np.concatenate([plan.train_rows, plan.test_rows]),
+            table.rows_of_user("a"))
+        sizes.append(array_entries(plan))
+    assert sizes[0] == sizes[1]
 
 
 def table_of(per_user):
