@@ -8,6 +8,10 @@ are imputed as 0 with mask false; every mask-true value is finite. Units:
 coordinates px, durations ms, velocities px/s, accelerations px/s^2,
 angles rad.
 
+The 100 ids that are a plain statistic of one derived series (a mean, a
+percentile, a skewness, ...) are declared in ``STATISTICS`` and computed by
+one loop; the other 49 are written out in ``_extract_block``.
+
 A feature table stacks the swipes that share a sample count into one
 (k, n) block per series and computes each feature as a row-wise operation
 on it; ``extract_features`` is the same code on a block of one swipe. Each
@@ -57,16 +61,84 @@ def skew_kurtosis(a: np.ndarray) -> tuple[np.ndarray, bool, np.ndarray, bool]:
     return np.where(flat, 0.0, skew), n >= 3, np.where(flat, 0.0, kurt), n >= 4
 
 
-def _per_series(fn, *series: np.ndarray) -> np.ndarray:
-    """fn(block, axis=1) over equal-length (k, m) series stacked into one
-    block, as one row of k results per series: one NumPy call instead of
-    one per series, each row reduced exactly as on its own."""
-    return fn(np.concatenate(series), axis=1).reshape(len(series), -1)
+# The plain statistics of the derived series: series -> statistic ->
+# feature id, or a tuple of ids for a slot the catalog lists twice. pNN is
+# the NN-th percentile and iqr is p75 - p25; median is np.median, which can
+# differ from p50 in the last bit. skew and kurt come as a pair. Series of n
+# samples: pr, ar, dev, dxm, dym (distances to the mean x and y); of n - 1
+# segments: vel, seg, ph (phase angle), prd, ard (pressure and area deltas),
+# dt; of n - 2 turns: acc, pa (pairwise angle), abs_pa, av (angular
+# velocity).
+STATISTICS: dict[str, dict[str, int | tuple[int, ...]]] = {
+    "vel": {"first": 57, "last": 60, "mean": 14, "std": 42, "min": 119,
+            "max": 120, "p20": 19, "p25": 46, "p50": 20, "p75": 50, "p80": 21,
+            "iqr": 100, "skew": 101, "kurt": 102},
+    "acc": {"mean": 39, "std": 43, "p20": 22, "p25": 47, "p50": 23, "p75": 51,
+            "p80": 24, "iqr": 109, "skew": 110, "kurt": 111},
+    "dev": {"mean": 82, "std": 83, "max": 28, "p20": 25, "p50": 26, "p80": 27,
+            "iqr": 84, "skew": 85, "kurt": 86},
+    "pr": {"first": 29, "last": 59, "mean": 35, "std": 40, "min": 115,
+           "max": 116, "p25": 44, "p75": 48, "iqr": 112, "skew": 113,
+           "kurt": 114},
+    "ar": {"first": 30, "last": 58, "mean": 36, "std": 41, "min": 117,
+           "max": 118, "p25": 45, "p75": 49},
+    "seg": {"mean": 62, "std": 63, "median": 78, "iqr": 79, "skew": 80,
+            "kurt": 81},
+    "pa": {"mean": 87, "median": 88, "std": 89, "iqr": 90, "skew": 91,
+           "kurt": 92},
+    "abs_pa": {"mean": 33},
+    "ph": {"first": 31, "last": (56, 61), "mean": (32, 93), "median": 94,
+           "std": 95, "iqr": 96, "skew": 97, "kurt": 98},
+    "av": {"mean": 103, "median": 104, "std": 105, "iqr": 106, "skew": 107,
+           "kurt": 108},
+    "prd": {"min": 121, "max": 122, "mean": 123, "median": 124},
+    "ard": {"min": 125, "max": 126, "mean": 127, "median": 128},
+    "dt": {"min": 136, "max": 137, "mean": 138},
+    "dxm": {"max": 139, "p20": 141, "median": 143, "p80": 145},
+    "dym": {"max": 140, "p20": 142, "median": 144, "p80": 146},
+}
+
+_REDUCERS = {"mean": np.mean, "std": np.std, "min": np.min, "max": np.max,
+             "median": np.median}
 
 
-def _iqr(a: np.ndarray) -> np.ndarray:
-    q25, q75 = np.percentile(a, [25, 75], axis=1)
-    return q75 - q25
+def _quantiles(stat: str) -> tuple[int, ...]:
+    if stat == "iqr":
+        return 25, 75
+    return (int(stat[1:]),) if stat[0] == "p" else ()
+
+
+def _statistics(series: dict[str, np.ndarray], put) -> None:
+    """put every statistic of STATISTICS for the (k, m) series blocks.
+
+    A reducer, and skew_kurtosis, run once per series length on the
+    equal-length series stacked into one block, each row reduced exactly
+    as on its own; np.percentile runs once per series, over the union of
+    its quantiles."""
+    stacks: dict[tuple[str, int], list[str]] = {}
+    for name, stats in STATISTICS.items():
+        a = series[name]
+        qs = sorted({q for stat in stats for q in _quantiles(stat)})
+        at = dict(zip(qs, np.percentile(a, qs, axis=1))) if qs else {}
+        for stat, fids in stats.items():
+            if stat in ("first", "last"):
+                put(fids, a[:, 0 if stat == "first" else -1])
+            elif stat == "iqr":
+                put(fids, at[75] - at[25])
+            elif stat[0] == "p":
+                put(fids, at[int(stat[1:])])
+            elif stat != "kurt":
+                stacks.setdefault((stat, a.shape[1]), []).append(name)
+    for (stat, _), names in stacks.items():
+        block = np.concatenate([series[name] for name in names])
+        if stat == "skew":
+            skew, skew_ok, kurt, kurt_ok = skew_kurtosis(block)
+            rows = (("skew", skew, skew_ok), ("kurt", kurt, kurt_ok))
+        else:
+            rows = ((stat, _REDUCERS[stat](block, axis=1), True),)
+        for key, value, defined in rows:
+            for name, row in zip(names, value.reshape(len(names), -1)):
+                put(STATISTICS[name][key], row, defined)
 
 
 @dataclass
@@ -108,50 +180,35 @@ def _extract_block(swipes: list[Swipe], prev_ends: list[int | None]
     t, xs, ys, pr, ar = (a.reshape(k, n) for a in gather(
         swipes, ("t_ms", "x", "y", "pressure", "area")))
     kin = compute_kinematics(t, xs, ys, pr, ar)
-    vel, acc = kin.velocity, kin.acceleration
-    dev, seg = kin.deviation, kin.seg_len
-    pa, ph, av = kin.pairwise_angle, kin.phase_angle, kin.angular_velocity
-    prd, ard, dt = kin.pressure_delta, kin.area_delta, kin.dt_ms
-    dxm = np.abs(xs - xs.mean(axis=1, keepdims=True))
-    dym = np.abs(ys - ys.mean(axis=1, keepdims=True))
+    vel, dev, seg, ph = (kin.velocity, kin.deviation, kin.seg_len,
+                         kin.phase_angle)
     rows = np.arange(k)
 
-    # Row statistics, one call per statistic and series length: n
-    # samples, n - 1 segments, n - 2 turns.
-    pr_mean, ar_mean, dev_mean = _per_series(np.mean, pr, ar, dev)
-    pr_std, ar_std, dev_std = _per_series(np.std, pr, ar, dev)
-    pr_min, ar_min = _per_series(np.min, pr, ar)
-    pr_max, ar_max, dev_max, dxm_max, dym_max = _per_series(
-        np.max, pr, ar, dev, dxm, dym)
-    dxm_med, dym_med = _per_series(np.median, dxm, dym)
-    (vel_mean, seg_mean, ph_mean, prd_mean, ard_mean, dt_mean, cos_mean,
-     sin_mean) = _per_series(np.mean, vel, seg, ph, prd, ard, dt, np.cos(ph),
-                             np.sin(ph))
-    vel_std, seg_std, ph_std = _per_series(np.std, vel, seg, ph)
-    vel_min, prd_min, ard_min, dt_min = _per_series(np.min, vel, prd, ard, dt)
-    vel_max, prd_max, ard_max, dt_max = _per_series(np.max, vel, prd, ard, dt)
-    seg_med, ph_med, prd_med, ard_med = _per_series(np.median, seg, ph, prd,
-                                                    ard)
-    acc_mean, pa_mean, av_mean, abs_pa_mean = _per_series(
-        np.mean, acc, pa, av, np.abs(pa))
-    acc_std, pa_std, av_std = _per_series(np.std, acc, pa, av)
-    pa_med, av_med = _per_series(np.median, pa, av)
+    vals = np.empty((FEATURE_COUNT, k))
+    mask = np.ones((FEATURE_COUNT, k), dtype=bool)
 
-    # One percentile call per series. Ids 20, 23 and 26 are 50th
-    # percentiles, which can differ from np.median in the last bit.
-    vel_q = np.percentile(vel, [20, 25, 50, 75, 80], axis=1)
-    acc_q = np.percentile(acc, [20, 25, 50, 75, 80], axis=1)
-    dev_q = np.percentile(dev, [20, 25, 50, 75, 80], axis=1)
-    pr_q = np.percentile(pr, [25, 75], axis=1)
-    ar_q = np.percentile(ar, [25, 75], axis=1)
-    dxm_q = np.percentile(dxm, [20, 80], axis=1)
-    dym_q = np.percentile(dym, [20, 80], axis=1)
+    def put(fids, value, defined=True) -> None:
+        """Write one feature, or the same value to a tuple of ids."""
+        for fid in (fids,) if isinstance(fids, int) else fids:
+            vals[fid - 1] = value
+            mask[fid - 1] = defined
+
+    _statistics({
+        "vel": vel, "acc": kin.acceleration, "dev": dev, "pr": pr, "ar": ar,
+        "seg": seg, "pa": kin.pairwise_angle,
+        "abs_pa": np.abs(kin.pairwise_angle), "ph": ph,
+        "av": kin.angular_velocity, "prd": kin.pressure_delta,
+        "ard": kin.area_delta, "dt": kin.dt_ms,
+        "dxm": np.abs(xs - xs.mean(axis=1, keepdims=True)),
+        "dym": np.abs(ys - ys.mean(axis=1, keepdims=True))}, put)
 
     # Lengths and directions of the start->stop chord, of the two legs
     # through the largest-deviation point (ldp, first on ties) and of the
     # mean phase vector, one math call per swipe and quantity.
     ldp = np.argmax(dev, axis=1)
     x_ldp, y_ldp = xs[rows, ldp], ys[rows, ldp]
+    cos_mean = np.mean(np.cos(ph), axis=1)
+    sin_mean = np.mean(np.sin(ph), axis=1)
     dx = np.array([xs[:, -1] - xs[:, 0], x_ldp - xs[:, 0], xs[:, -1] - x_ldp,
                    cos_mean])
     dy = np.array([ys[:, -1] - ys[:, 0], y_ldp - ys[:, 0], ys[:, -1] - y_ldp,
@@ -166,19 +223,12 @@ def _extract_block(swipes: list[Swipe], prev_ends: list[int | None]
     duration_ms = t[:, -1] - t[:, 0]
     i_mid = (n - 1) // 2
 
-    vals = np.empty((FEATURE_COUNT, k))
-    mask = np.ones((FEATURE_COUNT, k), dtype=bool)
-
-    def put(fid: int, value, defined=True) -> None:
-        vals[fid - 1] = value
-        mask[fid - 1] = defined
-
     put(1, xs[:, 0])
     put(2, ys[:, 0])
     put(3, xs[:, -1])
     put(4, ys[:, -1])
     put(5, duration_ms)
-    put(6, chord_len)
+    put((6, 76), chord_len)
     put(7, pr[:, i_mid])
     put(8, ar[:, i_mid])
     put(9, traj_len)
@@ -186,27 +236,12 @@ def _extract_block(swipes: list[Swipe], prev_ends: list[int | None]
     put(10, t[:, 0] - np.array([np.nan if p is None else p for p in prev_ends],
                                dtype=float))
     put(11, np.hypot(cos_mean, sin_mean))
-
-    put(12, np.median(acc[:, :min(5, n) - 2], axis=1))
+    put(12, np.median(kin.acceleration[:, :min(5, n) - 2], axis=1))
     put(13, np.median(vel[:, -2:], axis=1))
-    put(14, vel_mean)
-
     put(15, _SECTORS[np.digitize(direct_angle, _SECTOR_EDGES)])
     put(16, direct_angle)
     put(17, mean_phase)
-    put(18, chord_len / traj_len, defined=has_traj)
-
-    for base, q in ((19, vel_q), (22, acc_q), (25, dev_q)):
-        put(base, q[0])
-        put(base + 1, q[2])
-        put(base + 2, q[4])
-    put(28, dev_max)
-
-    put(29, pr[:, 0])
-    put(30, ar[:, 0])
-    put(31, ph[:, 0])
-    put(32, ph_mean)
-    put(33, abs_pa_mean)
+    put((18, 77), chord_len / traj_len, defined=has_traj)
 
     # Distance of each interior point to the chord of its two neighbours.
     ex, ey = xs[:, 2:] - xs[:, :-2], ys[:, 2:] - ys[:, :-2]
@@ -217,20 +252,9 @@ def _extract_block(swipes: list[Swipe], prev_ends: list[int | None]
     cd[flat] = _pointwise(math.hypot, px[flat], py[flat])
     put(34, cd.mean(axis=1))
 
-    put(35, pr_mean)
-    put(36, ar_mean)
     # argmax/argmin would return a NaN's index, a junk-but-finite position
     put(37, np.argmax(ar, axis=1) / (n - 1), defined=~np.isnan(ar).any(axis=1))
     put(38, np.argmin(pr, axis=1) / (n - 1), defined=~np.isnan(pr).any(axis=1))
-    put(39, acc_mean)
-    put(40, pr_std)
-    put(41, ar_std)
-    put(42, vel_std)
-    put(43, acc_std)
-    for fid, (q25, q75) in ((44, pr_q), (45, ar_q), (46, vel_q[[1, 3]]),
-                            (47, acc_q[[1, 3]])):
-        put(fid, q25)
-        put(fid + 4, q75)
 
     e1 = np.argmax(np.hypot(xs - xs[:, :1], ys - ys[:, :1]), axis=1)
     e2 = np.argmax(np.hypot(xs - xs[:, -1:], ys - ys[:, -1:]), axis=1)
@@ -238,14 +262,6 @@ def _extract_block(swipes: list[Swipe], prev_ends: list[int | None]
     put(53, ys[rows, e1])
     put(54, xs[rows, e2])
     put(55, ys[rows, e2])
-    put(56, ph[:, -1])
-    put(57, vel[:, 0])
-    put(58, ar[:, -1])
-    put(59, pr[:, -1])
-    put(60, vel[:, -1])
-    put(61, ph[:, -1])
-    put(62, seg_mean)
-    put(63, seg_std)
 
     put(64, x_ldp)
     put(65, y_ldp)
@@ -260,60 +276,7 @@ def _extract_block(swipes: list[Swipe], prev_ends: list[int | None]
     put(73, ldp_stop)
     put(74, stop_angle)
     put(75, start_ldp / chord_len, defined=has_chord)
-
-    put(76, chord_len)
-    put(77, chord_len / traj_len, defined=has_traj)
-    put(78, seg_med)
-    put(79, _iqr(seg))
-    put(82, dev_mean)
-    put(83, dev_std)
-    put(84, dev_q[3] - dev_q[1])
-
-    put(87, pa_mean)
-    put(88, pa_med)
-    put(89, pa_std)
-    put(90, _iqr(pa))
-    put(93, ph_mean)
-    put(94, ph_med)
-    put(95, ph_std)
-    put(96, _iqr(ph))
-
     put(99, chord_len / (duration_ms / 1000.0))
-    put(100, vel_q[3] - vel_q[1])
-
-    put(103, av_mean)
-    put(104, av_med)
-    put(105, av_std)
-    put(106, _iqr(av))
-
-    put(109, acc_q[3] - acc_q[1])
-    put(112, pr_q[1] - pr_q[0])
-
-    # Skewness at each id and excess kurtosis at the id + 1, from one call
-    # per series length.
-    for fids, series in (((80, 97, 101), (seg, ph, vel)),
-                         ((91, 107, 110), (pa, av, acc)),
-                         ((85, 113), (dev, pr))):
-        skew, skew_ok, kurt, kurt_ok = skew_kurtosis(np.concatenate(series))
-        for fid, sk, ku in zip(fids, skew.reshape(-1, k), kurt.reshape(-1, k)):
-            put(fid, sk, skew_ok)
-            put(fid + 1, ku, kurt_ok)
-
-    put(115, pr_min)
-    put(116, pr_max)
-    put(117, ar_min)
-    put(118, ar_max)
-    put(119, vel_min)
-    put(120, vel_max)
-
-    put(121, prd_min)
-    put(122, prd_max)
-    put(123, prd_mean)
-    put(124, prd_med)
-    put(125, ard_min)
-    put(126, ard_max)
-    put(127, ard_mean)
-    put(128, ard_med)
 
     vmax = np.argmax(vel, axis=1)
     vmin = np.argmin(vel, axis=1)
@@ -337,19 +300,6 @@ def _extract_block(swipes: list[Swipe], prev_ends: list[int | None]
         coef[i], *_ = np.linalg.lstsq(vander[i], pr[i], rcond=None)
     for j, fid in enumerate((133, 134, 135)):
         put(fid, coef[:, j], defined=fits)
-
-    put(136, dt_min)
-    put(137, dt_max)
-    put(138, dt_mean)
-
-    put(139, dxm_max)
-    put(140, dym_max)
-    put(141, dxm_q[0])
-    put(142, dym_q[0])
-    put(143, dxm_med)
-    put(144, dym_med)
-    put(145, dxm_q[1])
-    put(146, dym_q[1])
 
     put(147, chord_dx / chord_len, defined=has_chord)
     put(148, chord_dy / chord_len, defined=has_chord)

@@ -362,6 +362,17 @@ class AdapterConfig:
     t_unit: str = "ms"
     device_constant: str | None = None
 
+    def __post_init__(self) -> None:
+        if len(self.delimiter) != 1:
+            raise ConfigError(
+                f"delimiter must be one character, got {self.delimiter!r}")
+        if not self.has_header:
+            bad = [f"col.{fld} = {col}" for fld, col in self.columns.items()
+                   if not str(col).isdecimal()]
+            if bad:
+                raise ConfigError("headerless adapter needs column indexes "
+                                  f">= 0, got {', '.join(bad)}")
+
     @classmethod
     def load(cls, path: str | Path) -> "AdapterConfig":
         opts: dict[str, str] = {}
@@ -387,15 +398,22 @@ class AdapterConfig:
         t_unit = opts.get("t_unit", "ms")
         if t_unit not in _TIME_SCALE:
             raise ConfigError(f"{path}: unknown t_unit {t_unit!r}")
-        return cls(
-            dataset=opts["dataset"],
-            columns=columns,
-            phase_map=phase_map,
-            delimiter=opts.get("delimiter", ","),
-            has_header=opts.get("has_header", "true").lower() != "false",
-            t_unit=t_unit,
-            device_constant=opts.get("device_constant"),
-        )
+        has_header = opts.get("has_header", "true")
+        if has_header.lower() not in ("true", "false"):
+            raise ConfigError(
+                f"{path}: has_header must be true or false, got {has_header!r}")
+        try:
+            return cls(
+                dataset=opts["dataset"],
+                columns=columns,
+                phase_map=phase_map,
+                delimiter=opts.get("delimiter", ","),
+                has_header=has_header.lower() == "true",
+                t_unit=t_unit,
+                device_constant=opts.get("device_constant"),
+            )
+        except ConfigError as err:
+            raise ConfigError(f"{path}: {err}") from None
 
 
 def convert_raw(raw_path: str | Path, adapter: AdapterConfig,
@@ -424,10 +442,7 @@ def convert_raw(raw_path: str | Path, adapter: AdapterConfig,
                 index[fld] = header.index(col)
             start = 2
         else:
-            try:
-                index = {fld: int(col) for fld, col in adapter.columns.items()}
-            except ValueError as err:
-                raise ConfigError(f"headerless adapter needs integer columns: {err}")
+            index = {fld: int(col) for fld, col in adapter.columns.items()}
             start = 1
         for lineno, row in enumerate(reader, start=start):
             if not row or not (row[0].strip() or any(c.strip() for c in row)):

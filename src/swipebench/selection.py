@@ -46,15 +46,9 @@ def anova_f_scores(X: np.ndarray, y) -> np.ndarray:
         ssb += len(block) * (mean_g - grand) ** 2
         ssw += ((block - mean_g) ** 2).sum(axis=0)
 
-    f = np.empty(X.shape[1])
-    dof_b = k - 1
-    dof_w = n - k
-    for j in range(X.shape[1]):
-        if ssw[j] == 0.0:
-            f[j] = np.inf if ssb[j] > 0.0 else 0.0
-        else:
-            f[j] = (ssb[j] / dof_b) / (ssw[j] / dof_w)
-    return f
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ssw == 0.0, np.where(ssb > 0.0, np.inf, 0.0),
+                        (ssb / (k - 1)) / (ssw / (n - k)))
 
 
 @dataclass

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from swipebench.aggregation import (METHODS, AggregationSpec, TrustParams,
                                     concat_window, reduce_scores, trust_trace,
                                     window_slices)
-from swipebench.errors import ConfigError
+from swipebench.errors import ConfigError, EmptyWindow
 
 
 def test_methods_tuple_is_stable():
@@ -115,6 +115,20 @@ def test_reduce_trust_returns_final_trust():
     spec = AggregationSpec("trust", 2, trust=params)
     scores = np.array([0.8, 0.1])
     assert reduce_scores(scores, spec) == trust_trace(scores, params)[-1]
+
+
+@pytest.mark.parametrize("spec", [
+    AggregationSpec("none", 1), AggregationSpec("mean", 3),
+    AggregationSpec("median", 3), AggregationSpec("vote", 3),
+    AggregationSpec("trust", 3)], ids=lambda spec: spec.method)
+def test_reduce_empty_window_raises_empty_window(spec):
+    with pytest.raises(EmptyWindow):
+        reduce_scores([], spec)
+
+
+def test_trust_trace_of_no_scores_raises_empty_window():
+    with pytest.raises(EmptyWindow):
+        trust_trace([])
 
 
 @settings(max_examples=200)

@@ -10,6 +10,7 @@ import pytest
 from helpers import build_swipe, dataset_from_sessions, random_swipe
 from oracles import o_compute_kinematics, o_extract_features, oracle_features
 from swipebench.errors import EmptyMatrix
+from swipebench.features.catalog import ALL_IDS
 from swipebench.features import extract
 from swipebench.features.extract import (build_feature_table,
                                          export_table_csv, export_table_json,
@@ -308,6 +309,24 @@ def test_one_percentile_call_per_series(monkeypatch):
     # vel, acc, dev, pr, ar, seg, pa, ph, av and the two centre distances
     assert len(calls) == 11
     assert len({id(a) for a in calls}) == 11
+
+
+def test_statistics_table_declares_catalog_ids_once():
+    declared = []
+    for name, stats in extract.STATISTICS.items():
+        for stat, fids in stats.items():
+            assert stat in ("first", "last", "mean", "std", "min", "max",
+                            "median", "iqr", "skew", "kurt") or (
+                stat[0] == "p" and 0 <= int(stat[1:]) <= 100), (name, stat)
+            declared += [fids] if isinstance(fids, int) else list(fids)
+        # one skew_kurtosis call gives both
+        assert ("skew" in stats) == ("kurt" in stats), name
+    assert set(declared) <= set(ALL_IDS)
+    assert len(declared) == len(set(declared)) == 100
+    # the catalog's two duplicate slots are the only ids sharing a value
+    shared = {(name, stat): fids for name, stats in extract.STATISTICS.items()
+              for stat, fids in stats.items() if not isinstance(fids, int)}
+    assert shared == {("ph", "mean"): (32, 93), ("ph", "last"): (56, 61)}
 
 
 def stationary_swipe():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from swipebench.cli import EXIT_DATA, EXIT_OK, main
+from swipebench.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from swipebench.errors import (ConfigError, EmptyDataset,
                                MalformedRateExceeded, UnparseableHeader)
 from swipebench.ingest import (AdapterConfig, convert_raw, load_canonical,
@@ -200,6 +200,50 @@ def test_adapter_validation(tmp_path):
     conf.write_text("col.user_id = 0\n")
     with pytest.raises(ConfigError):
         AdapterConfig.load(conf)
+
+
+BAD_ADAPTERS = [
+    pytest.param(ADAPTER + "delimiter = ;;\n",
+                 "delimiter must be one character, got ';;'",
+                 id="two-character-delimiter"),
+    pytest.param(ADAPTER + "delimiter =\n",
+                 "delimiter must be one character, got ''",
+                 id="empty-delimiter"),
+    pytest.param(ADAPTER.replace("col.user_id = 1\n", "col.user_id = -1\n"),
+                 "headerless adapter needs column indexes >= 0, "
+                 "got col.user_id = -1", id="negative-column"),
+    pytest.param(ADAPTER.replace("has_header = false", "has_header = no"),
+                 "has_header must be true or false, got 'no'",
+                 id="has-header-no"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_ADAPTERS)
+def test_adapter_rejects_misread_settings(tmp_path, text, message):
+    conf = tmp_path / "vendor.conf"
+    conf.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        AdapterConfig.load(conf)
+    assert str(err.value) == f"{conf}: {message}"
+
+
+def test_adapter_checks_direct_construction():
+    with pytest.raises(ConfigError, match="col.x = -2"):
+        AdapterConfig("d", {"x": "-2"}, {}, has_header=False)
+    with pytest.raises(ConfigError, match="delimiter"):
+        AdapterConfig("d", {"x": "2"}, {}, delimiter="\t\t")
+    assert AdapterConfig("d", {"x": "-2"}, {}).columns == {"x": "-2"}
+
+
+@pytest.mark.parametrize("text, message", BAD_ADAPTERS)
+def test_ingest_cli_bad_adapter_exits_2(tmp_path, capsys, text, message):
+    conf = tmp_path / "vendor.conf"
+    conf.write_text(text)
+    raw = tmp_path / "raw.csv"
+    raw.write_text("\n".join(raw_rows()) + "\n")
+    rc, _, err = ingest_cli(tmp_path, capsys, raw, "--adapter", str(conf))
+    assert rc == EXIT_CONFIG
+    assert err == f"config error: {conf}: {message}\n"
 
 
 def test_adapter_time_scaling(tmp_path):

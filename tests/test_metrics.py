@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_eer, oracle_roc
-from swipebench.errors import NonFiniteScores
+from swipebench.errors import EmptyScores, NonFiniteScores
 from swipebench.metrics import (EerResult, RocCurve, compute_eer, compute_roc,
                                 eer_from_scores)
 
@@ -102,9 +102,9 @@ def test_roc_rejects_non_finite_scores(bad):
 
 
 def test_roc_rejects_empty_sides():
-    with pytest.raises(Exception):
+    with pytest.raises(EmptyScores):
         compute_roc([], [0.5])
-    with pytest.raises(Exception):
+    with pytest.raises(EmptyScores):
         compute_roc([0.5], [])
 
 
