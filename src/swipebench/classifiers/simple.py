@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .base import (ClassifierSpec, TrainedModel, register_model,
                    squared_distances, training_inputs)
@@ -80,6 +79,10 @@ class LogisticRegressionModel(TrainedModel):
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None
               ) -> "LogisticRegressionModel":
+        # imported here: SciPy's optimizer stack costs every process that
+        # imports swipebench about 50 MB and half a second otherwise
+        from scipy.optimize import minimize
+
         std, Z, y = training_inputs(spec, X, y, defined)
         zpm = np.where(y == 1, 1.0, -1.0)
         C = float(spec.params["C"])

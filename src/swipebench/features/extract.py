@@ -327,9 +327,6 @@ class FeatureTable:
     def n_rows(self) -> int:
         return self.X.shape[0]
 
-    def rows_of_user(self, user_id: str) -> np.ndarray:
-        return np.concatenate([idx for _, idx in self.user_sessions[user_id]])
-
     def select(self, ids) -> "FeatureTable":
         """A table restricted to the given feature ids (columns copied)."""
         ids = resolve_feature_ids(ids)

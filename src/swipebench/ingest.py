@@ -402,12 +402,14 @@ class AdapterConfig:
         if has_header.lower() not in ("true", "false"):
             raise ConfigError(
                 f"{path}: has_header must be true or false, got {has_header!r}")
+        # values are stripped, so a tab is written as \t
+        delimiter = opts.get("delimiter", ",")
         try:
             return cls(
                 dataset=opts["dataset"],
                 columns=columns,
                 phase_map=phase_map,
-                delimiter=opts.get("delimiter", ","),
+                delimiter="\t" if delimiter == "\\t" else delimiter,
                 has_header=has_header.lower() == "true",
                 t_unit=t_unit,
                 device_constant=opts.get("device_constant"),

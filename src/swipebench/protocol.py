@@ -10,7 +10,10 @@ with fresh attacker partitions; reported numbers are means over users
 of per-user means over repetitions. Every score window is a row of
 table rows from one stream of session-ordered swipes: an attacker's, or
 the target's training or test split, so genuine and impostor windows
-are scored by the same code.
+are scored by the same code. One evaluation calls the base model's
+scorer once, over the union of the rows that the windows of its
+non-``feed`` variants read, and those variants read their window scores
+from that one vector.
 
 Every draw of a (user, repetition) is made before training, into a
 ``SamplingPlan``: the attacker split, the balanced negatives and every
@@ -132,23 +135,15 @@ class UserRepOutcome:
 
 
 @dataclass(frozen=True)
-class Windows:
-    """Score windows: row i of ``rows`` holds the table rows of window i,
-    and ``streams`` names every stream those rows come from."""
-
-    rows: np.ndarray
-    streams: tuple
-
-
-@dataclass(frozen=True)
 class VariantPlan:
     """One aggregation variant's test windows and, for the learned
-    aggregators, their training windows and labels."""
+    aggregators, their training windows and labels. Windows are (n, w)
+    arrays: row i holds the table rows of window i."""
 
-    genuine: Windows
-    impostor: Windows
+    genuine: np.ndarray
+    impostor: np.ndarray
     counts: dict
-    fit: Windows | None = None
+    fit: np.ndarray | None = None
     fit_labels: np.ndarray | None = None
 
 
@@ -234,7 +229,7 @@ def sampling_plan(table: FeatureTable, user_id: str,
         return rows[np.array(pos, dtype=int).reshape(-1, w)]
 
     def draw(group, w: int, stride: int, count: int, entropy: int,
-             spawn_key: tuple) -> Windows | None:
+             spawn_key: tuple) -> np.ndarray | None:
         """count windows sampled round-robin over the attackers of group
         with a full window; None when none has one."""
         pools = [(v, wins) for v in group
@@ -243,9 +238,7 @@ def sampling_plan(table: FeatureTable, user_id: str,
             return None
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=entropy, spawn_key=spawn_key))
-        rows = np.array(sample_negatives(pools, count, rng)).reshape(-1, w)
-        streams_used = dict.fromkeys(table.user_ids[r] for r in rows[:, 0])
-        return Windows(rows, tuple(streams_used))
+        return np.array(sample_negatives(pools, count, rng)).reshape(-1, w)
 
     base_counts = {
         "n_train_pos": len(train_rows), "n_train_neg": len(neg_rows),
@@ -264,12 +257,11 @@ def sampling_plan(table: FeatureTable, user_id: str,
         imp = draw(test_group, w, w, len(gen), entropy_test, spawn_key)
         if imp is None:
             return "no-impostor-windows"
-        assert len(imp.rows) == len(gen)
+        assert len(imp) == len(gen)
         counts = dict(base_counts, n_test_genuine=len(gen),
-                      n_test_impostor=len(imp.rows))
-        genuine = Windows(gen, (test_key,))
+                      n_test_impostor=len(imp))
         if spec.method not in ("stacking", "feed"):
-            return VariantPlan(genuine, imp, counts)
+            return VariantPlan(gen, imp, counts)
 
         # learned aggregators need their own balanced training windows
         gen_train = windows_of(train_key, w, 1)
@@ -280,12 +272,11 @@ def sampling_plan(table: FeatureTable, user_id: str,
         if imp_train is None:
             return "no-impostor-train-windows"
         counts["n_agg_train_genuine"] = len(gen_train)
-        counts["n_agg_train_impostor"] = len(imp_train.rows)
-        fit = Windows(np.concatenate([gen_train, imp_train.rows]),
-                      (train_key, *imp_train.streams))
+        counts["n_agg_train_impostor"] = len(imp_train)
         labels = np.concatenate([np.ones(len(gen_train)),
-                                 np.zeros(len(imp_train.rows))])
-        return VariantPlan(genuine, imp, counts, fit, labels)
+                                 np.zeros(len(imp_train))])
+        return VariantPlan(gen, imp, counts,
+                           np.concatenate([gen_train, imp_train]), labels)
 
     return SamplingPlan(
         train_rows=train_rows, test_rows=test_rows, neg_rows=neg_rows,
@@ -338,26 +329,23 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
     model = train(eff_spec, table.X[fit_rows], y,
                   defined=table.defined[fit_rows])
 
-    # every variant shares one score per row; each stream is scored
-    # once, whole, in one call
+    # every variant but feed reads one score per row, from one vector
+    # filled by one call over the rows that their windows read
+    read = np.zeros(table.n_rows, dtype=bool)
+    for spec, key in zip(aggregation_specs, keys):
+        vp = plan.variants[key]
+        if spec.method != "feed" and not isinstance(vp, str):
+            for windows in (vp.genuine, vp.impostor, vp.fit):
+                if windows is not None:
+                    read[windows] = True
     row_scores = np.empty(table.n_rows)
-    scored = set()
-    splits = {(user_id, "train"): plan.train_rows,
-              (user_id, "test"): plan.test_rows}
+    if read.any():
+        rows = np.flatnonzero(read)
+        row_scores[rows] = model.score(table.X[rows], table.defined[rows])
 
-    def window_scores(windows: Windows) -> np.ndarray:
-        for key in windows.streams:
-            if key not in scored:
-                rows = (splits[key] if key in splits
-                        else table.rows_of_user(key))
-                row_scores[rows] = model.score(table.X[rows],
-                                               table.defined[rows])
-                scored.add(key)
-        return row_scores[windows.rows]
-
-    def concat(windows: Windows) -> tuple[np.ndarray, np.ndarray]:
-        return (concat_window(table.X, windows.rows),
-                concat_window(table.defined, windows.rows))
+    def concat(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (concat_window(table.X, windows),
+                concat_window(table.defined, windows))
 
     def evaluate(spec: AggregationSpec, vp: VariantPlan | str
                  ) -> UserRepOutcome:
@@ -367,22 +355,22 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
             stacker_seed = (_entropy(np.random.SeedSequence(
                 entropy=plan.stacker_entropy, spawn_key=(spec.window,)))
                 + spec.stacker.seed) % 2 ** 32
-            net = train_stacker(window_scores(vp.fit), vp.fit_labels,
+            net = train_stacker(row_scores[vp.fit], vp.fit_labels,
                                 replace(spec.stacker, seed=stacker_seed))
 
-            def score(windows: Windows) -> np.ndarray:
-                return stack_score(net, window_scores(windows))
+            def score(windows: np.ndarray) -> np.ndarray:
+                return stack_score(net, row_scores[windows])
         elif spec.method == "feed":
             X_fit, defined_fit = concat(vp.fit)
             feed_model = train(eff_spec, X_fit, vp.fit_labels,
                                defined=defined_fit)
 
-            def score(windows: Windows) -> np.ndarray:
+            def score(windows: np.ndarray) -> np.ndarray:
                 return feed_model.score(*concat(windows))
         else:
-            def score(windows: Windows) -> np.ndarray:
+            def score(windows: np.ndarray) -> np.ndarray:
                 return np.array([reduce_scores(s, spec)
-                                 for s in window_scores(windows)])
+                                 for s in row_scores[windows]])
 
         try:
             result = eer_from_scores(score(vp.genuine), score(vp.impostor))

@@ -7,13 +7,17 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import swipebench
 import swipebench.cli as cli
 import swipebench.experiments as experiments
 from swipebench.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL,
@@ -715,3 +719,34 @@ def test_int_where_float_expected_is_kept(tmp_path, capsys):
     assert '"separability": 8,' in text
     echo = json.loads(text)["config"]["dataset"]["synthetic"]
     assert echo["separability"] == 8 and isinstance(echo["separability"], int)
+
+
+# Run in a fresh interpreter: the verbs that train no logistic regression
+# must not load SciPy's optimizer, which costs about 50 MB and half a
+# second a process; the first logistic regression loads it.
+IMPORT_PROBE = """
+import sys
+import numpy as np
+from swipebench import cli
+from swipebench.classifiers import ClassifierSpec, train
+
+data, table, synth = sys.argv[1], sys.argv[2], sys.argv[3:]
+assert cli.main(["synth", *synth, "--out", data]) == 0
+assert cli.main(["extract", "--input", data, "--out", table]) == 0
+print("scipy.optimize" in sys.modules)
+X = np.random.default_rng(0).normal(size=(40, 3))
+train(ClassifierSpec(kind="logistic_regression"), X, np.arange(40) % 2)
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_scipy_optimize_loads_only_when_logistic_regression_trains(tmp_path):
+    src = str(Path(swipebench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "data.csv"),
+         str(tmp_path / "table.csv"), *SYNTH_ARGS],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["False", "True"], done.stdout

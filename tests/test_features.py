@@ -490,7 +490,8 @@ def test_build_feature_table_layout():
     assert table.user_ids == ["ua"] * 5 + ["ub"] * 4
     assert table.session_ids == ["s1", "s1", "s1", "s2", "s2"] + ["s9"] * 4
     assert [sid for sid, _ in table.user_sessions["ua"]] == ["s1", "s2"]
-    np.testing.assert_array_equal(table.rows_of_user("ub"), [5, 6, 7, 8])
+    assert [idx.tolist() for _, idx in table.user_sessions["ub"]] == \
+        [[5, 6, 7, 8]]
 
 
 def test_build_feature_table_threads_inter_stroke_time():

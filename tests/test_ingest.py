@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from swipebench.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
@@ -244,6 +245,23 @@ def test_ingest_cli_bad_adapter_exits_2(tmp_path, capsys, text, message):
     rc, _, err = ingest_cli(tmp_path, capsys, raw, "--adapter", str(conf))
     assert rc == EXIT_CONFIG
     assert err == f"config error: {conf}: {message}\n"
+
+
+def test_tab_delimiter_is_written_as_backslash_t(tmp_path):
+    comma, tab = tmp_path / "comma.conf", tmp_path / "tab.conf"
+    comma.write_text(ADAPTER)
+    tab.write_text(ADAPTER + "delimiter = \\t\n")
+    assert AdapterConfig.load(tab).delimiter == "\t"
+    raw_comma, raw_tab = tmp_path / "raw.csv", tmp_path / "raw.tsv"
+    raw_comma.write_text("\n".join(raw_rows()) + "\n")
+    raw_tab.write_text("\n".join(r.replace(",", "\t") for r in raw_rows())
+                       + "\n")
+    expected, _ = convert_raw(raw_comma, AdapterConfig.load(comma))
+    got, report = convert_raw(raw_tab, AdapterConfig.load(tab))
+    assert report.lines_malformed == 0 and len(got) == 5
+    for name in vars(expected):
+        np.testing.assert_array_equal(getattr(got, name),
+                                      getattr(expected, name), err_msg=name)
 
 
 def test_adapter_time_scaling(tmp_path):

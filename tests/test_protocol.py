@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from helpers import dataset_from_sessions, random_swipe
 from swipebench.aggregation import AggregationSpec
+from swipebench import protocol
 from swipebench.classifiers import ClassifierSpec
+from swipebench.classifiers.base import TrainedModel
 from swipebench.classifiers.simple import KnnModel
 from swipebench.errors import (ConfigError, EmptyGroup, TooFewAttackers,
                                TooFewSessions)
@@ -281,7 +283,7 @@ def test_a_plan_grows_with_the_target_not_the_attackers():
         plan = sampling_plan(table, "a", aggs, ProtocolConfig(), 0)
         np.testing.assert_array_equal(
             np.concatenate([plan.train_rows, plan.test_rows]),
-            table.rows_of_user("a"))
+            np.concatenate([idx for _, idx in table.user_sessions["a"]]))
         sizes.append(array_entries(plan))
     assert sizes[0] == sizes[1]
 
@@ -387,6 +389,38 @@ def test_learned_aggregators_run(small_table):
         assert not outcome.skipped, method
         assert outcome.counts["n_agg_train_genuine"] == \
             outcome.counts["n_agg_train_impostor"]
+
+
+def test_one_evaluation_scores_the_base_model_once(small_table, monkeypatch):
+    """Every variant but feed reads its window scores from one vector,
+    filled by a single base-model call over the rows its windows read."""
+    aggs = specs(("none", 1), ("mean", 3), ("stacking", 3), ("feed", 2))
+    cfg = ProtocolConfig()
+    plan = sampling_plan(small_table, "u02", aggs, cfg, 1)
+    trained, scored = [], []
+    train, score = protocol.train, TrainedModel.score
+
+    def spy_train(*args, **kwargs):
+        trained.append(train(*args, **kwargs))
+        return trained[-1]
+
+    def spy_score(model, X, defined=None):
+        scored.append((model, len(X)))
+        return score(model, X, defined)
+
+    monkeypatch.setattr(protocol, "train", spy_train)
+    monkeypatch.setattr(TrainedModel, "score", spy_score)
+    res = evaluate_user_repetition(small_table, "u02", KNN, aggs, cfg, 1,
+                                   plan=plan)
+    assert not any(outcome.skipped for outcome in res.values())
+    base_calls = [n for model, n in scored if model is trained[0]]
+    assert len(base_calls) == 1
+    read = {int(r) for key in ("none-w1", "mean-w3", "stacking-w3")
+            for windows in (plan.variants[key].genuine,
+                            plan.variants[key].impostor,
+                            plan.variants[key].fit)
+            if windows is not None for r in windows.ravel()}
+    assert base_calls == [len(read)]
 
 
 # ---------------------------------------------------------------------------
