@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dataset_from_sessions, random_swipe
-from swipebench.aggregation import AggregationSpec
 from swipebench import protocol
+from swipebench.aggregation import AggregationSpec
 from swipebench.classifiers import ClassifierSpec
 from swipebench.classifiers.base import TrainedModel
 from swipebench.classifiers.simple import KnnModel
