@@ -9,9 +9,11 @@ reproducible. The trainable parameters live in one flat float64 buffer,
 ``net.layers`` and ``net.out`` are views into it; the running batch-norm
 statistics, which Adam does not train, are separate arrays. ``backward``
 returns a gradient in the same layout, so one ``Adam`` steps the whole
-buffer; ``Adam`` and ``train_minibatch`` also train the LSTM stacker.
+buffer.
 
-Gradient ownership: ``train_mlp`` allocates one gradient buffer per
+``FlatNetwork`` holds what the MLP and the LSTM stacker share: the flat
+buffer's accessors, the binary cross-entropy loss, the sigmoid scorer and
+one ``fit``. Gradient ownership: ``fit`` allocates one gradient buffer per
 training run and ``backward`` overwrites it in place on every step, since
 Adam has consumed the previous step's gradient before the next one is
 computed. ``loss_and_grad`` passes no buffer, so each call returns a new
@@ -50,19 +52,63 @@ def flat_buffer(shapes: list[tuple[int, ...]]
     return buffer, [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
+class FlatNetwork:
+    """A binary classifier whose trainable parameters are one flat float64
+    buffer, ``params``. A subclass builds the buffer and defines
+    ``_buffer()`` (a zeroed gradient buffer in the layout ``backward``
+    takes), ``forward(X, train=False, rng=None)`` returning (logits,
+    caches), and ``backward(caches, z, y, grad=None)`` returning the flat
+    gradient of the mean BCE loss."""
+
+    params: np.ndarray
+
+    def param_vector(self) -> np.ndarray:
+        return self.params.copy()
+
+    def set_param_vector(self, v: np.ndarray) -> None:
+        self.params[:] = v
+
+    def loss_and_grad(self, X: np.ndarray, y: np.ndarray
+                      ) -> tuple[float, np.ndarray]:
+        """Deterministic mean BCE loss and gradient on one batch: a
+        training pass given no rng. The gradient is a new array."""
+        z, caches = self.forward(X, train=True)
+        loss = float(np.mean(_softplus(z) - y * z))
+        return loss, self.backward(caches, z, y)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        z, _ = self.forward(X)
+        return _sigmoid(z)
+
+    def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator,
+            epochs: int, batch_size: int, lr: float, beta1: float,
+            beta2: float, adam_eps: float) -> None:
+        """Shuffled mini-batch Adam on BCE: one permutation of the rows per
+        epoch, then one step per batch, through one gradient buffer."""
+        grad = self._buffer()
+        adam = Adam(self.params, lr, beta1, beta2, adam_eps)
+        for _ in range(epochs):
+            order = rng.permutation(len(y))
+            for start in range(0, len(y), batch_size):
+                idx = order[start:start + batch_size]
+                z, caches = self.forward(X[idx], train=True, rng=rng)
+                adam.step(self.backward(caches, z, y[idx], grad=grad))
+
+
 _LAYER_KEYS = ("W", "b", "gamma", "beta")
 
 
-class MlpNetwork:
+class MlpNetwork(FlatNetwork):
     """The bare network; training state lives in the model wrapper."""
 
     def __init__(self, d_in: int, hidden: tuple[int, ...],
-                 bn_momentum: float, bn_eps: float,
+                 bn_momentum: float, bn_eps: float, dropout: float = 0.0,
                  rng: np.random.Generator | None = None):
         self.d_in = d_in
         self.hidden = tuple(int(h) for h in hidden)
         self.bn_momentum = bn_momentum
         self.bn_eps = bn_eps
+        self.dropout = dropout
         self.params, self.layers, self.out = self._buffer()
         for layer, h in zip(self.layers, self.hidden):
             layer["gamma"][:] = 1.0
@@ -85,23 +131,19 @@ class MlpNetwork:
                   for i in range(0, len(views) - 2, 4)]
         return buffer, layers, {"W": views[-2], "b": views[-1]}
 
-    def param_vector(self) -> np.ndarray:
-        return self.params.copy()
-
-    def set_param_vector(self, v: np.ndarray) -> None:
-        self.params[:] = v
-
     # -- forward / backward --------------------------------------------------
 
-    def forward(self, X: np.ndarray, train: bool,
-                dropout_rate: float = 0.0,
-                rng: np.random.Generator | None = None,
-                update_running: bool = False) -> tuple[np.ndarray, list[dict]]:
-        """Returns (logits, caches). Dropout applies between hidden layers
-        (not after the last one) and only when a rate and rng are given.
-        The batch mean and variance are NumPy's own ``mean`` and ``var``
-        arithmetic, the variance from the centred batch, so they equal
-        ``a.mean(axis=0)`` and ``a.var(axis=0)`` bit for bit."""
+    def forward(self, X: np.ndarray, train: bool = False,
+                rng: np.random.Generator | None = None
+                ) -> tuple[np.ndarray, list[dict]]:
+        """Returns (logits, caches). A training pass normalizes by batch
+        statistics; given an rng it is also a training step, which drops
+        out between hidden layers (not after the last one) and updates the
+        running statistics. The batch mean and variance are NumPy's own
+        ``mean`` and ``var`` arithmetic, the variance from the centred
+        batch, so they equal ``a.mean(axis=0)`` and ``a.var(axis=0)`` bit
+        for bit."""
+        step = train and rng is not None
         h = X
         caches = []
         last_hidden = len(self.layers) - 1
@@ -111,7 +153,7 @@ class MlpNetwork:
                 mu = np.add.reduce(a, axis=0) / len(a)
                 xc = a - mu
                 var = np.add.reduce(xc * xc, axis=0) / len(a)
-                if update_running:
+                if step:
                     m = self.bn_momentum
                     layer["run_mean"] = m * layer["run_mean"] + (1 - m) * mu
                     layer["run_var"] = m * layer["run_var"] + (1 - m) * var
@@ -122,9 +164,9 @@ class MlpNetwork:
             xhat = xc * inv
             bn = layer["gamma"] * xhat + layer["beta"]
             relu = np.maximum(bn, 0.0)
-            if train and dropout_rate > 0.0 and rng is not None and i < last_hidden:
-                keep = (rng.random(relu.shape) >= dropout_rate)
-                dropped = relu * keep / (1.0 - dropout_rate)
+            if step and self.dropout > 0.0 and i < last_hidden:
+                keep = (rng.random(relu.shape) >= self.dropout)
+                dropped = relu * keep / (1.0 - self.dropout)
             else:
                 keep = None
                 dropped = relu
@@ -135,11 +177,7 @@ class MlpNetwork:
         caches.append({"h_in": h})
         return z, caches
 
-    def loss_from_logits(self, z: np.ndarray, y: np.ndarray) -> float:
-        return float(np.mean(_softplus(z) - y * z))
-
     def backward(self, caches: list[dict], z: np.ndarray, y: np.ndarray,
-                 dropout_rate: float = 0.0,
                  grad: tuple[np.ndarray, list[dict], dict] | None = None
                  ) -> np.ndarray:
         """Flat gradient of the mean BCE loss, laid out like ``params``,
@@ -158,7 +196,7 @@ class MlpNetwork:
             layer, cache, g = self.layers[i], caches[i], grad_layers[i]
             xhat = cache["xhat"]
             if cache["keep"] is not None:
-                dh = dh * cache["keep"] / (1.0 - dropout_rate)
+                dh = dh * cache["keep"] / (1.0 - self.dropout)
             drelu = dh * (cache["bn"] > 0.0)
             np.add.reduce(drelu * xhat, axis=0, out=g["gamma"])
             np.add.reduce(drelu, axis=0, out=g["beta"])
@@ -172,18 +210,6 @@ class MlpNetwork:
             if i > 0:
                 dh = da @ layer["W"].T
         return buffer
-
-    def loss_and_grad(self, X: np.ndarray, y: np.ndarray
-                      ) -> tuple[float, np.ndarray]:
-        """Deterministic loss/gradient on one batch: training-mode batch
-        statistics, dropout off, running stats untouched. The gradient is
-        a new array."""
-        z, caches = self.forward(X, train=True)
-        return self.loss_from_logits(z, y), self.backward(caches, z, y)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        z, _ = self.forward(X, train=False)
-        return _sigmoid(z)
 
     # -- serialization -------------------------------------------------------
 
@@ -246,32 +272,6 @@ class Adam:
         np.subtract(self.params, num, out=self.params)
 
 
-def train_minibatch(adam: Adam, n: int, rng: np.random.Generator,
-                    epochs: int, batch_size: int, batch_grad) -> None:
-    """Shuffled mini-batch training: one permutation of the n samples per
-    epoch, then one Adam step per batch on ``batch_grad(indices)``."""
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            adam.step(batch_grad(order[start:start + batch_size]))
-
-
-def train_mlp(net: MlpNetwork, X: np.ndarray, y: np.ndarray,
-              rng: np.random.Generator, epochs: int, batch_size: int,
-              dropout: float, lr: float, beta1: float, beta2: float,
-              adam_eps: float) -> None:
-    grad = net._buffer()
-
-    def batch_grad(idx: np.ndarray) -> np.ndarray:
-        z, caches = net.forward(X[idx], train=True, dropout_rate=dropout,
-                                rng=rng, update_running=True)
-        return net.backward(caches, z, y[idx], dropout_rate=dropout,
-                            grad=grad)
-
-    train_minibatch(Adam(net.params, lr, beta1, beta2, adam_eps), len(y),
-                    rng, epochs, batch_size, batch_grad)
-
-
 @register_model("neural_net")
 @dataclass(eq=False)
 class NeuralNetModel(TrainedModel):
@@ -283,11 +283,10 @@ class NeuralNetModel(TrainedModel):
         p = spec.params
         rng = np.random.default_rng(spec.seed)
         net = MlpNetwork(Z.shape[1], tuple(p["hidden"]), p["bn_momentum"],
-                         p["bn_eps"], rng=rng)
-        train_mlp(net, Z, y.astype(float), rng, epochs=int(p["epochs"]),
-                  batch_size=int(p["batch_size"]), dropout=float(p["dropout"]),
-                  lr=p["lr"], beta1=p["beta1"], beta2=p["beta2"],
-                  adam_eps=p["adam_eps"])
+                         p["bn_eps"], dropout=float(p["dropout"]), rng=rng)
+        net.fit(Z, y.astype(float), rng, int(p["epochs"]),
+                int(p["batch_size"]), p["lr"], p["beta1"], p["beta2"],
+                p["adam_eps"])
         return cls(spec, std, Z.shape[1], net)
 
     def _score_std(self, Z: np.ndarray) -> np.ndarray:

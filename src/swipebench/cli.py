@@ -22,8 +22,9 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigError, SwipebenchError
-from .experiments import (emit_plots, load_config, make_output_dir,
-                          resolve_feature_set, run_matrix, write_report)
+from .experiments import (check_workers, emit_plots, load_config,
+                          make_output_dir, resolve_feature_set, run_matrix,
+                          write_report)
 from .features.extract import (build_feature_table, export_table_csv,
                                export_table_json)
 from .ingest import (AdapterConfig, convert_raw, load_canonical,
@@ -138,6 +139,7 @@ def _cmd_select(args) -> int:
 
 def _cmd_experiment(args, single_cell: bool) -> int:
     cfg = load_config(args.config)
+    check_workers(args.workers)
     if single_cell and (len(cfg.feature_sets) > 1 or len(cfg.classifiers) > 1):
         raise ConfigError(
             "'evaluate' runs a single feature_set x classifier cell; "

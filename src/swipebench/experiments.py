@@ -170,10 +170,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot parse config {path}: {err}") from None
     return parse_config(doc)
 
@@ -218,6 +218,28 @@ def _pool_result(future) -> dict[str, CellSummary] | Exception:
         return future.result()
     except concurrent.futures.BrokenExecutor as err:
         return err
+
+
+def _run_pooled(tasks: list[tuple], workers: int) -> list:
+    """Every task's ``_run_cell`` outcome from a pool of at most one worker
+    per task. A worker that dies breaks the pool and loses every cell it
+    had not finished, so each lost cell runs again alone in a fresh
+    one-worker pool; only a cell whose own worker dies fails."""
+    pool = concurrent.futures.ProcessPoolExecutor
+    with pool(max_workers=min(workers, len(tasks))) as ex:
+        futures = [ex.submit(_run_cell, *task) for task in tasks]
+        outcomes = [_pool_result(fut) for fut in futures]
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, concurrent.futures.BrokenExecutor):
+            with pool(max_workers=1) as ex:
+                outcomes[i] = _pool_result(ex.submit(_run_cell, *tasks[i]))
+    return outcomes
+
+
+def check_workers(workers: int | None) -> None:
+    """None or 1 runs the cells serially; more runs them in a pool."""
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
 
 
 @dataclass
@@ -268,6 +290,7 @@ def run_matrix(cfg: ExperimentConfig, workers: int | None = None,
     Per-cell failures are recorded and the matrix is still emitted;
     the failure count is surfaced for the caller's exit code.
     """
+    check_workers(workers)
     t0 = time.monotonic()
     dataset, eligibility = load_experiment_dataset(cfg.dataset)
     full_table = build_feature_table(dataset)
@@ -290,9 +313,7 @@ def run_matrix(cfg: ExperimentConfig, workers: int | None = None,
     if isinstance(plans, SwipebenchError):
         outcomes = [plans] * len(tasks)
     elif workers and workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            futures = [ex.submit(_run_cell, *task) for task in tasks]
-            outcomes = [_pool_result(fut) for fut in futures]
+        outcomes = _run_pooled(tasks, workers)
     else:
         outcomes = [_run_cell(*task) for task in tasks]
 

@@ -328,7 +328,9 @@ class FeatureTable:
         return self.X.shape[0]
 
     def select(self, ids) -> "FeatureTable":
-        """A table restricted to the given feature ids (columns copied)."""
+        """A table restricted to the given feature ids. ``np.take`` copies
+        the columns once into new C-ordered arrays; ``X[:, take]`` would
+        give Fortran order, and another summation order downstream."""
         ids = resolve_feature_ids(ids)
         col = {fid: i for i, fid in enumerate(self.feature_ids)}
         try:
@@ -337,7 +339,8 @@ class FeatureTable:
             raise EmptyMatrix(f"feature id {err} not in table") from None
         return FeatureTable(
             dataset_name=self.dataset_name, feature_ids=ids,
-            X=self.X[:, take].copy(), defined=self.defined[:, take].copy(),
+            X=np.take(self.X, take, axis=1),
+            defined=np.take(self.defined, take, axis=1),
             user_ids=self.user_ids, session_ids=self.session_ids,
             user_sessions=self.user_sessions)
 

@@ -43,9 +43,25 @@ _CONVERSION_ERRORS = (ValueError, TypeError, OverflowError)
 
 def _read_text(path: Path) -> str:
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
     except OSError as err:
         raise DataError(f"cannot read {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise DataError(f"cannot read {path}: not UTF-8 text "
+                        f"({err.reason} at byte {err.start})") from None
+
+
+def _csv_rows(reader, source):
+    """The rows of a ``csv.reader``; a field over the csv module's size
+    limit, or a file that is not UTF-8 and is decoded as it is read,
+    raises DataError naming the source."""
+    try:
+        yield from reader
+    except csv.Error as err:
+        raise DataError(f"{source}:{reader.line_num}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise DataError(f"cannot read {source}: not UTF-8 text "
+                        f"({err.reason})") from None
 
 
 @dataclass
@@ -237,7 +253,7 @@ def parse_canonical(text: str, source: str = "<string>",
             lines.linenos.append(lineno)
             rows.append(pick(obj))
     else:
-        reader = csv.reader(io.StringIO(text))
+        reader = _csv_rows(csv.reader(io.StringIO(text)), source)
         try:
             header = next(reader)
         except StopIteration:
@@ -426,11 +442,12 @@ def convert_raw(raw_path: str | Path, adapter: AdapterConfig,
     lines = _Lines()
     rows = []
     try:
-        fh = raw_path.open(newline="")
+        fh = raw_path.open(newline="", encoding="utf-8")
     except OSError as err:
         raise DataError(f"cannot read {raw_path}: {err}") from None
     with fh:
-        reader = csv.reader(fh, delimiter=adapter.delimiter)
+        reader = _csv_rows(csv.reader(fh, delimiter=adapter.delimiter),
+                           raw_path)
         if adapter.has_header:
             try:
                 header = [h.strip() for h in next(reader)]

@@ -2,17 +2,17 @@
 
 Single-feature input sequence, one LSTM layer (sigmoid gates, tanh cell),
 dense sigmoid head on the final hidden state. Trained with Adam on binary
-cross-entropy via full backpropagation through time, with the mini-batch
-loop and optimizer the MLP uses.
+cross-entropy via full backpropagation through time, by
+``FlatNetwork.fit``, the loop the MLP trains through too.
 
 All parameters live in one flat float64 buffer, ``net.params``: ``Wx``
 (4H), ``Wh`` (H x 4H, row-major), ``bias`` (4H), ``w_out`` (H) and
 ``b_out`` (1). The arrays are views into it and ``b_out`` reads as a
 float. ``backward`` returns a gradient in the same layout; as for the MLP,
-``train_stacker`` owns one gradient buffer that every step zeroes and
-refills, and ``loss_and_grad`` returns a new array per call. A forward
-pass scales the whole batch by ``Wx`` once and takes the three sigmoid
-gates from one call over the packed pre-activations.
+``fit`` owns one gradient buffer that every step zeroes and refills, and
+``loss_and_grad`` returns a new array per call. A forward pass scales the
+whole batch by ``Wx`` once and takes the three sigmoid gates from one call
+over the packed pre-activations.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers.base import PARAM_RULES
-from .classifiers.neural import (Adam, _sigmoid, _softplus, flat_buffer,
-                                 train_minibatch)
+from .classifiers.neural import FlatNetwork, _sigmoid, flat_buffer
 from .errors import InconsistentSequenceLength, TooFewSamples
 from .spec import Spec, count
 
@@ -43,7 +42,7 @@ class StackerSpec(Spec):
         "epochs", "batch_size", "lr", "beta1", "beta2", "adam_eps")}}
 
 
-class LstmStacker:
+class LstmStacker(FlatNetwork):
     """Gate order in the packed weights: input, forget, cell, output."""
 
     def __init__(self, hidden: int, rng: np.random.Generator | None = None):
@@ -72,16 +71,14 @@ class LstmStacker:
         H = self.hidden
         return flat_buffer([(4 * H,), (H, 4 * H), (4 * H,), (H,), (1,)])
 
-    def param_vector(self) -> np.ndarray:
-        return self.params.copy()
-
-    def set_param_vector(self, v: np.ndarray) -> None:
-        self.params[:] = v
-
     # -- forward / backward --------------------------------------------------
 
-    def forward(self, X: np.ndarray) -> tuple[np.ndarray, list[dict]]:
-        """X: (batch, T) score sequences. Returns (logits, caches)."""
+    def forward(self, X: np.ndarray, train: bool = False,
+                rng: np.random.Generator | None = None
+                ) -> tuple[np.ndarray, list[dict]]:
+        """X: (batch, T) score sequences. Returns (logits, caches). The
+        stacker has no dropout or batch statistics, so ``train`` and
+        ``rng`` are ignored."""
         B, T = X.shape
         H = self.hidden
         h = np.zeros((B, H))
@@ -145,29 +142,6 @@ class LstmStacker:
                 dc = dc * f
         return buffer
 
-    def loss_and_grad(self, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """Loss and gradient on one batch; the gradient is a new array."""
-        z, caches = self.forward(X)
-        loss = float(np.mean(_softplus(z) - y * z))
-        return loss, self.backward(caches, z, y)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        z, _ = self.forward(X)
-        return _sigmoid(z)
-
-    def state_dict(self) -> dict:
-        return {"hidden": self.hidden, "Wx": self.Wx.tolist(),
-                "Wh": self.Wh.tolist(), "bias": self.bias.tolist(),
-                "w_out": self.w_out.tolist(), "b_out": self.b_out}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "LstmStacker":
-        net = cls(int(state["hidden"]), rng=None)
-        for key in ("Wx", "Wh", "bias", "w_out"):
-            getattr(net, key)[:] = state[key]
-        net.params[-1] = float(state["b_out"])
-        return net
-
 
 def _as_sequence_matrix(sequences) -> np.ndarray:
     if isinstance(sequences, np.ndarray) and sequences.ndim == 2:
@@ -191,16 +165,8 @@ def train_stacker(sequences, labels, spec: StackerSpec = StackerSpec()
         raise TooFewSamples("stacker training needs >= 2 sequences")
     rng = np.random.default_rng(spec.seed % 2 ** 32)   # as ClassifierSpec
     net = LstmStacker(spec.hidden, rng=rng)
-
-    grad = net._buffer()
-
-    def batch_grad(idx: np.ndarray) -> np.ndarray:
-        z, caches = net.forward(X[idx])
-        return net.backward(caches, z, y[idx], grad=grad)
-
-    adam = Adam(net.params, spec.lr, spec.beta1, spec.beta2, spec.adam_eps)
-    train_minibatch(adam, len(y), rng, spec.epochs, spec.batch_size,
-                    batch_grad)
+    net.fit(X, y, rng, spec.epochs, spec.batch_size, spec.lr, spec.beta1,
+            spec.beta2, spec.adam_eps)
     return net
 
 

@@ -355,6 +355,32 @@ def test_matrix_dead_worker_exit_code(tmp_path, monkeypatch, capsys):
     report = json.loads((out_dir / "report.json").read_text())
     assert report["failures"][0]["error"].startswith("BrokenProcessPool: ")
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_exit_2_before_the_run(tmp_path, capsys, workers):
+    src = synth_file(tmp_path)
+    out_dir = tmp_path / "run"
+    cfg = write_doc(tmp_path, experiment_doc(src, out_dir))
+    capsys.readouterr()
+    rc = main(["matrix", "--config", str(cfg), "--workers", workers])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"config error: workers must be at least 1, got {workers}\n"
+    assert not out_dir.exists()
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    src = synth_file(tmp_path)
+    cfg = tmp_path / "exp.json"
+    doc = json.dumps(experiment_doc(src, tmp_path / "run"))
+    cfg.write_bytes(doc.encode().replace(b"knn", b"kn\xff"))
+    capsys.readouterr()
+    assert main(["matrix", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot parse config {cfg}: ")
+    assert "can't decode byte 0xff" in err
+    assert err.count("\n") == 1
+
+
 def test_matrix_non_finite_scores_are_skips(tmp_path, monkeypatch, capsys):
     src = synth_file(tmp_path)
     out_dir = tmp_path / "run"

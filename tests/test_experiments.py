@@ -1,5 +1,6 @@
 """Experiment config parsing and the grid runner."""
 
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -299,9 +300,11 @@ def test_a_plan_error_fails_every_cell_without_running_any(monkeypatch,
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the patched function reaches workers by fork")
-def test_dead_worker_fails_the_cells_the_pool_lost(monkeypatch):
-    """A worker that dies (killed, out of memory) breaks the pool: every
-    cell the pool lost is a failed cell, the others keep their results."""
+def test_dead_worker_fails_the_cells_the_pool_lost(monkeypatch,
+                                                   small_report):
+    """A worker that dies (killed, out of memory) breaks the pool; every
+    cell the pool lost runs again alone, so only the cells whose own
+    worker dies fail and the others equal the serial run."""
     real = experiments.run_experiment
 
     def dies_on_knn(table, spec, aggregations, protocol, plans=None):
@@ -312,17 +315,52 @@ def test_dead_worker_fails_the_cells_the_pool_lost(monkeypatch):
     monkeypatch.setattr(experiments, "run_experiment", dies_on_knn)
     result = run_matrix(small_config(), workers=2)
     failures = result.report["failures"]
-    assert result.n_failed_cells == len(failures)
+    assert result.n_failed_cells == len(failures) == 2
     errors = {(f["feature_set"], f["classifier"]): f["error"]
               for f in failures}
-    assert {("frank2013", "knn"), ("custom1", "knn")} <= set(errors)
+    assert set(errors) == {("frank2013", "knn"), ("custom1", "knn")}
     assert all(e.startswith("BrokenProcessPool: ") for e in errors.values())
+    serial = small_report.report["cells"]
     for fs, row in result.report["cells"].items():
-        for clf, cell in row.items():
-            if (fs, clf) in errors:
-                assert cell == {"error": errors[(fs, clf)]}
-            else:
-                assert cell["none-w1"]["mean_eer"] is not None
+        assert row["knn"] == {"error": errors[(fs, "knn")]}
+        assert row["logistic_regression"] == serial[fs]["logistic_regression"]
+
+
+class RecordingPool:
+    """A ProcessPoolExecutor stand-in that records its ``max_workers`` and
+    runs each task in this process when it is submitted."""
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_the_pool_has_at_most_one_worker_per_cell(monkeypatch, small_report):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    result = run_matrix(small_config(), workers=500)
+    assert RecordingPool.sizes == [4]     # one per cell of the 2 x 2 grid
+    assert without_timing(result.report) == \
+        without_timing(small_report.report)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_are_a_config_error(workers):
+    with pytest.raises(ConfigError, match=f"got {workers}"):
+        run_matrix(small_config(), workers=workers)
+
 
 def test_repeated_classifier_kinds_get_distinct_labels():
     cfg = parse_config({

@@ -517,6 +517,14 @@ def test_table_select_subsets_columns():
     np.testing.assert_array_equal(sub2.X[:, 0], table.X[:, 8])
     with pytest.raises(EmptyMatrix):
         sub.select([6])
+    # the selection owns C-ordered arrays: writing into them leaves the
+    # table as it was
+    assert sub.X.flags.c_contiguous and sub.defined.flags.c_contiguous
+    X, defined = table.X.copy(), table.defined.copy()
+    sub.X[:] = -1.0
+    sub.defined[:] = ~sub.defined
+    assert table.X.tobytes() == X.tobytes()
+    assert table.defined.tobytes() == defined.tobytes()
 
 
 def test_empty_dataset_raises():

@@ -1,5 +1,6 @@
 """Canonical format parsing, writing, and raw-export adapters."""
 
+import csv
 import json
 import math
 
@@ -245,6 +246,55 @@ def test_ingest_cli_bad_adapter_exits_2(tmp_path, capsys, text, message):
     rc, _, err = ingest_cli(tmp_path, capsys, raw, "--adapter", str(conf))
     assert rc == EXIT_CONFIG
     assert err == f"config error: {conf}: {message}\n"
+
+
+def bad_input_case(tmp_path, kind):
+    """(argv, file) for an ingest or extract run over a canonical file, a
+    raw export and its adapter conf, of which ``kind`` names the file."""
+    conf = tmp_path / "vendor.conf"
+    conf.write_text(ADAPTER)
+    raw = tmp_path / "raw.csv"
+    raw.write_text("\n".join(raw_rows()) + "\n")
+    canonical = tmp_path / "canon.csv"
+    canonical.write_text("\n".join([HEADER] + stroke_lines(0, 5)) + "\n")
+    out = str(tmp_path / "out.csv")
+    ingest_raw = ["ingest", "--input", str(raw), "--adapter", str(conf),
+                  "--out", out]
+    return {
+        "canonical": (["ingest", "--input", str(canonical), "--out", out],
+                      canonical),
+        "extract": (["extract", "--input", str(canonical), "--out", out],
+                    canonical),
+        "raw": (ingest_raw, raw),
+        "adapter": (ingest_raw, conf),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["canonical", "extract", "raw", "adapter"])
+def test_a_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys, kind):
+    argv, bad = bad_input_case(tmp_path, kind)
+    bad.write_bytes(bad.read_bytes().replace(b"1", b"\xff", 1))
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read {bad}: not UTF-8 text "
+                          "(invalid start byte")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, lineno", [("canonical", 4), ("raw", 3)])
+def test_a_field_over_the_csv_size_limit_is_a_data_error(tmp_path, capsys,
+                                                         kind, lineno):
+    argv, bad = bad_input_case(tmp_path, kind)
+    limit = csv.field_size_limit()
+    lines = bad.read_text().splitlines()
+    lines[lineno - 1] = lines[lineno - 1].replace("1", "1" * (limit + 1), 1)
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {bad}:{lineno}: field larger than field limit "
+        f"({limit})\n")
 
 
 def test_tab_delimiter_is_written_as_backslash_t(tmp_path):

@@ -20,8 +20,7 @@ import pytest
 from oracles import (o_lstm_backward, o_lstm_forward, o_mlp_backward,
                      o_mlp_forward, o_sigmoid)
 from swipebench.classifiers import ClassifierSpec, train
-from swipebench.classifiers.neural import (Adam, MlpNetwork, _sigmoid,
-                                           train_minibatch, train_mlp)
+from swipebench.classifiers.neural import MlpNetwork, _sigmoid
 from swipebench.stacking import (LstmStacker, StackerSpec, stack_score,
                                  train_stacker)
 
@@ -156,13 +155,29 @@ def test_sigmoid_equals_reference_bitwise():
                        expected.reshape(4, -1)[:, 1:7], "strided sigmoid")
 
 
+def reference_fit(params, batch_grad, n, rng, epochs, batch_size,
+                  lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """Shuffled mini-batch Adam written out: a permutation per epoch, then
+    per batch m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    p -= (m_hat*lr) / (sqrt(v_hat) + eps), with params updated in place."""
+    m, v, t = np.zeros_like(params), np.zeros_like(params), 0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            g = batch_grad(order[start:start + batch_size])
+            t += 1
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            params -= (m / (1 - b1 ** t)) * lr / (
+                np.sqrt(v / (1 - b2 ** t)) + eps)
+
+
 def reference_train_mlp(net, X, y, rng, epochs, batch_size, dropout):
     def batch_grad(idx):
         z, caches = o_mlp_forward(net, X[idx], True, dropout, rng, True)
         return o_mlp_backward(net, caches, z, y[idx], dropout)
 
-    train_minibatch(Adam(net.params, 1e-3, 0.9, 0.999, 1e-8), len(y), rng,
-                    epochs, batch_size, batch_grad)
+    reference_fit(net.params, batch_grad, len(y), rng, epochs, batch_size)
 
 
 @pytest.mark.parametrize("hidden", [(6,), (8, 5), (9, 7, 5)])
@@ -180,7 +195,7 @@ def test_mlp_training_equals_reference_bitwise(hidden, dropout, n,
     nets, rngs = [], []
     for _ in range(2):
         rng = np.random.default_rng(n)
-        net = MlpNetwork(7, hidden, 0.99, 1e-3, rng=rng)
+        net = MlpNetwork(7, hidden, 0.99, 1e-3, dropout=dropout, rng=rng)
         net.out["W"] *= out_scale
         nets.append(net)
         rngs.append(rng)
@@ -190,9 +205,8 @@ def test_mlp_training_equals_reference_bitwise(hidden, dropout, n,
         assert np.abs(z).max() > 710.0
     with np.errstate(over="ignore", invalid="ignore"):
         reference_train_mlp(ref, X, y, rngs[1], 3, batch_size, dropout)
-    train_mlp(got, X, y, rngs[0], epochs=3, batch_size=batch_size,
-              dropout=dropout, lr=1e-3, beta1=0.9, beta2=0.999,
-              adam_eps=1e-8)
+    got.fit(X, y, rngs[0], epochs=3, batch_size=batch_size, lr=1e-3,
+            beta1=0.9, beta2=0.999, adam_eps=1e-8)
     assert got.params.tobytes() == ref.params.tobytes()
     for a, b in zip(got.layers, ref.layers):
         for key in ("run_mean", "run_var"):
@@ -211,9 +225,9 @@ def reference_train_stacker(X, y, spec):
         z, caches = o_lstm_forward(net, X[idx])
         return o_lstm_backward(net, caches, z, y[idx])
 
-    adam = Adam(net.params, spec.lr, spec.beta1, spec.beta2, spec.adam_eps)
-    train_minibatch(adam, len(y), rng, spec.epochs, spec.batch_size,
-                    batch_grad)
+    reference_fit(net.params, batch_grad, len(y), rng, spec.epochs,
+                  spec.batch_size, spec.lr, spec.beta1, spec.beta2,
+                  spec.adam_eps)
     return net
 
 
