@@ -242,8 +242,9 @@ def model_class(kind: str) -> type:
     return _MODEL_CLASSES[canonical_kind(kind)]
 
 
-def to_blob(model: TrainedModel) -> bytes:
-    doc = {
+def to_doc(model: TrainedModel) -> dict:
+    """The model as a JSON-ready document; its blob is the sorted JSON."""
+    return {
         "format": "swipebench-model",
         "version": 1,
         "spec": model.spec.as_dict(),
@@ -251,17 +252,23 @@ def to_blob(model: TrainedModel) -> bytes:
         "standardizer": model.standardizer.as_dict(),
         "model": model._payload(),
     }
-    return json.dumps(doc, sort_keys=True).encode()
 
 
-def from_blob(blob: bytes) -> TrainedModel:
-    doc = json.loads(blob.decode())
+def from_doc(doc: dict) -> TrainedModel:
     if doc.get("format") != "swipebench-model":
         raise ConfigError("not a model blob")
     spec = ClassifierSpec.from_dict(doc["spec"])
     standardizer = Standardizer.from_dict(doc["standardizer"])
     cls = model_class(spec.kind)
     return cls._from_payload(spec, standardizer, doc["n_features"], doc["model"])
+
+
+def to_blob(model: TrainedModel) -> bytes:
+    return json.dumps(to_doc(model), sort_keys=True).encode()
+
+
+def from_blob(blob: bytes) -> TrainedModel:
+    return from_doc(json.loads(blob.decode()))
 
 
 def checked_mask(defined, X: np.ndarray) -> np.ndarray:

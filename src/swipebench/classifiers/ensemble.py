@@ -6,13 +6,12 @@ accumulated in member-list order: ((s_svm + s_rf) + s_nn) / 3.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .base import (ClassifierSpec, Standardizer, TrainedModel,
-                   check_training_inputs, from_blob, register_model, to_blob)
+                   check_training_inputs, from_doc, register_model, to_doc)
 
 
 def member_specs(spec: ClassifierSpec) -> list[ClassifierSpec]:
@@ -46,10 +45,9 @@ class EnsembleModel(TrainedModel):
         return acc / len(self.models)
 
     def _payload(self) -> dict:
-        return {"members": [json.loads(to_blob(m).decode()) for m in self.models]}
+        return {"members": [to_doc(m) for m in self.models]}
 
     @classmethod
     def _from_payload(cls, spec, standardizer, n_features, payload):
-        models = [from_blob(json.dumps(doc, sort_keys=True).encode())
-                  for doc in payload["members"]]
+        models = [from_doc(doc) for doc in payload["members"]]
         return cls(spec, standardizer, n_features, models)

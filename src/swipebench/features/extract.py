@@ -393,13 +393,17 @@ def export_table_csv(table: FeatureTable) -> str:
     header = ["dataset", "user_id", "session_id", "row"] + [
         f"f{fid}" for fid in table.feature_ids]
     lines = [",".join(header)]
+    blanks: dict[int, list[int]] = {}       # row -> its undefined cells
+    for i, j in zip(*(a.tolist() for a in np.nonzero(~table.defined))):
+        blanks.setdefault(i, []).append(4 + j)
     # one row at a time through tolist(): Python floats repr like the
     # float64 cells, without holding the whole table as Python objects
-    rows = zip(table.user_ids, table.session_ids, table.X, table.defined)
-    for i, (user_id, session_id, values, defined) in enumerate(rows):
-        cells = [table.dataset_name, user_id, session_id, str(i)]
-        cells += [repr(v) if ok else ""
-                  for v, ok in zip(values.tolist(), defined.tolist())]
+    rows = zip(table.user_ids, table.session_ids, table.X)
+    for i, (user_id, session_id, values) in enumerate(rows):
+        cells = [table.dataset_name, user_id, session_id, str(i),
+                 *map(repr, values.tolist())]
+        for j in blanks.get(i, ()):
+            cells[j] = ""
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

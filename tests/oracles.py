@@ -1066,3 +1066,99 @@ def o_tree_leaves(tree, Z: np.ndarray) -> np.ndarray:
             stack.append((tree.left[node], rows[go_left]))
             stack.append((tree.right[node], rows[~go_left]))
     return leaf
+
+
+# ---------------------------------------------------------------------------
+# synthetic corpora: one stroke at a time, as the generator first drew them
+
+def _o_stroke_series(lat, rng, start_ms, pushed):
+    """One swipe's t, x, y, pressure and area series; appends True to
+    ``pushed`` when the chord < 40 px branch fires."""
+    from swipebench.synthetic import _LATENTS, SCREEN_H, SCREEN_W
+
+    def draw(key):
+        base, within = _LATENTS[key]
+        return lat[key] + within * rng.standard_normal()
+
+    sx = float(np.clip(draw("start_x"), 0.0, SCREEN_W - 1))
+    sy = float(np.clip(draw("start_y"), 0.0, SCREEN_H - 1))
+    ex = float(np.clip(draw("end_x"), 0.0, SCREEN_W - 1))
+    ey = float(np.clip(draw("end_y"), 0.0, SCREEN_H - 1))
+    speed = max(120.0, draw("speed"))
+    level_p = min(1.5, max(0.02, draw("pressure")))
+    level_a = min(1.5, max(0.02, draw("area")))
+    bow = draw("curvature")
+
+    chord = np.hypot(ex - sx, ey - sy)
+    if chord < 40.0:
+        pushed.append(True)
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        ex = float(np.clip(sx + 160.0 * np.cos(theta), 0.0, SCREEN_W - 1))
+        ey = float(np.clip(sy + 160.0 * np.sin(theta), 0.0, SCREEN_H - 1))
+        chord = max(np.hypot(ex - sx, ey - sy), 1.0)
+
+    n_pts = int(rng.integers(8, 17))
+    u = np.linspace(0.0, 1.0, n_pts)
+    u[1:-1] += rng.uniform(-0.3, 0.3, size=n_pts - 2) / (n_pts - 1)
+    u = np.sort(np.clip(u, 0.0, 1.0))
+
+    mx, my = (sx + ex) / 2.0, (sy + ey) / 2.0
+    px, py = -(ey - sy) / chord, (ex - sx) / chord
+    cx = mx + bow * chord * px
+    cy = my + bow * chord * py
+    one = 1.0 - u
+    xs = one ** 2 * sx + 2 * one * u * cx + u ** 2 * ex
+    ys = one ** 2 * sy + 2 * one * u * cy + u ** 2 * ey
+    xs += rng.normal(0.0, 1.5, size=n_pts)
+    ys += rng.normal(0.0, 1.5, size=n_pts)
+    xs = np.clip(xs, 0.0, SCREEN_W - 1)
+    ys = np.clip(ys, 0.0, SCREEN_H - 1)
+
+    duration_ms = max(60.0, 1000.0 * chord / speed)
+    dt = np.diff(u) * duration_ms
+    dt = dt * rng.uniform(0.8, 1.25, size=n_pts - 1)
+    dt = np.maximum(1, np.rint(dt).astype(int))
+    t = start_ms + np.concatenate([[0], np.cumsum(dt)])
+
+    profile = 0.85 + 0.3 * np.sin(np.pi * u)
+    pressures = np.maximum(0.01, level_p * profile
+                           + rng.normal(0.0, 0.01, size=n_pts))
+    areas = np.maximum(0.01, level_a * profile
+                       + rng.normal(0.0, 0.01, size=n_pts))
+    return t, xs, ys, pressures, areas
+
+
+def o_synthetic_columns(spec):
+    """(TouchColumns, number of pushed endpoints) of ``spec``'s corpus,
+    drawn and shaped one stroke at a time, with the session clock
+    carried from stroke to stroke."""
+    from swipebench.synthetic import SESSION_GAP_MS, _user_latents
+    from swipebench.touchdata import DOWN, MOVE, UP, TouchColumns
+
+    rng = np.random.default_rng(spec.seed)
+    latents = _user_latents(spec, rng)
+    series, sessions, pushed = [], [], []
+    for ui in range(spec.users):
+        for si in range(spec.sessions_per_user):
+            clock = si * SESSION_GAP_MS
+            for _ in range(spec.swipes_per_session):
+                stroke = _o_stroke_series(latents[ui], rng, clock, pushed)
+                series.append(stroke)
+                sessions.append((f"u{ui:02d}", f"s{si:02d}"))
+                clock = int(stroke[0][-1]) + int(rng.integers(200, 2000))
+
+    lengths = [len(stroke[0]) for stroke in series]
+    t, x, y, pressure, area = (np.concatenate(c) for c in zip(*series))
+    user_id, session_id = (np.repeat(np.array(c, dtype=object), lengths)
+                           for c in zip(*sessions))
+    phase = np.full(len(t), MOVE, dtype=np.int8)
+    stops = np.cumsum(lengths)
+    phase[stops - 1] = UP
+    phase[stops - lengths] = DOWN
+    columns = TouchColumns(
+        dataset=np.full(len(t), spec.name, dtype=object), user_id=user_id,
+        session_id=session_id,
+        device_model=np.full(len(t), "synthetic-device", dtype=object),
+        t=t.astype(np.int64), phase=phase, x=x, y=y, pressure=pressure,
+        area=area)
+    return columns, len(pushed)

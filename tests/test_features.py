@@ -467,6 +467,24 @@ def test_exports_match_cell_by_cell_reference():
             if not table.defined[i, j]]
 
 
+def test_csv_export_bytes_with_blanks_signed_zero_and_exponents():
+    X = np.array([[-0.0, 1e16, 1e-05, 2.5],
+                  [np.nan, 0.0, -1e16, np.inf],
+                  [0.1, -1e-05, 7.0, 3.0]])
+    defined = np.array([[True, True, True, False],
+                        [False, True, True, False],
+                        [True, True, True, True]])
+    table = extract.FeatureTable(
+        dataset_name="d", feature_ids=(3, 1, 149, 7), X=X, defined=defined,
+        user_ids=["u0", "u0", "u1"], session_ids=["s0", "s1", "s0"],
+        user_sessions={})
+    assert export_table_csv(table) == (
+        "dataset,user_id,session_id,row,f3,f1,f149,f7\n"
+        "d,u0,s0,0,-0.0,1e+16,1e-05,\n"
+        "d,u0,s1,1,,0.0,-1e+16,\n"
+        "d,u1,s0,2,0.1,-1e-05,7.0,3.0\n")
+
+
 def make_two_session_dataset():
     rng = np.random.default_rng(42)
     s1 = [random_swipe(rng, user="ua", session="s1") for _ in range(3)]

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import o_synthetic_columns
+from swipebench import synthetic
 from swipebench.errors import ConfigError
 from swipebench.features.extract import build_feature_table
 from swipebench.ingest import write_canonical
@@ -101,3 +103,47 @@ def test_spec_validation():
 def test_spec_dict_roundtrip():
     spec = SyntheticSpec(users=5, separability=2.0, seed=9, name="demo")
     assert SyntheticSpec.from_dict(spec.as_dict()) == spec
+
+
+def generated_columns(spec, monkeypatch):
+    """The TouchColumns that generate_synthetic hands to assemble_dataset."""
+    seen = []
+
+    def assemble(name, records):
+        seen.append(records)
+        return assemble_dataset(name, records)
+
+    assemble_dataset = synthetic.assemble_dataset
+    monkeypatch.setattr(synthetic, "assemble_dataset", assemble)
+    generate_synthetic(spec)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def test_generator_matches_the_per_stroke_reference_bitwise(monkeypatch):
+    specs = [SyntheticSpec(users=3, sessions_per_user=2, swipes_per_session=6,
+                           separability=sep, seed=seed)
+             for seed in range(8) for sep in (0.0, 0.5, 2.0, 8.0, 200.0)]
+    # the benchmark's corpus (first format), ensemble-cell and
+    # protocol-grid corpora at benchmark seed 1
+    bench_seed = int(np.random.SeedSequence(1).generate_state(
+        1, dtype=np.uint32)[0])
+    specs += [SyntheticSpec(users=u, sessions_per_user=3, swipes_per_session=w,
+                            separability=sep, seed=bench_seed, name=name)
+              for u, w, sep, name in ((6, 16, 2.0, "corpus-csv"),
+                                      (5, 20, 8.0, "ensemble-cell"),
+                                      (5, 18, 0.5, "protocol-grid"))]
+    # far-flung users: endpoints clip to the screen's corners, so chords
+    # under 40 px push the endpoint out (an extra draw)
+    pushing = SyntheticSpec(users=4, sessions_per_user=2,
+                            swipes_per_session=5, separability=200.0, seed=3)
+    assert o_synthetic_columns(pushing)[1] > 0
+    for spec in specs + [pushing]:
+        got = generated_columns(spec, monkeypatch)
+        want, _ = o_synthetic_columns(spec)
+        for name in ("dataset", "user_id", "session_id", "device_model"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist()
+        for name in ("t", "phase", "x", "y", "pressure", "area"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
+                spec, name)
