@@ -1,12 +1,14 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here except the last section is written in plain Python
-(lists, math, explicit loops) on purpose: these are the definitional
-oracles, deliberately sharing no code with the implementation under test.
-The last four sections keep per-column NumPy loops, the binary and
-one-class SMO loops, the per-swipe feature extraction, and the network
-training steps and per-tree descent as bitwise references for the
-package's vectorised, shared or in-place forms of the same computations.
+Everything here except the last five sections is written in plain
+Python (lists, math, explicit loops) on purpose: these are the
+definitional oracles, deliberately sharing no code with the
+implementation under test.
+The last five sections keep per-column NumPy loops, the binary and
+one-class SMO loops, the per-swipe feature extraction, the network
+training steps and per-tree descent, and the per-stroke synthetic
+generator as bitwise references for the package's vectorised, shared or
+in-place forms of the same computations.
 The per-event ingest references live in ingest_oracles.py.
 """
 
