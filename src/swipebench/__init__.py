@@ -8,7 +8,7 @@ leakage-free protocol with disjoint attacker groups.
 """
 
 from .aggregation import AggregationSpec, TrustParams
-from .classifiers import ClassifierSpec, from_blob, score, to_blob, train
+from .classifiers import ClassifierSpec, from_blob, to_blob, train
 from .errors import ConfigError, DataError, SwipebenchError
 from .features.catalog import FEATURES, STUDY_SETS, resolve_feature_ids
 from .features.extract import FeatureTable, build_feature_table, extract_features
@@ -20,14 +20,14 @@ from .protocol import (ProtocolConfig, partition_attackers, run_experiment,
 from .selection import anova_f_scores, select_features
 from .stacking import StackerSpec, stack_score, train_stacker
 from .synthetic import SyntheticSpec, generate_synthetic
-from .touchdata import (Dataset, EligibilityCriteria, Swipe, TouchColumns,
-                        TouchSample, filter_eligible, segment_strokes)
+from .touchdata import (Dataset, Swipe, TouchColumns, TouchSample,
+                        filter_eligible)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AggregationSpec", "TrustParams", "ClassifierSpec", "from_blob",
-    "score", "to_blob", "train", "ConfigError", "DataError",
+    "to_blob", "train", "ConfigError", "DataError",
     "SwipebenchError", "FEATURES", "STUDY_SETS", "resolve_feature_ids",
     "FeatureTable", "build_feature_table", "extract_features",
     "load_canonical", "write_canonical", "compute_eer", "compute_roc",
@@ -35,7 +35,7 @@ __all__ = [
     "run_experiment", "run_user_evaluation", "sample_negatives",
     "split_user_sessions", "anova_f_scores", "select_features",
     "StackerSpec", "stack_score", "train_stacker", "SyntheticSpec",
-    "generate_synthetic", "Dataset", "EligibilityCriteria", "Swipe",
-    "TouchColumns", "TouchSample", "filter_eligible", "segment_strokes",
+    "generate_synthetic", "Dataset", "Swipe", "TouchColumns",
+    "TouchSample", "filter_eligible",
     "__version__",
 ]

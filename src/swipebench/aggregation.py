@@ -122,28 +122,19 @@ def reduce_scores(scores, spec: AggregationSpec) -> float:
     if spec.method == "vote":
         return float(np.count_nonzero(s >= spec.vote_threshold) / s.size)
     if spec.method == "trust":
-        return _trust_walk(s.tolist(), spec.trust)[-1]
+        return _trust_walk(s.tolist(), spec.trust)
     raise ConfigError(
         f"method {spec.method!r} is not a closed-form reducer")
 
 
-def trust_trace(scores, params: TrustParams = TrustParams()) -> np.ndarray:
-    """Trust value after each score, starting from params.initial."""
-    s = np.asarray(scores, dtype=float)
-    if s.size == 0:
-        raise EmptyWindow("trust trace needs at least one score")
-    return np.array(_trust_walk(s.tolist(), params))
-
-
-def _trust_walk(scores: list[float], params: TrustParams) -> list[float]:
-    out = []
+def _trust_walk(scores: list[float], params: TrustParams) -> float:
+    """Trust after the last score, starting from params.initial."""
     trust = params.initial
     for score in scores:
         delta = score - params.threshold
         weight = params.reward if delta >= 0 else params.penalty
         trust = min(1.0, max(0.0, trust + weight * delta))
-        out.append(trust)
-    return out
+    return trust
 
 
 def concat_window(X: np.ndarray, idx: np.ndarray) -> np.ndarray:

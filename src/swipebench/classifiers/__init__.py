@@ -30,11 +30,6 @@ def train(spec: ClassifierSpec, X, y=None,
     return cls.train(spec, X, y, defined=defined)
 
 
-def score(model: TrainedModel, X, defined: np.ndarray | None = None) -> np.ndarray:
-    """Scores in [0, 1], higher = more genuine."""
-    return model.score(X, defined=defined)
-
-
 __all__ = ["ClassifierSpec", "TrainedModel", "Standardizer", "KINDS",
-           "ONE_CLASS_KINDS", "canonical_kind", "train", "score",
+           "ONE_CLASS_KINDS", "canonical_kind", "train",
            "to_blob", "from_blob"]

@@ -99,8 +99,8 @@ def smo_solve_binary(K: np.ndarray, y: np.ndarray, C: float,
     return alpha, b
 
 
-def fit_platt_sigmoid(decision: np.ndarray, y01: np.ndarray,
-                      max_iter: int = 100) -> tuple[float, float]:
+def fit_platt_sigmoid(decision: np.ndarray,
+                      y01: np.ndarray) -> tuple[float, float]:
     """Fit P(genuine | f) = 1 / (1 + exp(A f + B)) by penalized maximum
     likelihood (Newton with backtracking, the standard robust recipe)."""
     prior1 = float(np.sum(y01 == 1))
@@ -113,6 +113,7 @@ def fit_platt_sigmoid(decision: np.ndarray, y01: np.ndarray,
     B = math.log((prior0 + 1.0) / (prior1 + 1.0))
     sigma = 1e-12
     min_step = 1e-10
+    max_iter = 100
 
     def objective(a: float, b: float) -> float:
         fApB = decision * a + b

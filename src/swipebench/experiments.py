@@ -47,7 +47,7 @@ from .protocol import (CellSummary, ProtocolConfig, aggregation_key,
                        run_experiment, sampling_plans)
 from .spec import read_object
 from .synthetic import SyntheticSpec, generate_synthetic
-from .touchdata import Dataset, EligibilityCriteria, filter_eligible
+from .touchdata import Dataset, filter_eligible
 
 FORMATS = ("csv", "json")
 
@@ -84,7 +84,11 @@ def resolve_feature_set(ref, position: int = 0) -> tuple[str, tuple[int, ...]]:
     return f"custom{position}", resolve_feature_ids(ref)
 
 
-def _as_list(value) -> list:
+def _entries(doc: dict, key: str, default) -> list:
+    """doc[key] as a non-empty list; one entry may stand alone."""
+    value = doc.get(key, default)
+    if value == []:
+        raise ConfigError(f"{key} must list at least one entry")
     return value if isinstance(value, list) else [value]
 
 
@@ -138,15 +142,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 dataset else {"path": str, "name": str}, path="dataset")
 
     feature_sets = [resolve_feature_set(ref, i)
-                    for i, ref in enumerate(_as_list(doc.get("feature_set", "all")))]
+                    for i, ref in enumerate(_entries(doc, "feature_set", "all"))]
     labels = [label for label, _ in feature_sets]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate feature set labels: {labels}")
 
     classifiers = [_classifier_entry(e, f"classifier[{i}]") for i, e in
-                   enumerate(_as_list(doc.get("classifier", "ensemble")))]
+                   enumerate(_entries(doc, "classifier", "ensemble"))]
     aggregations = [_aggregation_entry(e, f"aggregation[{i}]") for i, e in
-                    enumerate(_as_list(doc.get("aggregation", "none")))]
+                    enumerate(_entries(doc, "aggregation", "none"))]
     keys = [aggregation_key(a) for a in aggregations]
     if len(set(keys)) != len(keys):
         raise ConfigError(f"duplicate aggregation variants: {keys}")
@@ -185,7 +189,7 @@ def load_experiment_dataset(source: dict) -> tuple[Dataset, dict]:
     else:
         data, _report = load_canonical(source["path"],
                                        name=source.get("name"))
-    eligible, report = filter_eligible(data, EligibilityCriteria())
+    eligible, report = filter_eligible(data)
     return eligible, report
 
 

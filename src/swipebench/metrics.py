@@ -21,11 +21,6 @@ class RocCurve:
     far: np.ndarray
     frr: np.ndarray
 
-    def as_dict(self) -> dict:
-        return {"thresholds": [float(v) for v in self.thresholds],
-                "far": [float(v) for v in self.far],
-                "frr": [float(v) for v in self.frr]}
-
 
 @dataclass
 class EerResult:

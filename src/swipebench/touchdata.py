@@ -26,9 +26,13 @@ PHASES = ("down", "move", "up")
 DOWN, MOVE, UP = range(len(PHASES))
 PHASE_CODES = {p: i for i, p in enumerate(PHASES)}
 
+# A stroke shorter than this in samples or in time is a tap.
 MIN_SAMPLES = 4
 MIN_DURATION_MS = 30
 
+# Enrollment: sessions a user needs on one device, and the channels every
+# kept sample must report.
+MIN_SESSIONS = 2
 CHANNELS = ("pressure", "area")
 
 # Timestamps lie below this in magnitude (ms): float64 holds every integer
@@ -245,16 +249,15 @@ class Swipe:
     def areas(self) -> np.ndarray:
         return self.columns.area[self.start:self.stop]
 
-    def validate(self, min_samples: int = MIN_SAMPLES,
-                 min_duration_ms: int = MIN_DURATION_MS) -> None:
+    def validate(self) -> None:
         """Raise ValueError unless this swipe satisfies the type invariants."""
-        if self.n < min_samples:
-            raise ValueError(f"swipe has {self.n} samples, needs >= {min_samples}")
+        if self.n < MIN_SAMPLES:
+            raise ValueError(f"swipe has {self.n} samples, needs >= {MIN_SAMPLES}")
         rows = slice(self.start, self.stop)
         if (np.diff(self.columns.t[rows]) <= 0).any():
             raise ValueError("timestamps not strictly increasing")
-        if self.duration_ms < min_duration_ms:
-            raise ValueError(f"duration {self.duration_ms} ms < {min_duration_ms} ms")
+        if self.duration_ms < MIN_DURATION_MS:
+            raise ValueError(f"duration {self.duration_ms} ms < {MIN_DURATION_MS} ms")
         phases = self.columns.phase[rows]
         if phases[0] != DOWN or phases[-1] != UP:
             raise ValueError("swipe must start with down and end with up")
@@ -300,9 +303,8 @@ class SegmentationCounts:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _segment(cols: TouchColumns, group: np.ndarray, min_samples: int,
-             min_duration_ms: int) -> tuple[list[Swipe], np.ndarray,
-                                            SegmentationCounts]:
+def _segment(cols: TouchColumns, group: np.ndarray,
+             ) -> tuple[list[Swipe], np.ndarray, SegmentationCounts]:
     """Cut each group's event stream into validated swipes, all groups in
     one pass over the columns sorted by (group, t, phase rank, x, y,
     pressure, area).
@@ -351,7 +353,7 @@ def _segment(cols: TouchColumns, group: np.ndarray, min_samples: int,
     starts = np.flatnonzero(new_run)
     lengths = np.diff(np.append(starts, len(kept)))
     duration = t[kept[starts + lengths - 1]] - t[kept[starts]]
-    tap = (lengths < min_samples) | (duration < min_duration_ms)
+    tap = (lengths < MIN_SAMPLES) | (duration < MIN_DURATION_MS)
     counts.discarded_short = int(lengths[tap].sum())
     counts.taps_discarded = int(tap.sum())
     rows = order[kept[np.repeat(~tap, lengths)]]
@@ -374,27 +376,6 @@ def _segment(cols: TouchColumns, group: np.ndarray, min_samples: int,
     return swipes, groups, counts
 
 
-def segment_strokes(events, min_samples: int = MIN_SAMPLES,
-                    min_duration_ms: int = MIN_DURATION_MS,
-                    ) -> tuple[list[Swipe], SegmentationCounts]:
-    """Cut one session's event stream (TouchColumns or a sequence of
-    TouchSample) into validated swipes.
-
-    Events may arrive in any order. A down opens a candidate; a down while a
-    candidate is open discards the open one as unterminated. Candidates that
-    end up with fewer than min_samples samples or shorter than min_duration_ms
-    are discarded as taps. Every input sample lands either in a swipe or in
-    exactly one discard bucket. Raises ValueError when the events span more
-    than one (user, session).
-    """
-    cols = TouchColumns.of(events)
-    if len(set(zip(cols.user_id.tolist(), cols.session_id.tolist()))) > 1:
-        raise ValueError("events span multiple users or sessions")
-    swipes, _, counts = _segment(cols, np.zeros(len(cols), dtype=np.intp),
-                                 min_samples, min_duration_ms)
-    return swipes, counts
-
-
 @dataclass
 class Session:
     session_id: str
@@ -415,9 +396,6 @@ class UserData:
     def n_swipes(self) -> int:
         return sum(len(s.swipes) for s in self.sessions)
 
-    def all_swipes(self) -> list[Swipe]:
-        return [sw for s in self.sessions for sw in s.swipes]
-
 
 @dataclass
 class Dataset:
@@ -436,22 +414,25 @@ class Dataset:
         return sorted(self.users)
 
 
-def assemble_dataset(name: str, records,
-                     min_samples: int = MIN_SAMPLES,
-                     min_duration_ms: int = MIN_DURATION_MS,
-                     ) -> tuple[Dataset, SegmentationCounts]:
+def assemble_dataset(name: str, records) -> tuple[Dataset, SegmentationCounts]:
     """Group events (TouchColumns or a sequence of TouchSample) by (user,
-    session), segment, and order sessions chronologically (first event
-    time, ties by session id). A session's device is that of its first
-    event in input order."""
+    session), cut each session's stream into validated swipes, and order
+    sessions chronologically (first event time, ties by session id). A
+    session's device is that of its first event in input order.
+
+    Events may arrive in any order. A down opens a candidate; a down while a
+    candidate is open discards the open one as unterminated. Candidates that
+    end up with fewer than MIN_SAMPLES samples or shorter than
+    MIN_DURATION_MS are discarded as taps. Every input sample lands either
+    in a swipe or in exactly one discard bucket.
+    """
     cols = TouchColumns.of(records)
     keys = list(zip(cols.user_id.tolist(), cols.session_id.tolist()))
     codes = {key: i for i, key in enumerate(dict.fromkeys(keys))}
     group = np.fromiter(map(codes.__getitem__, keys), dtype=np.intp,
                         count=len(keys))
     _, first = np.unique(group, return_index=True)
-    swipes, groups, totals = _segment(cols, group, min_samples,
-                                      min_duration_ms)
+    swipes, groups, totals = _segment(cols, group)
 
     by_group: dict[int, list[Swipe]] = {}
     for code, swipe in zip(groups.tolist(), swipes):
@@ -472,32 +453,19 @@ def assemble_dataset(name: str, records,
     return Dataset(name=name, users=users), totals
 
 
-@dataclass(frozen=True, slots=True)
-class EligibilityCriteria:
-    min_sessions: int = 2
-    required_channels: tuple[str, ...] = CHANNELS
-
-    def __post_init__(self) -> None:
-        if self.min_sessions < 1:
-            raise ValueError("min_sessions must be >= 1")
-        for ch in self.required_channels:
-            if ch not in CHANNELS:
-                raise ValueError(f"unknown channel {ch!r}")
-
-
-def _channels_complete(sessions: list[Session], channels: tuple[str, ...]) -> bool:
+def _channels_complete(sessions: list[Session]) -> bool:
     swipes = [swipe for session in sessions for swipe in session.swipes]
-    return not any(np.isnan(values).any() for values in gather(swipes, channels))
+    return not any(np.isnan(values).any() for values in gather(swipes, CHANNELS))
 
 
-def filter_eligible(dataset: Dataset, criteria: EligibilityCriteria = EligibilityCriteria(),
-                    ) -> tuple[Dataset, dict]:
+def filter_eligible(dataset: Dataset) -> tuple[Dataset, dict]:
     """Apply the enrollment rules.
 
     Per user, keep only the largest same-device group of sessions (ties break
     toward the lexicographically smallest device name); the user survives
-    when that group has >= min_sessions sessions and every kept sample
-    reports all required channels. Raises NoEligibleUsers when nobody does.
+    when that group has >= MIN_SESSIONS sessions and every kept sample
+    reports every channel in CHANNELS. Raises NoEligibleUsers when nobody
+    does.
     """
     kept: dict[str, UserData] = {}
     report = {"users_in": dataset.n_users, "users_kept": 0,
@@ -509,15 +477,16 @@ def filter_eligible(dataset: Dataset, criteria: EligibilityCriteria = Eligibilit
             by_device.setdefault(session.device_model, []).append(session)
         best_device = max(sorted(by_device), key=lambda d: len(by_device[d]))
         sessions = by_device[best_device]
-        if len(sessions) < criteria.min_sessions:
+        if len(sessions) < MIN_SESSIONS:
             report["dropped_few_sessions"] += 1
             continue
-        if not _channels_complete(sessions, criteria.required_channels):
+        if not _channels_complete(sessions):
             report["dropped_missing_channels"] += 1
             continue
         kept[user_id] = UserData(user_id=user_id, sessions=sessions)
     report["users_kept"] = len(kept)
     if not kept:
         raise NoEligibleUsers(
-            f"no users in {dataset.name!r} satisfy {criteria}")
+            f"no users in {dataset.name!r} have {MIN_SESSIONS} sessions on "
+            f"one device with {' and '.join(CHANNELS)}")
     return Dataset(name=dataset.name, users=kept), report

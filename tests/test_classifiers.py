@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import (o_smo_solve_binary, o_smo_solve_one_class,
-                     o_standardizer_stats)
-from swipebench.classifiers import (KINDS, ClassifierSpec, from_blob, score,
+from bitwise_oracles import (o_smo_solve_binary, o_smo_solve_one_class,
+                             o_standardizer_stats)
+from swipebench.classifiers import (KINDS, ClassifierSpec, from_blob,
                                     to_blob, train)
 from swipebench.classifiers import base
 from swipebench.classifiers.base import ONE_CLASS_KINDS, Standardizer
@@ -45,7 +45,7 @@ def test_binary_kinds_separate_blobs(kind):
     rng = np.random.default_rng(101)
     X, y = blob_data(rng)
     model = train(spec_for(kind), X, y)
-    s = score(model, X)
+    s = model.score(X)
     assert s.shape == (len(X),)
     assert np.all((s >= 0.0) & (s <= 1.0))
     acc = np.mean((s >= 0.5) == (y == 1))
@@ -57,7 +57,7 @@ def test_one_class_kinds_separate_blobs(kind):
     rng = np.random.default_rng(202)
     X, y = blob_data(rng, sep=6.0)
     model = train(spec_for(kind), X, y)
-    s = score(model, X)
+    s = model.score(X)
     assert np.all((s >= 0.0) & (s <= 1.0))
     res = eer_from_scores(s[y == 1], s[y == 0])
     assert res.eer <= 0.15, (kind, res.eer)
@@ -78,8 +78,8 @@ def test_training_is_deterministic(kind):
     rng = np.random.default_rng(404)
     X, y = blob_data(rng, n_per=30)
     probe = rng.normal(2.0, 2.0, size=(20, X.shape[1]))
-    s1 = score(train(spec_for(kind, seed=7), X, y), probe)
-    s2 = score(train(spec_for(kind, seed=7), X, y), probe)
+    s1 = train(spec_for(kind, seed=7), X, y).score(probe)
+    s2 = train(spec_for(kind, seed=7), X, y).score(probe)
     np.testing.assert_array_equal(s1, s2)
 
 
@@ -107,7 +107,7 @@ def test_knn_oversized_k_degrades_to_global_fraction():
     rng = np.random.default_rng(707)
     X, y = blob_data(rng, n_per=5)
     model = train(spec_for("knn", extra={"k": 500}), X, y)
-    s = score(model, rng.normal(size=(8, X.shape[1])))
+    s = model.score(rng.normal(size=(8, X.shape[1])))
     np.testing.assert_allclose(s, np.full(8, y.mean()), atol=1e-12)
 
 
@@ -117,7 +117,7 @@ def test_knn_uses_k_nearest():
     X = np.array([[0.0], [0.1], [-0.1], [10.0], [10.1], [9.9]])
     y = np.array([1, 1, 1, 0, 0, 0])
     model = train(spec_for("knn", extra={"k": 3}), X, y)
-    s = score(model, np.array([[1.0], [9.0]]))
+    s = model.score(np.array([[1.0], [9.0]]))
     assert s[0] == 1.0 and s[1] == 0.0
 
 

@@ -451,13 +451,18 @@ def _params(kind, **values):
      "aggregation[0].stacker.beta2 must be a number in [0, 1), got 1.0"),
     ({"protocol": {"repetitions": 0}},
      "protocol.repetitions must be an integer >= 1, got 0"),
+    # an IndexError traceback, or for aggregation an empty report
+    ({"feature_set": []}, "feature_set must list at least one entry"),
+    ({"classifier": []}, "classifier must list at least one entry"),
+    ({"aggregation": []}, "aggregation must list at least one entry"),
 ], ids=["nu-0", "nu-negative", "nu-above-1", "nn-batch-0", "nn-epochs-negative",
         "stacker-batch-0", "stacker-epochs-negative",
         "stacker-hidden-0", "rf-trees-0", "svm-folds-0", "synthetic-seed",
         "knn-k-0", "knn-k-negative", "svm-C-negative", "svm-tol-negative",
         "svm-iter-negative", "svm-folds-1", "nb-smoothing-negative",
         "nn-dropout-1", "nn-bn-eps-negative", "if-subsample-0",
-        "stacker-beta2-1", "repetitions-0"])
+        "stacker-beta2-1", "repetitions-0", "feature-sets-empty",
+        "classifiers-empty", "aggregations-empty"])
 def test_out_of_range_training_params_are_config_errors(tmp_path, capsys,
                                                         overrides, message):
     """Exit 2 with one line naming the value's dotted path before any

@@ -20,9 +20,9 @@ import json
 import numpy as np
 import pytest
 
+from bitwise_oracles import o_extract_features
 from ingest_oracles import (o_assemble_dataset, o_convert_raw,
                             o_parse_canonical, o_write_canonical)
-from oracles import o_extract_features
 from swipebench.errors import SwipebenchError
 from swipebench.features.extract import build_feature_table
 from swipebench.ingest import (REQUIRED_FIELDS, AdapterConfig, convert_raw,

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from helpers import build_swipe, dataset_from_sessions, random_swipe
-from oracles import o_compute_kinematics, o_extract_features, oracle_features
+from bitwise_oracles import o_compute_kinematics, o_extract_features
+from oracles import oracle_features
 from swipebench.errors import EmptyMatrix
 from swipebench.features.catalog import ALL_IDS
 from swipebench.features import extract

@@ -1,5 +1,6 @@
 """Trained network weights: a frozen golden file, the flat buffer, and
-byte equality with the reference training steps in ``tests/oracles.py``.
+byte equality with the reference training steps in
+``tests/bitwise_oracles.py``.
 
 ``tests/data/golden_networks.json`` holds the parameter vectors and
 training-set scores of a small seeded MLP and a small seeded LSTM
@@ -17,8 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import (o_lstm_backward, o_lstm_forward, o_mlp_backward,
-                     o_mlp_forward, o_sigmoid)
+from bitwise_oracles import (o_lstm_backward, o_lstm_forward,
+                             o_mlp_backward, o_mlp_forward, o_sigmoid)
 from swipebench.classifiers import ClassifierSpec, train
 from swipebench.classifiers.neural import MlpNetwork, _sigmoid
 from swipebench.stacking import (LstmStacker, StackerSpec, stack_score,
@@ -129,7 +130,7 @@ def test_lstm_arrays_are_views_of_params():
 # -- bitwise against the reference training steps ---------------------------
 # golden_networks.json allows 1e-9, which a last-bit change passes; these
 # train with the package's steps and with the reference steps in
-# tests/oracles.py and compare bytes.
+# tests/bitwise_oracles.py and compare bytes.
 
 def assert_bytes_equal(actual, expected, what):
     """Equal bytes, except that a NaN only has to meet a NaN."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import o_synthetic_columns
+from bitwise_oracles import o_synthetic_columns
 from swipebench import synthetic
 from swipebench.errors import ConfigError
 from swipebench.features.extract import build_feature_table
@@ -42,7 +42,7 @@ def test_swipes_fit_on_screen():
                                           swipes_per_session=10, seed=3,
                                           separability=5.0))
     for uid in ds.user_ids():
-        for swipe in ds.users[uid].all_swipes():
+        for swipe in (sw for s in ds.users[uid].sessions for sw in s.swipes):
             assert np.all((swipe.xs >= 0) & (swipe.xs <= 1080))
             assert np.all((swipe.ys >= 0) & (swipe.ys <= 1920))
             assert np.all(swipe.pressures > 0)

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import build_samples, build_swipe
 from swipebench.errors import NoEligibleUsers
-from swipebench.touchdata import (EligibilityCriteria, Session, TouchSample,
-                                  UserData, assemble_dataset, filter_eligible,
-                                  segment_strokes)
+from swipebench.touchdata import (Session, TouchSample, UserData,
+                                  assemble_dataset, filter_eligible)
 
 
 def sample(t, phase, *, x=None, y=None, user="u1", session="s1",
@@ -24,6 +23,15 @@ def sample(t, phase, *, x=None, y=None, user="u1", session="s1",
 def stroke_events(t0, n, *, dt=15, **kw):
     phases = ["down"] + ["move"] * (n - 2) + ["up"]
     return [sample(t0 + i * dt, ph, **kw) for i, ph in enumerate(phases)]
+
+
+def segment_strokes(events):
+    """Segment events through assemble_dataset: every swipe in dataset
+    order, and the counts."""
+    ds, counts = assemble_dataset("unit", events)
+    return [swipe for user_id in ds.user_ids()
+            for session in ds.users[user_id].sessions
+            for swipe in session.swipes], counts
 
 
 def test_sample_validation():
@@ -131,12 +139,6 @@ def test_every_sample_is_accounted_for(events, rnd):
         swipe.validate()
 
 
-def test_segment_strokes_takes_one_session():
-    events = stroke_events(0, 5) + stroke_events(10, 5, session="s2")
-    with pytest.raises(ValueError, match="multiple users or sessions"):
-        segment_strokes(events)
-
-
 def test_assemble_groups_and_orders_sessions():
     records = (stroke_events(5000, 5, session="late")
                + stroke_events(100, 5, session="early")
@@ -178,7 +180,7 @@ def test_eligibility_keeps_largest_device_group():
                                ("s2", "phone-a", 100, False),
                                ("s3", "phone-b", 200, False)]),
     })
-    kept, report = filter_eligible(ds, EligibilityCriteria(min_sessions=2))
+    kept, report = filter_eligible(ds)
     assert [s.session_id for s in kept.users["u1"].sessions] == ["s1", "s2"]
     assert report["users_kept"] == 1
 
@@ -187,9 +189,12 @@ def test_eligibility_device_tie_breaks_lexicographically():
     from swipebench.touchdata import Dataset
     ds = Dataset(name="unit", users={
         "u1": user_data("u1", [("s1", "zz-phone", 0, False),
-                               ("s2", "aa-phone", 100, False)]),
+                               ("s2", "aa-phone", 100, False),
+                               ("s3", "zz-phone", 200, False),
+                               ("s4", "aa-phone", 300, False)]),
     })
-    kept, _ = filter_eligible(ds, EligibilityCriteria(min_sessions=1))
+    kept, _ = filter_eligible(ds)
+    assert [s.session_id for s in kept.users["u1"].sessions] == ["s2", "s4"]
     assert kept.users["u1"].sessions[0].device_model == "aa-phone"
 
 
@@ -202,21 +207,10 @@ def test_eligibility_drops_few_sessions_and_missing_channels():
         "good": user_data("good", [("s1", "d", 0, False),
                                    ("s2", "d", 100, False)]),
     })
-    kept, report = filter_eligible(ds, EligibilityCriteria(min_sessions=2))
+    kept, report = filter_eligible(ds)
     assert list(kept.users) == ["good"]
     assert report["dropped_few_sessions"] == 1
     assert report["dropped_missing_channels"] == 1
-
-
-def test_eligibility_channel_requirements_can_be_relaxed():
-    from swipebench.touchdata import Dataset
-    ds = Dataset(name="unit", users={
-        "nan-pressure": user_data("nan-pressure", [("s1", "d", 0, True),
-                                                   ("s2", "d", 100, True)]),
-    })
-    kept, _ = filter_eligible(
-        ds, EligibilityCriteria(min_sessions=2, required_channels=("area",)))
-    assert list(kept.users) == ["nan-pressure"]
 
 
 def test_no_eligible_users_raises():
@@ -225,14 +219,7 @@ def test_no_eligible_users_raises():
         "u1": user_data("u1", [("s1", "d", 0, False)]),
     })
     with pytest.raises(NoEligibleUsers):
-        filter_eligible(ds, EligibilityCriteria(min_sessions=2))
-
-
-def test_criteria_validation():
-    with pytest.raises(ValueError):
-        EligibilityCriteria(min_sessions=0)
-    with pytest.raises(ValueError):
-        EligibilityCriteria(required_channels=("grip",))
+        filter_eligible(ds)
 
 
 def test_swipe_validate_rejects_malformed():

@@ -1,12 +1,12 @@
-"""The benchmark's tracer still sees the ingest, touchdata and extraction
-layers.
+"""The benchmark's tracer still sees the ingest and protocol layers.
 
 ``bench/spans.py`` times layers from outside the package by replacing
 module bindings with wrappers. Renaming a binding it wraps, or inlining a
 call that goes through one, drops that layer's spans without an error.
 This runs a small corpus-shaped ingest (canonical file, raw adapter
-export, eligibility filter, feature table) under ``Tracer.install()`` and
-checks that every layer and nested call still shows up.
+export, eligibility filter, feature table) and a small protocol-grid
+shaped matrix under ``Tracer.install()`` and checks that every layer and
+nested call still shows up.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 from spans import Tracer  # noqa: E402
-from swipebench import ingest, touchdata  # noqa: E402
+from swipebench import experiments, ingest, touchdata  # noqa: E402
 from swipebench.features import extract  # noqa: E402
 from swipebench.synthetic import SyntheticSpec, generate_synthetic  # noqa: E402
 
@@ -90,3 +90,38 @@ def test_tracer_sees_every_ingest_layer(tmp_path):
                                            "touchdata.assemble"]
     assert children(spans, top[1][0]) == []
     assert not hasattr(ingest.load_canonical, "__wrapped__")
+
+
+def test_tracer_sees_every_protocol_layer(tmp_path):
+    """A tiny matrix run: every span the protocol-grid workload's
+    per-layer metrics read shows up at least once."""
+    cfg = experiments.parse_config({
+        "dataset": {"synthetic": {"users": 3, "sessions_per_user": 2,
+                                  "swipes_per_session": 8,
+                                  "separability": 2.0, "seed": 5}},
+        "feature_set": "frank2013",
+        "classifier": "knn",
+        "aggregation": [
+            "none",
+            {"method": "mean", "window": 2},
+            {"method": "feed", "window": 2},
+            {"method": "stacking", "window": 2,
+             "stacker": {"hidden": 2, "epochs": 1}}],
+        "protocol": {"repetitions": 1, "seed": 0},
+    })
+    tracer = Tracer(seed=0)
+    tracer.install()
+    try:
+        result = experiments.run_matrix(cfg)
+        experiments.write_report(result, tmp_path)
+    finally:
+        tracer.uninstall()
+
+    missing = {
+        "aggregation.window", "aggregation.reduce", "aggregation.concat",
+        "stacking.train", "stacking.score", "protocol.self",
+        "protocol.sample", "metrics.eer", "experiments.self",
+        "experiments.write", "classifiers.knn.train",
+        "classifiers.knn.score"} - {s[0] for s in tracer.spans}
+    assert not missing
+    assert not hasattr(experiments.run_matrix, "__wrapped__")

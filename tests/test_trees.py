@@ -1,5 +1,6 @@
 """Trained tree models: a frozen golden file, degenerate input, and the
-one forest descent against the per-tree reference in ``tests/oracles.py``.
+one forest descent against the per-tree reference in
+``tests/bitwise_oracles.py``.
 
 ``tests/data/golden_trees.json`` holds the ``to_blob`` documents and the
 probe-row scores of a small seeded decision tree, random forest and
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import o_best_split, o_tree_leaves
+from bitwise_oracles import o_best_split, o_tree_leaves
 from swipebench.classifiers import (ClassifierSpec, from_blob, to_blob, train,
                                     tree)
 from swipebench.classifiers.isolation import (average_path_length,
