@@ -84,25 +84,23 @@ class AggregationSpec(Spec):
         return d
 
 
-def window_slices(session_ids, window: int, stride: int) -> list[np.ndarray]:
-    """Index windows over a swipe stream, restarting at session changes.
+def window_slices(lengths, window: int, stride: int) -> np.ndarray:
+    """Index windows over a swipe stream of session runs laid end to end.
 
-    session_ids is the per-swipe session labels in stream order. Returns
-    one integer index array per window, each a row of one (n, window)
-    matrix; only full windows are emitted. Sessions shorter than the
-    window contribute nothing.
+    lengths is the swipe count of each run in stream order. Returns an
+    (n, window) int64 matrix of stream positions, one row per window;
+    only full windows are emitted and none spans two runs. Runs shorter
+    than the window contribute nothing.
     """
     if window < 1 or stride < 1:
         raise ConfigError("window and stride must be >= 1")
-    labels = list(session_ids)
-    starts = np.array([0] + [i for i in range(1, len(labels))
-                             if labels[i] != labels[i - 1]])
-    lengths = np.diff(starts, append=len(labels))
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
     counts = np.maximum(0, (lengths - window) // stride + 1)
     # window k of a run starts at run start + stride * (k - first k of run)
     k = np.arange(counts.sum())
     firsts = np.repeat(starts + stride * (counts - np.cumsum(counts)), counts)
-    return list((firsts + stride * k)[:, None] + np.arange(window))
+    return (firsts + stride * k)[:, None] + np.arange(window)
 
 
 def reduce_scores(scores, spec: AggregationSpec) -> float:

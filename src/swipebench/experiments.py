@@ -44,7 +44,7 @@ from .features.catalog import STUDY_SETS, resolve_feature_ids
 from .features.extract import FeatureTable, build_feature_table
 from .ingest import load_canonical, rewrite_text
 from .protocol import (CellSummary, ProtocolConfig, aggregation_key,
-                       run_experiment, sampling_plans)
+                       aggregation_keys, run_experiment, sampling_plans)
 from .spec import read_object
 from .synthetic import SyntheticSpec, generate_synthetic
 from .touchdata import Dataset, filter_eligible
@@ -151,9 +151,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
                    enumerate(_entries(doc, "classifier", "ensemble"))]
     aggregations = [_aggregation_entry(e, f"aggregation[{i}]") for i, e in
                     enumerate(_entries(doc, "aggregation", "none"))]
-    keys = [aggregation_key(a) for a in aggregations]
-    if len(set(keys)) != len(keys):
-        raise ConfigError(f"duplicate aggregation variants: {keys}")
+    aggregation_keys(aggregations)
 
     protocol = doc.get("protocol", ProtocolConfig())
     output = read_object(doc.get("output", {}), {"dir": str, "format": str},

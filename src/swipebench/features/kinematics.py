@@ -29,8 +29,6 @@ class KinematicSeries:
     """One row per swipe; column counts for swipes of n samples."""
 
     dt_ms: np.ndarray          # n-1 inter-sample gaps, milliseconds
-    seg_dx: np.ndarray         # n-1 displacement components
-    seg_dy: np.ndarray
     seg_len: np.ndarray        # n-1 displacement lengths
     velocity: np.ndarray       # n-1, px/s
     acceleration: np.ndarray   # n-2, px/s^2
@@ -76,8 +74,7 @@ def compute_kinematics(t: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     pairwise_angle = np.arctan2(cross, dot)
 
     return KinematicSeries(
-        dt_ms=dt_ms,
-        seg_dx=seg_dx, seg_dy=seg_dy, seg_len=seg_len,
+        dt_ms=dt_ms, seg_len=seg_len,
         velocity=velocity, acceleration=acceleration,
         deviation=chord_deviations(xs, ys),
         pairwise_angle=pairwise_angle,

@@ -94,14 +94,16 @@ def partition_attackers(user_ids, rng: np.random.Generator,
     return train, test
 
 
-def sample_negatives(pools, count: int, rng: np.random.Generator) -> list:
+def sample_negatives(pools, count: int,
+                     rng: np.random.Generator) -> np.ndarray:
     """Round-robin over users in a once-randomized order, drawing one
     uniformly random item per visit (with replacement across cycles).
 
     pools is a sequence of (user_id, items); every retained pool must be
-    non-empty. All item draws are one bounded-integer call over the
-    visit order, which yields the values, and leaves the generator in
-    the state, of one scalar draw per visit.
+    non-empty. Returns one array of the drawn items, taken from the pools
+    laid end to end. All item draws are one bounded-integer call over the
+    visit order, which yields the values, and leaves the generator in the
+    state, of one scalar draw per visit.
     """
     pools = list(pools)
     if not pools:
@@ -113,11 +115,20 @@ def sample_negatives(pools, count: int, rng: np.random.Generator) -> list:
     order = rng.permutation(len(pools))
     visits = order[np.arange(count) % len(pools)]
     picks = rng.integers(0, sizes[visits])
-    return [pools[v][1][p] for v, p in zip(visits.tolist(), picks.tolist())]
+    pooled = np.concatenate([items for _, items in pools])
+    return pooled[(np.cumsum(sizes) - sizes)[visits] + picks]
 
 
 def aggregation_key(spec: AggregationSpec) -> str:
     return f"{spec.method}-w{spec.window}"
+
+
+def aggregation_keys(specs) -> list[str]:
+    """Every variant's key, in order; two variants may not share one."""
+    keys = [aggregation_key(s) for s in specs]
+    if len(set(keys)) != len(keys):
+        raise ConfigError(f"duplicate aggregation variants: {keys}")
+    return keys
 
 
 @dataclass
@@ -168,11 +179,10 @@ def _entropy(seedseq: np.random.SeedSequence) -> int:
     return int(seedseq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _stream(table: FeatureTable, sessions) -> tuple[np.ndarray, list[str]]:
-    """Concatenate session row blocks into (global rows, session labels)."""
-    rows = np.concatenate([idx for _, idx in sessions])
-    labels = [sid for sid, idx in sessions for _ in range(len(idx))]
-    return rows, labels
+def _stream(sessions) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate session row blocks into (global rows, session lengths)."""
+    return (np.concatenate([idx for _, idx in sessions]),
+            np.array([len(idx) for _, idx in sessions]))
 
 
 def sampling_plan(table: FeatureTable, user_id: str,
@@ -182,9 +192,7 @@ def sampling_plan(table: FeatureTable, user_id: str,
     """The attacker split, balanced negatives and every variant's
     windows of one (user, repetition), or the reason the user is
     skipped (too few sessions or attackers)."""
-    keys = [aggregation_key(s) for s in aggregation_specs]
-    if len(set(keys)) != len(keys):
-        raise ConfigError(f"duplicate aggregation variants: {keys}")
+    keys = aggregation_keys(aggregation_specs)
 
     users = sorted(table.user_sessions)
     root = np.random.SeedSequence(entropy=config.seed + repetition,
@@ -207,26 +215,25 @@ def sampling_plan(table: FeatureTable, user_id: str,
     # attacker streams are keyed by user id, the target's splits by
     # (user_id, split), which no user id can equal
     train_key, test_key = (user_id, "train"), (user_id, "test")
-    streams = {v: _stream(table, table.user_sessions[v]) for v in others}
-    streams[train_key] = _stream(table, train_sessions)
-    streams[test_key] = _stream(table, test_sessions)
+    streams = {v: _stream(table.user_sessions[v]) for v in others}
+    streams[train_key] = _stream(train_sessions)
+    streams[test_key] = _stream(test_sessions)
 
     train_rows, test_rows = streams[train_key][0], streams[test_key][0]
     assert not set(train_rows.tolist()) & set(test_rows.tolist())
 
     # balanced negatives for the base model, from the training attackers
-    neg_rows = np.array(sample_negatives(
+    neg_rows = sample_negatives(
         [(v, streams[v][0]) for v in train_group], len(train_rows),
-        np.random.default_rng(children[1])), dtype=int)
+        np.random.default_rng(children[1]))
     assert len(neg_rows) == len(train_rows)
     assert all(table.user_ids[r] != user_id for r in neg_rows)
 
     @functools.cache
     def windows_of(key, w: int, stride: int) -> np.ndarray:
         """(n, w) table rows; windows never span a session change."""
-        rows, labels = streams[key]
-        pos = window_slices(labels, w, stride)
-        return rows[np.array(pos, dtype=int).reshape(-1, w)]
+        rows, lengths = streams[key]
+        return rows[window_slices(lengths, w, stride)]
 
     def draw(group, w: int, stride: int, count: int, entropy: int,
              spawn_key: tuple) -> np.ndarray | None:
@@ -238,7 +245,7 @@ def sampling_plan(table: FeatureTable, user_id: str,
             return None
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=entropy, spawn_key=spawn_key))
-        return np.array(sample_negatives(pools, count, rng)).reshape(-1, w)
+        return sample_negatives(pools, count, rng)
 
     base_counts = {
         "n_train_pos": len(train_rows), "n_train_neg": len(neg_rows),
@@ -310,10 +317,10 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
     non-finite scores come back as skipped outcomes; real errors
     propagate.
     """
+    keys = aggregation_keys(aggregation_specs)
     if plan is None:
         plan = sampling_plan(table, user_id, aggregation_specs, config,
                              repetition)
-    keys = [aggregation_key(s) for s in aggregation_specs]
 
     def skipped(reason: str) -> UserRepOutcome:
         return UserRepOutcome(eer=None, skip_reason=reason)
@@ -441,10 +448,10 @@ def run_experiment(table: FeatureTable, classifier_spec: ClassifierSpec,
 
     ``plans`` is ``sampling_plans(table, aggregation_specs, config)``,
     or of any table with the same sessions; it is built when absent."""
+    keys = aggregation_keys(aggregation_specs)
     if plans is None:
         plans = sampling_plans(table, aggregation_specs, config)
     users = sorted(table.user_sessions)
-    keys = [aggregation_key(s) for s in aggregation_specs]
     per_key: dict[str, dict[str, list[float | None]]] = {
         k: {u: [] for u in users} for k in keys}
     reasons: dict[str, dict[str, int]] = {k: {} for k in keys}
@@ -453,11 +460,10 @@ def run_experiment(table: FeatureTable, classifier_spec: ClassifierSpec,
             res = evaluate_user_repetition(
                 table, uid, classifier_spec, aggregation_specs, config, rep,
                 plan=plans[rep][uid])
-            for key in keys:
-                outcome = res[key]
+            for key, outcome in res.items():
                 per_key[key][uid].append(outcome.eer)
                 if outcome.skipped:
-                    reason = outcome.skip_reason or "unknown"
+                    reason = outcome.skip_reason
                     reasons[key][reason] = reasons[key].get(reason, 0) + 1
     return {key: summarize_cell(spec, per_key[key], reasons[key])
             for spec, key in zip(aggregation_specs, keys)}

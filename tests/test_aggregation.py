@@ -35,61 +35,62 @@ def test_methods_tuple_is_stable():
 
 
 def test_window_slices_basic():
-    labels = ["s1"] * 7
-    wins = window_slices(labels, window=3, stride=3)
-    assert [w.tolist() for w in wins] == [[0, 1, 2], [3, 4, 5]]
-    wins1 = window_slices(labels, window=3, stride=1)
-    assert [w.tolist() for w in wins1] == [
+    wins = window_slices([7], window=3, stride=3)
+    assert wins.tolist() == [[0, 1, 2], [3, 4, 5]]
+    wins1 = window_slices([7], window=3, stride=1)
+    assert wins1.tolist() == [
         [0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 6]]
 
 
 def test_window_slices_respect_session_boundaries():
     labels = ["a"] * 4 + ["b"] * 5
-    wins = window_slices(labels, window=3, stride=1)
+    wins = window_slices([4, 5], window=3, stride=1)
     for w in wins:
         assert len({labels[i] for i in w}) == 1
     # 2 windows fit in the first run, 3 in the second
-    assert len(wins) == 5
+    assert wins.shape == (5, 3)
     assert wins[0].tolist() == [0, 1, 2]
     assert wins[2].tolist() == [4, 5, 6]
 
 
 def test_window_slices_drop_partial_windows():
-    assert window_slices(["a"] * 2, window=3, stride=1) == []
-    assert len(window_slices(["a"] * 3, window=3, stride=3)) == 1
+    wins = window_slices([2], window=3, stride=1)
+    assert wins.shape == (0, 3) and wins.dtype == np.int64
+    assert window_slices([3], window=3, stride=3).shape == (1, 3)
+    assert window_slices([], window=4, stride=2).shape == (0, 4)
 
 
 def test_window_one_is_identity_windows():
-    wins = window_slices(["a", "a", "b"], window=1, stride=1)
-    assert [w.tolist() for w in wins] == [[0], [1], [2]]
+    wins = window_slices([2, 1], window=1, stride=1)
+    assert wins.tolist() == [[0], [1], [2]]
 
 
 def test_window_slices_nonconsecutive_runs_of_same_label():
-    # a song returns: a a b a -> the two a-runs never join
-    wins = window_slices(["a", "a", "b", "a"], window=2, stride=2)
-    assert [w.tolist() for w in wins] == [[0, 1]]
+    # a session returns: a a b a -> the two a-runs never join
+    assert window_slices([2, 1, 1], window=2, stride=2).tolist() == [[0, 1]]
+    # two runs laid end to end are two lengths, never one run of their sum
+    assert window_slices([2, 2], window=3, stride=1).shape == (0, 3)
 
 
-def loop_window_slices(labels, window, stride) -> list[list[int]]:
-    """Windows position by position, restarting at each label change."""
+def loop_window_slices(lengths, window, stride) -> list[list[int]]:
+    """Windows position by position, restarting at each run's start."""
     out, run_start = [], 0
-    for pos in range(len(labels) + 1):
-        if pos < len(labels) and labels[pos] == labels[run_start]:
-            continue
-        for off in range(0, pos - run_start - window + 1, stride):
+    for n in lengths:
+        for off in range(0, n - window + 1, stride):
             out.append(list(range(run_start + off, run_start + off + window)))
-        run_start = pos
+        run_start += n
     return out
 
 
 @settings(max_examples=200)
-@given(st.lists(st.sampled_from("abc"), max_size=40),
+@given(st.lists(st.integers(0, 12), max_size=8),
        st.integers(1, 6), st.integers(1, 6))
-def test_window_slices_equal_a_per_position_loop(labels, window, stride):
-    wins = window_slices(labels, window, stride)
-    assert [w.tolist() for w in wins] == \
-        loop_window_slices(labels, window, stride)
-    assert all(w.dtype == np.int64 for w in wins)
+def test_window_slices_equal_a_per_position_loop(lengths, window, stride):
+    wins = window_slices(lengths, window, stride)
+    expected = loop_window_slices(lengths, window, stride)
+    assert wins.dtype == np.int64
+    assert wins.shape == (len(expected), window)
+    assert wins.tolist() == expected
 
 
 def test_reduce_mean_median_and_none():

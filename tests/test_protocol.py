@@ -1,6 +1,7 @@
 """Per-user evaluation protocol: splits, sampling, and the full loop."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from swipebench.protocol import (ProtocolConfig, UserRepOutcome,
                                  aggregation_key, evaluate_user_repetition,
                                  partition_attackers, run_experiment,
                                  run_user_evaluation, sample_negatives,
-                                 sampling_plan, split_user_sessions,
-                                 summarize_cell)
+                                 sampling_plan, sampling_plans,
+                                 split_user_sessions, summarize_cell)
+from swipebench.synthetic import SyntheticSpec, generate_synthetic
 
 KNN = ClassifierSpec(kind="knn")
 
@@ -113,20 +115,20 @@ def test_partition_is_disjoint_and_exhaustive(n, fraction, seed):
 
 def test_sampler_visits_each_pool_once_before_cycling():
     pools = [(u, [f"{u}-{i}" for i in range(4)]) for u in "abcde"]
-    out = sample_negatives(pools, 5, np.random.default_rng(3))
+    out = sample_negatives(pools, 5, np.random.default_rng(3)).tolist()
     assert sorted(item[0] for item in out) == list("abcde")
 
 
 def test_sampler_cycles_evenly():
     pools = [("a", ["a0", "a1"]), ("b", ["b0", "b1"])]
-    out = sample_negatives(pools, 5, np.random.default_rng(7))
+    out = sample_negatives(pools, 5, np.random.default_rng(7)).tolist()
     by_user = {u: sum(1 for v in out if v.startswith(u)) for u in "ab"}
     assert sorted(by_user.values()) == [2, 3]
 
 
 def test_sampler_draws_within_pool_uniformly():
     pools = [("a", list(range(0, 4))), ("b", list(range(10, 14)))]
-    out = sample_negatives(pools, 10_000, np.random.default_rng(11))
+    out = sample_negatives(pools, 10_000, np.random.default_rng(11)).tolist()
     counts = {v: out.count(v) for v in set(out)}
     # exactly 5000 visits per pool; item draws are uniform within each
     assert sum(c for v, c in counts.items() if v < 10) == 5000
@@ -137,7 +139,7 @@ def test_sampler_draws_within_pool_uniformly():
 def test_sampler_samples_with_replacement():
     pools = [("a", ["only"])]
     out = sample_negatives(pools, 7, np.random.default_rng(0))
-    assert out == ["only"] * 7
+    assert out.tolist() == ["only"] * 7
 
 
 def test_sampler_rejects_empty_input():
@@ -145,13 +147,16 @@ def test_sampler_rejects_empty_input():
         sample_negatives([], 3, np.random.default_rng(0))
     with pytest.raises(EmptyGroup):
         sample_negatives([("a", [])], 3, np.random.default_rng(0))
+    with pytest.raises(EmptyGroup):
+        sample_negatives([("a", np.zeros((0, 3), dtype=np.int64))], 3,
+                         np.random.default_rng(0))
 
 
 def test_sampler_is_deterministic():
     pools = [("a", list(range(6))), ("b", list(range(10, 16)))]
     a = sample_negatives(pools, 40, np.random.default_rng(13))
     b = sample_negatives(pools, 40, np.random.default_rng(13))
-    assert a == b
+    assert a.tolist() == b.tolist()
 
 
 def scalar_sample_negatives(pools, count, rng) -> list:
@@ -168,13 +173,23 @@ def scalar_sample_negatives(pools, count, rng) -> list:
 
 @settings(max_examples=300)
 @given(st.lists(st.integers(1, 60), min_size=1, max_size=9),
-       st.integers(0, 80), st.integers(0, 2 ** 64 - 1))
-def test_sampler_equals_one_scalar_draw_per_visit(sizes, count, seed):
-    pools = [(f"u{j}", list(range(100 * j, 100 * j + n)))
-             for j, n in enumerate(sizes)]
+       st.integers(0, 80), st.integers(1, 5), st.integers(0, 2 ** 64 - 1))
+def test_sampler_equals_one_scalar_draw_per_visit(sizes, count, w, seed):
+    items = [np.arange(100 * j, 100 * j + n) for j, n in enumerate(sizes)]
+    lists = [(f"u{j}", v.tolist()) for j, v in enumerate(items)]
     batched, scalar = (np.random.default_rng(seed) for _ in range(2))
-    assert sample_negatives(pools, count, batched) == \
-        scalar_sample_negatives(pools, count, scalar)
+    assert sample_negatives(lists, count, batched).tolist() == \
+        scalar_sample_negatives(lists, count, scalar)
+    assert batched.random() == scalar.random()
+
+    # the same draws over (n_v, w) window arrays, as a plan makes them
+    windows = [(f"u{j}", 10 * v[:, None] + np.arange(w))
+               for j, v in enumerate(items)]
+    batched, scalar = (np.random.default_rng(seed) for _ in range(2))
+    out = sample_negatives(windows, count, batched)
+    assert out.dtype == np.int64 and out.shape == (count, w)
+    assert out.tolist() == [row.tolist() for row in
+                            scalar_sample_negatives(windows, count, scalar)]
     assert batched.random() == scalar.random()
 
 
@@ -248,10 +263,17 @@ def test_repetitions_change_the_draws():
 
 
 def test_duplicate_variants_rejected(small_table):
-    with pytest.raises(ConfigError):
-        evaluate_user_repetition(small_table, "u00", KNN,
-                                 specs(("mean", 3), ("mean", 3)),
+    twice = specs(("mean", 3), ("none", 1), ("mean", 3))
+    message = "duplicate aggregation variants: ['mean-w3', 'none-w1', 'mean-w3']"
+    with pytest.raises(ConfigError) as exc:
+        evaluate_user_repetition(small_table, "u00", KNN, twice,
                                  ProtocolConfig(), 0)
+    assert str(exc.value) == message
+    with pytest.raises(ConfigError, match="duplicate aggregation variants"):
+        sampling_plan(small_table, "u00", twice, ProtocolConfig(), 0)
+    # a matrix hands in plans it built already; the check still runs
+    with pytest.raises(ConfigError, match="duplicate aggregation variants"):
+        run_experiment(small_table, KNN, twice, ProtocolConfig(), plans=[])
 
 
 def array_entries(obj) -> int:
@@ -421,6 +443,74 @@ def test_one_evaluation_scores_the_base_model_once(small_table, monkeypatch):
                             plan.variants[key].fit)
             if windows is not None for r in windows.ravel()}
     assert base_calls == [len(read)]
+
+
+def plan_digest(plans) -> str:
+    """sha256 over every field of a list of per-user sampling plans:
+    arrays by dtype, shape and bytes; dicts in insertion order; ints,
+    strings and None by repr."""
+    h = hashlib.sha256()
+
+    def put(obj):
+        if isinstance(obj, np.ndarray):
+            h.update(f"<{obj.dtype.str}{obj.shape}>".encode())
+            h.update(np.ascontiguousarray(obj).tobytes())
+        elif dataclasses.is_dataclass(obj):
+            h.update(f"<{type(obj).__name__}>".encode())
+            for f in dataclasses.fields(obj):
+                h.update(f"{f.name}=".encode())
+                put(getattr(obj, f.name))
+        elif isinstance(obj, dict):
+            h.update(f"<dict {len(obj)}>".encode())
+            for key, value in obj.items():
+                h.update(f"{key!r}:".encode())
+                put(value)
+        elif isinstance(obj, list):
+            h.update(f"<list {len(obj)}>".encode())
+            for value in obj:
+                put(value)
+        else:
+            h.update(f"{obj!r};".encode())
+
+    put(plans)
+    return h.hexdigest()
+
+
+# protocol-grid's variants plus a learned one at the widest window
+PINNED_SPECS = (specs(("none", 1))
+                + specs(*[(m, w) for w in (3, 5, 7)
+                          for m in ("mean", "median", "vote", "trust")])
+                + specs(("feed", 2), ("stacking", 7)))
+
+
+def pinned_table(name):
+    if name == "short-sessions":
+        # sessions shorter than window 7, and "b" has one session only
+        rng = np.random.default_rng(21)
+        return table_of({u: sessions_of(rng, u, lengths) for u, lengths in (
+            ("a", [9, 3, 8]), ("b", [7]), ("c", [2, 12, 6]),
+            ("d", [5, 7, 4, 10]), ("e", [14, 6]), ("f", [6, 6, 1]))})
+    users, sessions, swipes = {"grid": (5, 3, 18), "wide": (12, 4, 20)}[name]
+    return build_feature_table(generate_synthetic(SyntheticSpec(
+        users=users, sessions_per_user=sessions,
+        swipes_per_session=swipes, seed=7)))
+
+
+@pytest.mark.parametrize("name, repetitions, expected", [
+    ("grid", 2,
+     "5f1baca55f4fcb41a87d62b85334a9ca5175a0568f5bcffc39235ef0356a82eb"),
+    ("short-sessions", 2,
+     "f78b69a6bee76c71146e0f9e80d663d407553aa0506c543ae5eb4e6b165027c9"),
+    ("wide", 3,
+     "b0084d3409ecea290b17a4ab9372b136a2efa4bb3a70643a5204fcd188627dde"),
+])
+def test_sampling_plans_bytes_are_pinned(name, repetitions, expected):
+    """Every row, window, label, count and entropy of the sampling plans,
+    with dtypes and shapes, is frozen: a rewrite of windowing or sampling
+    must draw the same plans byte for byte."""
+    plans = sampling_plans(pinned_table(name), PINNED_SPECS,
+                           ProtocolConfig(repetitions=repetitions, seed=0))
+    assert plan_digest(plans) == expected
 
 
 # ---------------------------------------------------------------------------
