@@ -8,21 +8,20 @@ normalized against the training rows and clamped to [0, 1].
 The trees are ``tree.TreeArrays`` grown by ``tree.grow`` with the random
 split rule below, so each node's ``value`` is its row count (stored under
 the payload key "size"). A row's path length is its leaf's depth plus
-c(leaf size); that sum is computed for every node once per model as the
-value of its ``tree.Forest``, and ``tree.forest_mean`` averages it over
-the trees.
+c(leaf size); those are the per-node values that ``tree.TreeModel``
+averages over the trees.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .base import (ClassifierSpec, TrainedModel, min_max_scale,
-                   register_model, training_inputs)
-from .tree import Forest, TreeArrays, forest_mean, grow
+from .base import (ClassifierSpec, min_max_scale, register_model,
+                   training_inputs)
+from .tree import TreeArrays, TreeModel, forest_mean, grow
 
 _EULER = 0.5772156649015329
 
@@ -69,16 +68,14 @@ def node_path_lengths(tree: TreeArrays) -> np.ndarray:
 
 @register_model("isolation_forest")
 @dataclass(eq=False)
-class IsolationForestModel(TrainedModel):
-    trees: list[TreeArrays]
+class IsolationForestModel(TreeModel):
     psi: int
     lo: float
     hi: float
-    forest: Forest = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.forest = Forest.of(self.trees,
-                                [node_path_lengths(t) for t in self.trees])
+    VALUE_KEY = "size"
+    VALUE_TYPE = int
+    node_values = staticmethod(node_path_lengths)
 
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y=None, defined=None
@@ -107,14 +104,3 @@ class IsolationForestModel(TrainedModel):
 
     def _score_std(self, Z: np.ndarray) -> np.ndarray:
         return min_max_scale(self._genuineness(Z), self.lo, self.hi)
-
-    def _payload(self) -> dict:
-        return {"trees": [t.as_dict("size") for t in self.trees],
-                "psi": self.psi, "lo": self.lo, "hi": self.hi}
-
-    @classmethod
-    def _from_payload(cls, spec, standardizer, n_features, payload):
-        return cls(spec, standardizer, n_features,
-                   [TreeArrays.from_dict(t, "size", int)
-                    for t in payload["trees"]],
-                   int(payload["psi"]), payload["lo"], payload["hi"])

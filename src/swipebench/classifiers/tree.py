@@ -9,12 +9,13 @@ floats); in an isolation tree it is the node's row count (payload key
 kind-specific ``split(rows, depth)`` for each node's value and cut. Rows
 with Z[:, feature] <= threshold go left.
 
-Scoring has one descent for every kind. Each model builds a ``Forest``
-once, when it is made: flat node arrays over all its trees (a decision
-tree is a forest of one), plus the per-node value it averages, which
-never enter the blob. ``forest_leaves`` moves every (tree, row) pair one
-level per step, so a step is a few NumPy calls whatever the number of
-trees, and ``forest_mean`` adds the trees' leaf values in tree order.
+Every kind is a ``TreeModel``: it keeps a list of trees (a decision tree
+is a forest of one), saves them in its blob and scores with one descent.
+Each model builds a ``Forest`` once, when it is made: flat node arrays
+over all its trees, plus the per-node value it averages, which never
+enter the blob. ``forest_leaves`` moves every (tree, row) pair one level
+per step, so a step is a few NumPy calls whatever the number of trees,
+and ``forest_mean`` adds the trees' leaf values in tree order.
 
 CART split search is exhaustive over midpoints between distinct sorted
 values, in one pass over all candidate features: one stable column-wise
@@ -29,7 +30,7 @@ leaf's value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,42 +194,63 @@ def grow_tree(Z: np.ndarray, y: np.ndarray, max_depth: int | None,
     return grow(Z, split)
 
 
-@register_model("decision_tree")
 @dataclass(eq=False)
-class DecisionTreeModel(TrainedModel):
-    tree: TreeArrays
-    forest: Forest = field(init=False)
+class TreeModel(TrainedModel):
+    """A model that scores a row by the mean over its trees of the value at
+    the row's leaf. It keeps ``trees`` and builds their ``Forest`` once,
+    when it is made; a kind gives its ``train``, ``node_values`` (each
+    node's value to average) and the payload key and type of
+    ``TreeArrays.value``. The blob holds the trees under "trees"."""
+
+    trees: list[TreeArrays]
+
+    VALUE_KEY = "value"
+    VALUE_TYPE = float
 
     def __post_init__(self) -> None:
-        self.forest = Forest.of([self.tree], [self.tree.value])
+        self.forest = Forest.of(self.trees,
+                                [self.node_values(t) for t in self.trees])
 
-    @classmethod
-    def train(cls, spec: ClassifierSpec, X, y, defined=None) -> "DecisionTreeModel":
-        std, Z, y = training_inputs(spec, X, y, defined)
-        tree = grow_tree(Z, y, spec.params["max_depth"], None, None)
-        return cls(spec, std, Z.shape[1], tree)
+    @staticmethod
+    def node_values(tree: TreeArrays):
+        return tree.value
 
     def _score_std(self, Z: np.ndarray) -> np.ndarray:
         return forest_mean(self.forest, Z)
 
     def _payload(self) -> dict:
-        return {"tree": self.tree.as_dict()}
+        state = super()._payload()
+        state["trees"] = [t.as_dict(self.VALUE_KEY) for t in self.trees]
+        return state
 
     @classmethod
     def _from_payload(cls, spec, standardizer, n_features, payload):
-        return cls(spec, standardizer, n_features,
-                   TreeArrays.from_dict(payload["tree"]))
+        trees = [TreeArrays.from_dict(t, cls.VALUE_KEY, cls.VALUE_TYPE)
+                 for t in payload["trees"]]
+        return cls(spec, standardizer, n_features, **dict(payload, trees=trees))
+
+
+@register_model("decision_tree")
+class DecisionTreeModel(TreeModel):
+    """A forest of one tree, saved under the payload key "tree"."""
+
+    @classmethod
+    def train(cls, spec: ClassifierSpec, X, y, defined=None) -> "DecisionTreeModel":
+        std, Z, y = training_inputs(spec, X, y, defined)
+        tree = grow_tree(Z, y, spec.params["max_depth"], None, None)
+        return cls(spec, std, Z.shape[1], [tree])
+
+    def _payload(self) -> dict:
+        return {"tree": super()._payload()["trees"][0]}
+
+    @classmethod
+    def _from_payload(cls, spec, standardizer, n_features, payload):
+        return super()._from_payload(spec, standardizer, n_features,
+                                     {"trees": [payload["tree"]]})
 
 
 @register_model("random_forest")
-@dataclass(eq=False)
-class RandomForestModel(TrainedModel):
-    trees: list[TreeArrays]
-    forest: Forest = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.forest = Forest.of(self.trees, [t.value for t in self.trees])
-
+class RandomForestModel(TreeModel):
     @classmethod
     def train(cls, spec: ClassifierSpec, X, y, defined=None) -> "RandomForestModel":
         std, Z, y = training_inputs(spec, X, y, defined)
@@ -248,14 +270,3 @@ class RandomForestModel(TrainedModel):
             boot = rng.integers(0, n, size=n)
             trees.append(grow_tree(Z[boot], y[boot], p["max_depth"], m, rng))
         return cls(spec, std, d, trees)
-
-    def _score_std(self, Z: np.ndarray) -> np.ndarray:
-        return forest_mean(self.forest, Z)
-
-    def _payload(self) -> dict:
-        return {"trees": [t.as_dict() for t in self.trees]}
-
-    @classmethod
-    def _from_payload(cls, spec, standardizer, n_features, payload):
-        return cls(spec, standardizer, n_features,
-                   [TreeArrays.from_dict(t) for t in payload["trees"]])

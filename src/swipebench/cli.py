@@ -112,7 +112,7 @@ def _cmd_extract(args) -> int:
     if "," in spec or spec.isdecimal():
         spec = [tok for tok in spec.split(",") if tok.strip()]
     _label, ids = resolve_feature_set(spec)
-    table = build_feature_table(dataset, ids)
+    table = build_feature_table(dataset).select(ids)
     if args.format == "csv":
         text = export_table_csv(table)
     else:

@@ -40,10 +40,6 @@ class UnknownFeatureId(ConfigError):
     pass
 
 
-class UnknownStudy(ConfigError):
-    pass
-
-
 class SingleClass(SwipebenchError):
     """All rows share one label where at least two are required."""
 

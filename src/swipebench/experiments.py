@@ -40,7 +40,7 @@ from pathlib import Path
 from .aggregation import AggregationSpec
 from .classifiers import ClassifierSpec
 from .errors import ConfigError, DataError, SwipebenchError
-from .features.catalog import STUDY_SETS, resolve_feature_ids
+from .features.catalog import ALL_IDS, STUDY_SETS, resolve_feature_ids
 from .features.extract import FeatureTable, build_feature_table
 from .ingest import load_canonical, rewrite_text
 from .protocol import (CellSummary, ProtocolConfig, aggregation_key,
@@ -65,16 +65,17 @@ def resolve_feature_set(ref, position: int = 0) -> tuple[str, tuple[int, ...]]:
     """One feature_set entry -> (label, feature ids).
 
     Accepts a study key, "ALL", "ANOVA", an explicit id list, or
-    {"name": ..., "ids": [...]}.
+    {"name": ..., "ids": [...]}. This is the one resolver of feature-set
+    names; ``resolve_feature_ids`` reads ids only.
     """
     if isinstance(ref, str):
         key = ref.strip().lower()
         if key == "all":
-            return "ALL", resolve_feature_ids("all")
+            return "ALL", ALL_IDS
         if key == "anova":
             return "ANOVA", anova_default_ids()
         if key in STUDY_SETS:
-            return key, resolve_feature_ids(key)
+            return key, STUDY_SETS[key]
         raise ConfigError(f"unknown feature set {ref!r}")
     if isinstance(ref, dict):
         read_object(ref, {"name": str, "ids": list}, ("ids",),
@@ -92,20 +93,19 @@ def _entries(doc: dict, key: str, default) -> list:
     return value if isinstance(value, list) else [value]
 
 
-def _classifier_entry(entry, path: str) -> ClassifierSpec:
-    if isinstance(entry, str):
-        return ClassifierSpec(kind=entry)
-    if isinstance(entry, dict):
-        return ClassifierSpec.from_dict(entry, path)
-    raise ConfigError(f"{path} must be a kind name or object: {entry!r}")
-
-
-def _aggregation_entry(entry, path: str) -> AggregationSpec:
-    if isinstance(entry, str):
-        return AggregationSpec.from_dict({"method": entry}, path)
-    if isinstance(entry, dict):
-        return AggregationSpec.from_dict(entry, path)
-    raise ConfigError(f"{path} must be a method name or object: {entry!r}")
+def _spec_entries(doc: dict, key: str, default, spec_type,
+                  name_key: str) -> list:
+    """doc[key]'s entries as specs, each read with its path, e.g.
+    ``classifier[1]``; a bare name stands for ``{name_key: name}``."""
+    specs = []
+    for i, entry in enumerate(_entries(doc, key, default)):
+        if isinstance(entry, str):
+            entry = {name_key: entry}
+        elif not isinstance(entry, dict):
+            raise ConfigError(f"{key}[{i}] must be a {name_key} name or "
+                              f"object: {entry!r}")
+        specs.append(spec_type.from_dict(entry, f"{key}[{i}]"))
+    return specs
 
 
 @dataclass
@@ -147,10 +147,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate feature set labels: {labels}")
 
-    classifiers = [_classifier_entry(e, f"classifier[{i}]") for i, e in
-                   enumerate(_entries(doc, "classifier", "ensemble"))]
-    aggregations = [_aggregation_entry(e, f"aggregation[{i}]") for i, e in
-                    enumerate(_entries(doc, "aggregation", "none"))]
+    classifiers = _spec_entries(doc, "classifier", "ensemble",
+                                ClassifierSpec, "kind")
+    aggregations = _spec_entries(doc, "aggregation", "none",
+                                 AggregationSpec, "method")
     aggregation_keys(aggregations)
 
     protocol = doc.get("protocol", ProtocolConfig())

@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from ..errors import UnknownFeatureId, UnknownStudy
+from ..errors import UnknownFeatureId
 
 FEATURE_COUNT = 149
 
@@ -273,23 +273,13 @@ def feature(fid: int) -> FeatureDef:
         raise UnknownFeatureId(f"no feature with id {fid}") from None
 
 
-def study_features(key: str) -> tuple[int, ...]:
-    """Feature ids of one study's published set (padding included)."""
-    try:
-        return STUDY_SETS[key]
-    except KeyError:
-        raise UnknownStudy(
-            f"unknown study {key!r}; known: {sorted(STUDY_SETS)}") from None
-
-
 def resolve_feature_ids(spec) -> tuple[int, ...]:
-    """Turn a feature-set spec (study key, 'all', or iterable of ids) into
-    a sorted tuple of valid ids."""
+    """An iterable of feature ids (ints or decimal strings) as a sorted
+    tuple of valid ids. Names of feature sets are resolved by
+    ``experiments.resolve_feature_set``."""
     if isinstance(spec, str):
-        low = spec.lower()
-        if low == "all":
-            return ALL_IDS
-        return study_features(low)
+        raise UnknownFeatureId(f"feature ids must be an iterable of "
+                               f"integers, not the string {spec!r}")
     try:
         ids = sorted({int(v) if isinstance(v, str) else operator.index(v)
                       for v in spec})

@@ -345,12 +345,11 @@ class FeatureTable:
             user_sessions=self.user_sessions)
 
 
-def build_feature_table(dataset: Dataset, ids=ALL_IDS) -> FeatureTable:
-    """Extract vectors for every swipe, threading inter-stroke context
-    through each session. Swipes with the same sample count are extracted
-    as one block, and their rows scattered back in table order."""
-    ids = resolve_feature_ids(ids)
-    idx = np.asarray(ids, dtype=int) - 1
+def build_feature_table(dataset: Dataset) -> FeatureTable:
+    """Extract all 149 features of every swipe, threading inter-stroke
+    context through each session; ``select`` narrows the table. Swipes
+    with the same sample count are extracted as one block, and their rows
+    scattered back in table order."""
     swipes: list[Swipe] = []
     prev_ends: list[int | None] = []
     user_ids: list[str] = []
@@ -375,15 +374,13 @@ def build_feature_table(dataset: Dataset, ids=ALL_IDS) -> FeatureTable:
     groups: dict[int, list[int]] = {}
     for row, swipe in enumerate(swipes):
         groups.setdefault(swipe.n, []).append(row)
-    X = np.empty((len(swipes), len(ids)))
+    X = np.empty((len(swipes), FEATURE_COUNT))
     defined = np.empty(X.shape, dtype=bool)
     for rows in groups.values():
-        values, ok = _extract_block([swipes[r] for r in rows],
-                                    [prev_ends[r] for r in rows])
-        X[rows] = values[:, idx]
-        defined[rows] = ok[:, idx]
+        X[rows], defined[rows] = _extract_block(
+            [swipes[r] for r in rows], [prev_ends[r] for r in rows])
     return FeatureTable(
-        dataset_name=dataset.name, feature_ids=ids, X=X, defined=defined,
+        dataset_name=dataset.name, feature_ids=ALL_IDS, X=X, defined=defined,
         user_ids=user_ids, session_ids=session_ids,
         user_sessions=user_sessions)
 

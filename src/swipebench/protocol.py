@@ -375,9 +375,13 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
             def score(windows: np.ndarray) -> np.ndarray:
                 return feed_model.score(*concat(windows))
         else:
+            # vote and trust map a NaN to a finite number, so a window
+            # that reads a non-finite score skips the variant for any method
             def score(windows: np.ndarray) -> np.ndarray:
-                return np.array([reduce_scores(s, spec)
-                                 for s in row_scores[windows]])
+                scores = row_scores[windows]
+                if not np.isfinite(scores).all():
+                    raise NonFiniteScores("a window reads a non-finite score")
+                return np.array([reduce_scores(s, spec) for s in scores])
 
         try:
             result = eer_from_scores(score(vp.genuine), score(vp.impostor))

@@ -2,7 +2,8 @@
 
 Per dataset, features are ranked by the F statistic of their values grouped
 by user identity; the selection keeps features that reach the per-dataset
-top-n in at least min_votes datasets.
+top-n in at least min_votes datasets. Results are keyed by dataset name, so
+the datasets must have distinct names.
 """
 
 from __future__ import annotations
@@ -101,6 +102,10 @@ def select_features(tables: list[FeatureTable], top_n: int = DEFAULT_TOP_N,
     if len(tables) < min_votes:
         raise ConfigError(
             f"{len(tables)} dataset(s) cannot produce {min_votes} votes")
+    names = [table.dataset_name for table in tables]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"datasets need distinct names, repeated: {repeated}")
     votes: dict[int, int] = {}
     per_top: dict[str, tuple[int, ...]] = {}
     f_all: dict[str, dict[int, float]] = {}

@@ -2,12 +2,12 @@
 
 import pytest
 
-from swipebench.errors import UnknownFeatureId, UnknownStudy
+from swipebench.errors import UnknownFeatureId
 from swipebench.features.catalog import (ALL_IDS, FAMILIES, FEATURE_COUNT,
                                          FEATURES, STUDY_SETS, STUDY_SIZES,
                                          X_COORD_IDS, Y_COORD_IDS,
                                          catalog_as_dict, feature,
-                                         resolve_feature_ids, study_features)
+                                         resolve_feature_ids)
 
 
 def test_catalog_is_dense_and_complete():
@@ -56,14 +56,14 @@ def test_lookup_errors():
         feature(150)
     with pytest.raises(UnknownFeatureId):
         feature(0)
-    with pytest.raises(UnknownStudy):
-        study_features("nosuch2020")
 
 
 def test_resolve_feature_ids_forms():
-    assert resolve_feature_ids("all") == ALL_IDS
-    assert resolve_feature_ids("ALL") == ALL_IDS
-    assert resolve_feature_ids("frank2013") == STUDY_SETS["frank2013"]
+    # names are resolve_feature_set's; a bare string is not an id list
+    for name in ("all", "ALL", "frank2013", "123"):
+        with pytest.raises(UnknownFeatureId):
+            resolve_feature_ids(name)
+    assert resolve_feature_ids(ALL_IDS) == ALL_IDS
     assert resolve_feature_ids([9, 5, 5, 1]) == (1, 5, 9)
     assert resolve_feature_ids((149,)) == (149,)
     with pytest.raises(UnknownFeatureId):

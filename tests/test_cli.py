@@ -162,14 +162,33 @@ def test_select_across_datasets(tmp_path, capsys):
     assert "selected" in capsys.readouterr().out
 
 
+def test_select_repeated_dataset_names_is_a_config_error(tmp_path, capsys):
+    """Two synth outputs under the default name: exit 2 with one line
+    naming it, before any ranking."""
+    a = synth_file(tmp_path, "a.csv")
+    b = tmp_path / "b.csv"
+    assert main(["synth", *SYNTH_ARGS[:-2], "--seed", "12",
+                 "--out", str(b)]) == EXIT_OK
+    out = tmp_path / "selection.json"
+    capsys.readouterr()
+    rc = main(["select", "--inputs", str(a), str(b), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == ("config error: datasets need distinct names, "
+                   "repeated: ['synthetic']\n")
+    assert not out.exists()
+
+
 def test_select_single_user_inputs_is_a_data_error(tmp_path, capsys):
-    """Each file holds one user, so ANOVA has one group: exit 3, no trace."""
+    """Each file holds one user, so ANOVA has one group: exit 3, no trace.
+    Each file's dataset is named after its user."""
     lines = synth_file(tmp_path).read_text().splitlines()
     paths = []
     for user in ("u00", "u01"):
         path = tmp_path / f"{user}.csv"
         path.write_text("\n".join([lines[0]] + [
-            line for line in lines[1:] if line.split(",")[1] == user]) + "\n")
+            user + line[line.index(","):] for line in lines[1:]
+            if line.split(",")[1] == user]) + "\n")
         paths.append(str(path))
     capsys.readouterr()
     rc = main(["select", "--inputs", *paths, "--out",
@@ -184,10 +203,13 @@ def test_select_single_user_inputs_is_a_data_error(tmp_path, capsys):
 def test_unwritable_out_is_a_data_error(tmp_path, capsys, verb):
     """An --out in a missing directory: exit 3, one line, no trace."""
     src = str(synth_file(tmp_path))
+    other = tmp_path / "other.csv"    # select needs distinct dataset names
+    assert main(["synth", *SYNTH_ARGS, "--name", "other",
+                 "--out", str(other)]) == EXIT_OK
     out = tmp_path / "missing" / "out.csv"
     argv = {"ingest": ["ingest", "--input", src],
             "extract": ["extract", "--input", src],
-            "select": ["select", "--inputs", src, src],
+            "select": ["select", "--inputs", src, str(other)],
             "synth": ["synth", *SYNTH_ARGS]}[verb]
     capsys.readouterr()
     rc = main(argv + ["--out", str(out)])

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -12,11 +13,14 @@ import pytest
 import swipebench.experiments as experiments
 from swipebench.classifiers import ClassifierSpec
 from swipebench.errors import ConfigError, DataError, TooFewSamples
+from swipebench.features.extract import build_feature_table
+from swipebench.ingest import load_canonical, write_canonical
 from swipebench.experiments import (MatrixReport, aggregation_row_csv,
                                     anova_default_ids, load_config,
                                     load_experiment_dataset, matrix_csv,
                                     parse_config, resolve_feature_set,
                                     run_matrix, write_report)
+from swipebench.synthetic import SyntheticSpec, generate_synthetic
 
 SYNTH = {"users": 5, "sessions_per_user": 3, "swipes_per_session": 10,
          "separability": 4.0, "seed": 5}
@@ -142,8 +146,13 @@ def test_parse_config_entry_forms():
     ({"dataset": {"synthetic": dict(SYNTH), "name": "x"}}, "dataset.name"),
     ({"dataset": {"synthetic": dict(SYNTH)},
       "aggregation": [{"method": "mean", "window": 0}]}, "aggregation[0]"),
+    # a bare name is read as {"kind": name} or {"method": name}
+    ({"dataset": {"synthetic": dict(SYNTH)}, "classifier": ["knn", "bogus"]},
+     "classifier[1]: unknown classifier kind 'bogus'"),
+    ({"dataset": {"synthetic": dict(SYNTH)}, "aggregation": ["none", "bogus"]},
+     "aggregation[1]: unknown aggregation method 'bogus'"),
 ], ids=["nan", "inf", "int-beyond-float", "synthetic-and-path",
-        "synthetic-name", "range"])
+        "synthetic-name", "range", "classifier-name", "aggregation-name"])
 def test_parse_config_names_the_faulty_path(doc, path):
     with pytest.raises(ConfigError, match=re.escape(path)):
         parse_config(doc)
@@ -239,6 +248,43 @@ def test_matrix_is_deterministic(small_report):
     assert without_timing(again.report) == without_timing(small_report.report)
     assert "timing" in again.report
     assert set(again.report["timing"]) == {"wall_time_s"}
+
+
+def test_constant_pressure_and_area_run_end_to_end(tmp_path):
+    """A corpus whose pressure and area never change gives constant and
+    undefined feature columns; solvers stopped after one iteration and the
+    trust walk still give every user a finite EER in every cell."""
+    path = tmp_path / "flat.csv"
+    write_canonical(generate_synthetic(SyntheticSpec(**SYNTH)), path)
+    header, *lines = path.read_text().splitlines()
+    names = header.split(",")
+    pressure, area = names.index("pressure"), names.index("area")
+    rows = [line.split(",") for line in lines]
+    for row in rows:
+        row[pressure], row[area] = "0.5", "0.25"
+    path.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+    # average pressure and average touch area hold one value each
+    flat = build_feature_table(load_canonical(path)[0]).select([35, 36])
+    assert (flat.X == flat.X[0]).all()
+    one_iteration = {"params": {"max_iter": 1}}
+    cfg = parse_config({
+        "dataset": {"path": str(path)},
+        "classifier": [{"kind": kind, **one_iteration} for kind in
+                       ("svm_rbf", "oc_svm_rbf", "logistic_regression")]
+        + ["gaussian_nb"],
+        "aggregation": ["none", {"method": "trust", "window": 3}],
+        "protocol": {"repetitions": 1, "seed": 0},
+    })
+    report = run_matrix(cfg).report
+    assert report["failures"] == []
+    assert report["dataset"]["n_users"] == SYNTH["users"]
+    for label, cell in report["cells"]["ALL"].items():
+        for key in ("none-w1", "trust-w3"):
+            eers = [e for per_rep in cell[key]["per_user"].values()
+                    for e in per_rep]
+            assert len(eers) == SYNTH["users"], (label, key)
+            assert all(e is not None and math.isfinite(e) for e in eers), \
+                (label, key, eers)
 
 
 def test_workers_match_serial(small_report):

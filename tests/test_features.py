@@ -400,7 +400,7 @@ def reference_table(dataset, ids):
 def test_table_equals_per_swipe_reference_bitwise(ids):
     for seed in (11, 12, 13):
         dataset = mixed_length_dataset(seed)
-        table = build_feature_table(dataset, ids=list(ids))
+        table = build_feature_table(dataset).select(list(ids))
         X, defined = reference_table(dataset, ids)
         assert table.feature_ids == ids
         assert np.array_equal(table.defined, defined)

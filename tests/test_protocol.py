@@ -23,6 +23,7 @@ from swipebench.protocol import (ProtocolConfig, UserRepOutcome,
                                  run_user_evaluation, sample_negatives,
                                  sampling_plan, sampling_plans,
                                  split_user_sessions, summarize_cell)
+from swipebench.stacking import StackerSpec
 from swipebench.synthetic import SyntheticSpec, generate_synthetic
 
 KNN = ClassifierSpec(kind="knn")
@@ -581,12 +582,18 @@ def test_run_experiment_aggregates_skip_reasons():
 
 
 def test_non_finite_scores_skip_the_variant(small_table, monkeypatch):
-    # a diverged model: every score it gives is NaN
+    # a diverged model: every score it gives is NaN. vote and trust turn
+    # a window of NaN into a finite number, so they must be skipped too
     monkeypatch.setattr(KnnModel, "score",
                         lambda self, X, defined=None: np.full(len(X), np.nan))
+    stacking = AggregationSpec("stacking", 2, stacker=StackerSpec(
+        hidden=2, epochs=1, batch_size=8))
     out = run_experiment(small_table, KNN,
-                         specs(("none", 1), ("mean", 3), ("feed", 2)),
+                         specs(("none", 1), ("mean", 3), ("median", 3),
+                               ("vote", 3), ("trust", 3), ("feed", 2))
+                         + [stacking],
                          ProtocolConfig(repetitions=2))
+    assert len(out) == 7
     for key, cell in out.items():
         assert cell.skip_reasons == {"non-finite-scores": 10}, key
         assert cell.mean_eer is None and cell.n_users_evaluated == 0

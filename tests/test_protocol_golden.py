@@ -21,7 +21,7 @@ import pytest
 from helpers import dataset_from_sessions, random_swipe
 from swipebench.aggregation import AggregationSpec
 from swipebench.classifiers import ClassifierSpec
-from swipebench.features.catalog import resolve_feature_ids
+from swipebench.features.catalog import STUDY_SETS
 from swipebench.features.extract import build_feature_table
 from swipebench.protocol import ProtocolConfig, evaluate_user_repetition
 from swipebench.stacking import StackerSpec
@@ -43,8 +43,8 @@ CONFIG = ProtocolConfig(seed=3)
 def synthetic_table():
     spec = SyntheticSpec(users=4, sessions_per_user=3, swipes_per_session=10,
                          separability=0.5, seed=61)
-    return build_feature_table(generate_synthetic(spec),
-                               resolve_feature_ids("frank2013"))
+    return build_feature_table(generate_synthetic(spec)).select(
+        STUDY_SETS["frank2013"])
 
 
 def short_train_table():

@@ -1,5 +1,7 @@
 """ANOVA F scores and cross-dataset vote selection."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,17 @@ def test_select_features_validation():
         select_features(tables, min_votes=0)
     with pytest.raises(ConfigError):
         select_features(tables[:1], min_votes=2)
+
+
+def test_select_features_rejects_repeated_dataset_names():
+    """Results are keyed by dataset name: one corpus passed twice would
+    keep one entry yet cast two votes, so the call fails before ranking."""
+    tables = engineered_tables()
+    for repeated in ([tables[0], tables[0]],
+                     [tables[0], tables[1], tables[0], tables[1]]):
+        names = sorted({t.dataset_name for t in repeated})
+        with pytest.raises(ConfigError, match=re.escape(f"repeated: {names}")):
+            select_features(repeated, top_n=1, min_votes=2)
 
 
 def test_selection_result_roundtrips_to_dict():

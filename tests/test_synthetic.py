@@ -75,7 +75,7 @@ def separation_statistic(separability, seed=55):
     ds = generate_synthetic(SyntheticSpec(
         users=6, sessions_per_user=2, swipes_per_session=15,
         separability=separability, seed=seed))
-    table = build_feature_table(ds, ids=[6])
+    table = build_feature_table(ds).select([6])
     return float(anova_f_scores(table.X, np.array(table.user_ids))[0])
 
 

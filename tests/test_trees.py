@@ -217,15 +217,11 @@ def test_best_split_sorts_once_per_node(monkeypatch):
 
 # -- one descent for a whole forest, against the per-tree reference --------
 
-def model_trees(model) -> list:
-    return [model.tree] if hasattr(model, "tree") else model.trees
-
-
 def reference_score_std(model, Z):
     """The per-tree scoring of each kind, tree by tree in tree order."""
-    trees = model_trees(model)
+    trees = model.trees
     if model.spec.kind == "decision_tree":
-        return np.asarray(model.tree.value)[o_tree_leaves(model.tree, Z)]
+        return np.asarray(trees[0].value)[o_tree_leaves(trees[0], Z)]
     if model.spec.kind == "random_forest":
         acc = np.zeros(len(Z))
         for t in trees:
@@ -263,7 +259,7 @@ def test_forest_descent_equals_per_tree_reference_bitwise(kind, params):
     X = np.round(rng.normal(size=(70, 6)), 1)
     y = (X[:, 0] + X[:, 3] + 0.7 * rng.normal(size=70) > 0).astype(int)
     model = train(ClassifierSpec(kind, params, seed=9), X, y)
-    trees = model_trees(model)
+    trees = model.trees
     Z = model.standardizer.transform(X)
     for probe in (Z, rng.normal(size=(40, 6)) * 3.0,
                   on_thresholds(trees, Z, rng), Z[:0]):
