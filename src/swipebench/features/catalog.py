@@ -181,21 +181,25 @@ FAMILIES = ("endpoint", "temporal", "distance", "velocity", "acceleration",
 
 # Ids published by each source study, as cited feature by feature.
 _STUDY_BASE: dict[str, list[int]] = {
-    "frank2013": _r(1, 28),
-    "li2013": [1, 2, 5, 9] + _r(29, 38),
-    "serwadda2013": [5, 6, 7, 8, 9, 14, 20, 23, 35, 36] + _r(39, 56),
+    "frank2013": _r(1, 28),  # Frank et al. 2013 (Touchalytics)
+    "li2013": [1, 2, 5, 9] + _r(29, 38),  # Li et al. 2013
+    "serwadda2013": ([5, 6, 7, 8, 9, 14, 20, 23, 35, 36]
+                     + _r(39, 56)),  # Serwadda et al. 2013
     "xu2014": ([1, 2, 3, 4, 5, 6, 9, 14, 16, 18, 29, 30, 31, 35, 36, 40, 41]
-               + _r(57, 75)),
-    "murmuria2015": [5, 6, 16, 35, 36],
-    "antal2015": [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 14, 15, 16, 28, 32],
-    "mahbub2016": [1, 2, 3, 4, 5, 6, 10, 11, 12, 13, 15] + _r(18, 28) + [32, 42],
+               + _r(57, 75)),  # Xu et al. 2014
+    "murmuria2015": [5, 6, 16, 35, 36],  # Murmuria et al. 2015
+    "antal2015": [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 14, 15, 16, 28,
+                  32],  # Antal et al. 2015
+    "mahbub2016": ([1, 2, 3, 4, 5, 6, 10, 11, 12, 13, 15] + _r(18, 28)
+                   + [32, 42]),  # Mahbub et al. 2016
     "shen2016": ([1, 2, 3, 4, 5, 7, 9, 14, 20, 23, 26, 35, 39, 40, 42, 43,
-                  62, 63] + _r(76, 114)),
-    "filippov2018": [1, 2, 3, 4, 5, 6, 9, 14, 36, 147, 148],
-    "syed2019": [1, 2, 3, 4, 5, 6, 7, 9, 10, 14, 16, 18, 19, 20, 21, 149],
-    "rocha2021": [36, 62, 115, 116, 117, 118] + _r(133, 138),
+                  62, 63] + _r(76, 114)),  # Shen et al. 2016
+    "filippov2018": [1, 2, 3, 4, 5, 6, 9, 14, 36, 147, 148],  # Filippov et al. 2018
+    "syed2019": [1, 2, 3, 4, 5, 6, 7, 9, 10, 14, 16, 18, 19, 20, 21,
+                 149],  # Syed et al. 2019
+    "rocha2021": [36, 62, 115, 116, 117, 118] + _r(133, 138),  # Rocha et al. 2021
     "incel2021": ([1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 16, 18]
-                  + _r(19, 24) + [32] + _r(139, 146)),
+                  + _r(19, 24) + [32] + _r(139, 146)),  # Incel et al. 2021
 }
 
 # The published set sizes disagree with the per-feature citations for four
@@ -213,21 +217,6 @@ STUDY_SIZES: dict[str, int] = {
     "frank2013": 30, "li2013": 14, "serwadda2013": 28, "xu2014": 37,
     "murmuria2015": 5, "antal2015": 15, "mahbub2016": 24, "shen2016": 58,
     "filippov2018": 11, "syed2019": 18, "rocha2021": 12, "incel2021": 30,
-}
-
-STUDY_LABELS: dict[str, str] = {
-    "frank2013": "Frank et al. 2013 (Touchalytics)",
-    "li2013": "Li et al. 2013",
-    "serwadda2013": "Serwadda et al. 2013",
-    "xu2014": "Xu et al. 2014",
-    "murmuria2015": "Murmuria et al. 2015",
-    "antal2015": "Antal et al. 2015",
-    "mahbub2016": "Mahbub et al. 2016",
-    "shen2016": "Shen et al. 2016",
-    "filippov2018": "Filippov et al. 2018",
-    "syed2019": "Syed et al. 2019",
-    "rocha2021": "Rocha et al. 2021",
-    "incel2021": "Incel et al. 2021",
 }
 
 STUDY_SETS: dict[str, tuple[int, ...]] = {
@@ -266,23 +255,21 @@ X_COORD_IDS = (1, 3, 52, 54, 64, 129, 131)
 Y_COORD_IDS = (2, 4, 53, 55, 65, 130, 132)
 
 
-def feature(fid: int) -> FeatureDef:
-    try:
-        return FEATURES[fid]
-    except KeyError:
-        raise UnknownFeatureId(f"no feature with id {fid}") from None
+def _feature_id(v) -> int:
+    if isinstance(v, bool):  # operator.index(True) is 1
+        raise TypeError(v)
+    return int(v) if isinstance(v, str) else operator.index(v)
 
 
 def resolve_feature_ids(spec) -> tuple[int, ...]:
-    """An iterable of feature ids (ints or decimal strings) as a sorted
-    tuple of valid ids. Names of feature sets are resolved by
+    """An iterable of feature ids (ints or decimal strings, not bools) as a
+    sorted tuple of valid ids. Names of feature sets are resolved by
     ``experiments.resolve_feature_set``."""
     if isinstance(spec, str):
         raise UnknownFeatureId(f"feature ids must be an iterable of "
                                f"integers, not the string {spec!r}")
     try:
-        ids = sorted({int(v) if isinstance(v, str) else operator.index(v)
-                      for v in spec})
+        ids = sorted({_feature_id(v) for v in spec})
     except (TypeError, ValueError):
         raise UnknownFeatureId(
             f"feature ids must be integers: {spec!r}") from None
@@ -293,20 +280,3 @@ def resolve_feature_ids(spec) -> tuple[int, ...]:
             raise UnknownFeatureId(f"no feature with id {fid}")
     return tuple(ids)
 
-
-def catalog_as_dict() -> dict:
-    """JSON-friendly dump of the catalog: every feature with its family and
-    studies, and every study's feature set."""
-    return {
-        "features": [
-            {"id": f.fid, "name": f.name, "family": f.family,
-             "studies": list(f.studies)}
-            for f in FEATURES.values()
-        ],
-        "studies": [
-            {"key": key, "label": STUDY_LABELS[key], "size": STUDY_SIZES[key],
-             "ids": list(STUDY_SETS[key]),
-             "padded_ids": list(STUDY_PADDING.get(key, ()))}
-            for key in sorted(STUDY_SETS)
-        ],
-    }

@@ -154,10 +154,6 @@ class FeatureVector:
     def is_defined(self, fid: int) -> bool:
         return bool(self.defined[fid - 1])
 
-    def take(self, ids) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.asarray(ids, dtype=int) - 1
-        return self.values[idx], self.defined[idx]
-
 
 def extract_features(swipe: Swipe, prev_end_ms: int | None = None) -> FeatureVector:
     """Compute the full feature vector for one swipe.

@@ -408,7 +408,7 @@ class AdapterConfig:
         missing = needed - set(columns)
         if missing:
             raise ConfigError(f"{path}: adapter lacks col. entries for {sorted(missing)}")
-        bad = [v for v in phase_map.values() if v not in ("down", "move", "up")]
+        bad = [v for v in phase_map.values() if v not in PHASES]
         if bad:
             raise ConfigError(f"{path}: phase map targets must be down/move/up, got {bad}")
         t_unit = opts.get("t_unit", "ms")

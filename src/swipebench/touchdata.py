@@ -192,11 +192,6 @@ class Swipe:
     start: int
     stop: int
 
-    @classmethod
-    def from_samples(cls, samples) -> "Swipe":
-        samples = tuple(samples)
-        return cls(TouchColumns.of(samples), 0, len(samples))
-
     @property
     def samples(self) -> tuple[TouchSample, ...]:
         return self.columns.samples[self.start:self.stop]

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from swipebench.touchdata import Dataset, Session, Swipe, TouchSample, UserData
+from swipebench.touchdata import (Dataset, Session, Swipe, TouchColumns,
+                                  TouchSample, UserData)
 
 
 def build_samples(t, x, y, pressure, area, *, user="u1", session="s1",
@@ -25,7 +26,8 @@ def build_swipe(t, x, y, pressure=None, area=None, **kw) -> Swipe:
         pressure = [0.5] * n
     if area is None:
         area = [0.3] * n
-    return Swipe.from_samples(build_samples(t, x, y, pressure, area, **kw))
+    samples = build_samples(t, x, y, pressure, area, **kw)
+    return Swipe(TouchColumns.of(samples), 0, len(samples))
 
 
 def random_swipe(rng: np.random.Generator, n: int | None = None,

@@ -6,7 +6,6 @@ from swipebench.errors import UnknownFeatureId
 from swipebench.features.catalog import (ALL_IDS, FAMILIES, FEATURE_COUNT,
                                          FEATURES, STUDY_SETS, STUDY_SIZES,
                                          X_COORD_IDS, Y_COORD_IDS,
-                                         catalog_as_dict, feature,
                                          resolve_feature_ids)
 
 
@@ -51,13 +50,6 @@ def test_study_membership_is_reflected_per_feature():
             assert f.fid in STUDY_SETS[key]
 
 
-def test_lookup_errors():
-    with pytest.raises(UnknownFeatureId):
-        feature(150)
-    with pytest.raises(UnknownFeatureId):
-        feature(0)
-
-
 def test_resolve_feature_ids_forms():
     # names are resolve_feature_set's; a bare string is not an id list
     for name in ("all", "ALL", "frank2013", "123"):
@@ -66,13 +58,16 @@ def test_resolve_feature_ids_forms():
     assert resolve_feature_ids(ALL_IDS) == ALL_IDS
     assert resolve_feature_ids([9, 5, 5, 1]) == (1, 5, 9)
     assert resolve_feature_ids((149,)) == (149,)
-    with pytest.raises(UnknownFeatureId):
-        resolve_feature_ids([1, 999])
+    for out_of_range in ([1, 999], [0], [150]):
+        with pytest.raises(UnknownFeatureId, match="no feature with id"):
+            resolve_feature_ids(out_of_range)
     with pytest.raises(UnknownFeatureId):
         resolve_feature_ids([])
     assert resolve_feature_ids(["3", " 2", 1]) == (1, 2, 3)
-    for bad in ([1, "x"], [1.5], [2.0], [[1]], 7):
-        with pytest.raises(UnknownFeatureId):
+    # a bool is not an id, although operator.index(True) is 1
+    for bad in ([1, "x"], [1.5], [2.0], [[1]], 7, [True, 2], [2, False]):
+        with pytest.raises(UnknownFeatureId,
+                           match="feature ids must be integers"):
             resolve_feature_ids(bad)
 
 
@@ -82,11 +77,3 @@ def test_coordinate_id_lists_are_coordinate_features():
     for fid in Y_COORD_IDS:
         assert "y" in FEATURES[fid].name.lower()
     assert not set(X_COORD_IDS) & set(Y_COORD_IDS)
-
-
-def test_catalog_dict_export():
-    doc = catalog_as_dict()
-    assert len(doc["features"]) == 149
-    assert {s["key"] for s in doc["studies"]} == set(STUDY_SETS)
-    for s in doc["studies"]:
-        assert s["size"] == STUDY_SIZES[s["key"]]

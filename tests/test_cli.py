@@ -142,11 +142,13 @@ def test_extract_non_integer_id_is_config_error(tmp_path, capsys):
 
 def test_config_non_integer_feature_id_is_config_error(tmp_path, capsys):
     src = synth_file(tmp_path)
-    cfg = write_doc(tmp_path, experiment_doc(src, tmp_path / "run",
-                                             feature_set=[[1, "x"]]))
-    assert main(["matrix", "--config", str(cfg)]) == EXIT_CONFIG
-    assert "config error: feature ids must be integers" in \
-        capsys.readouterr().err
+    # a JSON true is not feature 1
+    for feature_set in ([[1, "x"]], [{"ids": [True, 3]}]):
+        cfg = write_doc(tmp_path, experiment_doc(src, tmp_path / "run",
+                                                 feature_set=feature_set))
+        assert main(["matrix", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "config error: feature ids must be integers" in \
+            capsys.readouterr().err
 
 def test_select_across_datasets(tmp_path, capsys):
     a = synth_file(tmp_path, "a.csv")

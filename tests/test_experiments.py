@@ -12,7 +12,8 @@ import pytest
 
 import swipebench.experiments as experiments
 from swipebench.classifiers import ClassifierSpec
-from swipebench.errors import ConfigError, DataError, TooFewSamples
+from swipebench.errors import (ConfigError, DataError, TooFewSamples,
+                               UnknownFeatureId)
 from swipebench.features.extract import build_feature_table
 from swipebench.ingest import load_canonical, write_canonical
 from swipebench.experiments import (MatrixReport, aggregation_row_csv,
@@ -97,6 +98,10 @@ def test_parse_config_rejects_bad_shapes():
         parse_config({"dataset": {"synthetic": dict(SYNTH)}, "extra": 1})
     with pytest.raises(ConfigError):
         parse_config({"dataset": {"synthetic": {**SYNTH, "users": 1}}})
+    # a JSON true is not feature 1, although operator.index(True) is 1
+    with pytest.raises(UnknownFeatureId, match="feature ids must be integers"):
+        parse_config({"dataset": {"synthetic": dict(SYNTH)},
+                      "feature_set": [{"ids": [True, 3]}]})
 
 
 def test_parse_config_rejects_duplicates():

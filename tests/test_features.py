@@ -172,9 +172,6 @@ def test_feature_vector_accessors():
     _, swipe = golden_swipe()
     fv = extract_features(swipe)
     assert fv.value(5) == float(fv.values[4])
-    vals, defs = fv.take([3, 1, 149])
-    assert vals.shape == (3,) and defs.shape == (3,)
-    assert vals[0] == fv.value(3) and vals[2] == fv.value(149)
 
 
 # Quantile, IQR and moment ids, read from the series they summarise.

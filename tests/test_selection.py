@@ -1,6 +1,8 @@
 """ANOVA F scores and cross-dataset vote selection."""
 
+import json
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ import pytest
 from oracles import oracle_anova_f
 from swipebench.errors import ConfigError, EmptyMatrix, SingleClass
 from swipebench.features.extract import FeatureTable
-from swipebench.selection import (anova_f_scores, rank_dataset,
+from swipebench.selection import (anova_f_scores,
+                                  default_selection_document, rank_dataset,
                                   select_features)
 
 N_FIXTURES = 50
@@ -189,3 +192,13 @@ def test_selection_result_roundtrips_to_dict():
     assert d["selected"] == [1, 2, 3]
     assert d["top_n"] == 2 and d["min_votes"] == 2
     assert set(d["per_dataset_top"]) == {"p", "q", "r"}
+
+
+def test_shipped_anova_set_is_what_selection_writes():
+    """The packaged ANOVA set is byte for byte what ``python -m
+    swipebench.selection`` writes, so a change to extraction or selection
+    that would move it shows here."""
+    shipped = resources.files("swipebench.data").joinpath(
+        "anova125.json").read_text()
+    doc = default_selection_document()
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == shipped

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import build_samples, build_swipe
 from swipebench.errors import NoEligibleUsers
-from swipebench.touchdata import (Session, TouchSample, UserData,
-                                  assemble_dataset, filter_eligible)
+from swipebench.touchdata import (Session, Swipe, TouchColumns, TouchSample,
+                                  UserData, assemble_dataset, filter_eligible)
 
 
 def sample(t, phase, *, x=None, y=None, user="u1", session="s1",
@@ -229,6 +229,6 @@ def test_swipe_validate_rejects_malformed():
     samples = list(bad_phase.samples)
     from dataclasses import replace
     samples[0] = replace(samples[0], phase="move")
-    bad = type(good).from_samples(samples)
+    bad = Swipe(TouchColumns.of(samples), 0, len(samples))
     with pytest.raises(ValueError):
         bad.validate()
