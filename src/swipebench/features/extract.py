@@ -30,7 +30,6 @@ import numpy as np
 from ..errors import EmptyMatrix
 from ..touchdata import Dataset, Swipe, gather
 from .catalog import ALL_IDS, FEATURE_COUNT, resolve_feature_ids
-from .kinematics import compute_kinematics
 
 
 _SECTOR_EDGES = (-3 * math.pi / 4, -math.pi / 4, math.pi / 4, 3 * math.pi / 4)
@@ -61,14 +60,11 @@ def skew_kurtosis(a: np.ndarray) -> tuple[np.ndarray, bool, np.ndarray, bool]:
     return np.where(flat, 0.0, skew), n >= 3, np.where(flat, 0.0, kurt), n >= 4
 
 
-# The plain statistics of the derived series: series -> statistic ->
-# feature id, or a tuple of ids for a slot the catalog lists twice. pNN is
-# the NN-th percentile and iqr is p75 - p25; median is np.median, which can
-# differ from p50 in the last bit. skew and kurt come as a pair. Series of n
-# samples: pr, ar, dev, dxm, dym (distances to the mean x and y); of n - 1
-# segments: vel, seg, ph (phase angle), prd, ard (pressure and area deltas),
-# dt; of n - 2 turns: acc, pa (pairwise angle), abs_pa, av (angular
-# velocity).
+# The plain statistics of the derived series of ``_series``: series ->
+# statistic -> feature id, or a tuple of ids for a slot the catalog lists
+# twice. pNN is the NN-th percentile and iqr is p75 - p25; median is
+# np.median, which can differ from p50 in the last bit. skew and kurt come
+# as a pair.
 STATISTICS: dict[str, dict[str, int | tuple[int, ...]]] = {
     "vel": {"first": 57, "last": 60, "mean": 14, "std": 42, "min": 119,
             "max": 120, "p20": 19, "p25": 46, "p50": 20, "p75": 50, "p80": 21,
@@ -97,6 +93,44 @@ STATISTICS: dict[str, dict[str, int | tuple[int, ...]]] = {
     "dxm": {"max": 139, "p20": 141, "median": 143, "p80": 145},
     "dym": {"max": 140, "p20": 142, "median": 144, "p80": 146},
 }
+
+def _series(t: np.ndarray, xs: np.ndarray, ys: np.ndarray, pr: np.ndarray,
+            ar: np.ndarray) -> dict[str, np.ndarray]:
+    """The derived series of (k, n) sample blocks, one row per swipe, keyed
+    as STATISTICS reads them.
+
+    Of n samples: pr, ar (pressure, area), dev (absolute perpendicular
+    distance from the start->stop chord; plain distance to the start point
+    when the chord is degenerate), dxm, dym (distances to the mean x, y).
+    Of n - 1 forward differences: dt (ms), seg (displacement lengths), vel
+    (px/s), ph (phase angle atan2(dy, dx) in screen coordinates, y down,
+    range (-pi, pi]), prd, ard (pressure and area steps). Of n - 2 turns:
+    acc (velocity steps over the spacing of segment midpoints, px/s^2), pa
+    (signed turn atan2(cross, dot) between consecutive displacements),
+    abs_pa, av (turn angle over the midpoint spacing, rad/s).
+    """
+    dt = np.diff(t, axis=1)
+    dx, dy = np.diff(xs, axis=1), np.diff(ys, axis=1)
+    seg = np.hypot(dx, dy)
+    vel = seg / (dt / 1000.0)
+    # Midpoint spacing: velocity i lives at (t_i + t_{i+1}) / 2.
+    mid_dt_s = (t[:, 2:] - t[:, :-2]) / 2000.0
+    acc = np.diff(vel, axis=1) / mid_dt_s
+    pa = np.arctan2(dx[:, :-1] * dy[:, 1:] - dy[:, :-1] * dx[:, 1:],
+                    dx[:, :-1] * dx[:, 1:] + dy[:, :-1] * dy[:, 1:])
+    ax, ay = xs[:, :1], ys[:, :1]
+    cx, cy = xs[:, -1:] - ax, ys[:, -1:] - ay
+    norm = np.hypot(cx, cy)
+    dev = np.where(norm == 0.0, np.hypot(xs - ax, ys - ay),
+                   np.abs(cx * (ys - ay) - cy * (xs - ax)) / norm)
+    return {
+        "vel": vel, "acc": acc, "dev": dev, "pr": pr, "ar": ar, "seg": seg,
+        "pa": pa, "abs_pa": np.abs(pa), "ph": np.arctan2(dy, dx),
+        "av": pa / mid_dt_s, "prd": np.diff(pr, axis=1),
+        "ard": np.diff(ar, axis=1), "dt": dt,
+        "dxm": np.abs(xs - xs.mean(axis=1, keepdims=True)),
+        "dym": np.abs(ys - ys.mean(axis=1, keepdims=True))}
+
 
 _REDUCERS = {"mean": np.mean, "std": np.std, "min": np.min, "max": np.max,
              "median": np.median}
@@ -175,9 +209,8 @@ def _extract_block(swipes: list[Swipe], prev_ends: list[int | None]
         raise ValueError("features need at least 3 samples")
     t, xs, ys, pr, ar = (a.reshape(k, n) for a in gather(
         swipes, ("t_ms", "x", "y", "pressure", "area")))
-    kin = compute_kinematics(t, xs, ys, pr, ar)
-    vel, dev, seg, ph = (kin.velocity, kin.deviation, kin.seg_len,
-                         kin.phase_angle)
+    series = _series(t, xs, ys, pr, ar)
+    vel, dev, seg, ph = (series[name] for name in ("vel", "dev", "seg", "ph"))
     rows = np.arange(k)
 
     vals = np.empty((FEATURE_COUNT, k))
@@ -189,14 +222,7 @@ def _extract_block(swipes: list[Swipe], prev_ends: list[int | None]
             vals[fid - 1] = value
             mask[fid - 1] = defined
 
-    _statistics({
-        "vel": vel, "acc": kin.acceleration, "dev": dev, "pr": pr, "ar": ar,
-        "seg": seg, "pa": kin.pairwise_angle,
-        "abs_pa": np.abs(kin.pairwise_angle), "ph": ph,
-        "av": kin.angular_velocity, "prd": kin.pressure_delta,
-        "ard": kin.area_delta, "dt": kin.dt_ms,
-        "dxm": np.abs(xs - xs.mean(axis=1, keepdims=True)),
-        "dym": np.abs(ys - ys.mean(axis=1, keepdims=True))}, put)
+    _statistics(series, put)
 
     # Lengths and directions of the start->stop chord, of the two legs
     # through the largest-deviation point (ldp, first on ties) and of the
@@ -232,7 +258,7 @@ def _extract_block(swipes: list[Swipe], prev_ends: list[int | None]
     put(10, t[:, 0] - np.array([np.nan if p is None else p for p in prev_ends],
                                dtype=float))
     put(11, np.hypot(cos_mean, sin_mean))
-    put(12, np.median(kin.acceleration[:, :min(5, n) - 2], axis=1))
+    put(12, np.median(series["acc"][:, :min(5, n) - 2], axis=1))
     put(13, np.median(vel[:, -2:], axis=1))
     put(15, _SECTORS[np.digitize(direct_angle, _SECTOR_EDGES)])
     put(16, direct_angle)
