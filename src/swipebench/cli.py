@@ -17,6 +17,7 @@ input that cannot be read or an --out that cannot be written),
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from dataclasses import replace
@@ -140,6 +141,9 @@ def _cmd_select(args) -> int:
 def _cmd_experiment(args, single_cell: bool) -> int:
     cfg = load_config(args.config)
     check_workers(args.workers)
+    if args.plots and importlib.util.find_spec("matplotlib") is None:
+        raise ConfigError(
+            "plot emission needs matplotlib (install the 'plots' extra)")
     if single_cell and (len(cfg.feature_sets) > 1 or len(cfg.classifiers) > 1):
         raise ConfigError(
             "'evaluate' runs a single feature_set x classifier cell; "

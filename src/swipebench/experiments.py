@@ -42,7 +42,7 @@ from .classifiers import ClassifierSpec
 from .errors import ConfigError, DataError, SwipebenchError
 from .features.catalog import ALL_IDS, STUDY_SETS, resolve_feature_ids
 from .features.extract import FeatureTable, build_feature_table
-from .ingest import load_canonical, rewrite_text
+from .ingest import _csv_cells, load_canonical, rewrite_text
 from .protocol import (CellSummary, ProtocolConfig, aggregation_key,
                        aggregation_keys, run_experiment, sampling_plans)
 from .spec import read_object
@@ -356,11 +356,13 @@ def _csv_number(value: float | None) -> str:
 
 
 def matrix_csv(view: dict) -> str:
-    """One aggregation variant's matrix as CSV (mean EER in percent)."""
+    """One aggregation variant's matrix as CSV (mean EER in percent), its
+    feature-set labels quoted as ``ingest._csv_cells`` does."""
     cols = view["classifiers"]
     lines = [",".join(["feature_set"] + cols + ["row_mean"])]
-    for fs in view["feature_sets"]:
-        row = [fs] + [_csv_number(view["cells"][fs][c]) for c in cols]
+    for fs, label in zip(view["feature_sets"],
+                         _csv_cells(view["feature_sets"])):
+        row = [label] + [_csv_number(view["cells"][fs][c]) for c in cols]
         row.append(_csv_number(view["row_means"][fs]))
         lines.append(",".join(row))
     tail = ["col_mean"] + [_csv_number(view["col_means"][c]) for c in cols]

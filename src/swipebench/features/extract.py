@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptyMatrix
+from ..ingest import _csv_cells
 from ..touchdata import Dataset, Swipe, gather
 from .catalog import ALL_IDS, FEATURE_COUNT, resolve_feature_ids
 
@@ -93,6 +94,7 @@ STATISTICS: dict[str, dict[str, int | tuple[int, ...]]] = {
     "dxm": {"max": 139, "p20": 141, "median": 143, "p80": 145},
     "dym": {"max": 140, "p20": 142, "median": 144, "p80": 146},
 }
+
 
 def _series(t: np.ndarray, xs: np.ndarray, ys: np.ndarray, pr: np.ndarray,
             ar: np.ndarray) -> dict[str, np.ndarray]:
@@ -408,7 +410,8 @@ def build_feature_table(dataset: Dataset) -> FeatureTable:
 
 
 def export_table_csv(table: FeatureTable) -> str:
-    """CSV dump; undefined cells are left empty."""
+    """CSV dump; undefined cells are left empty and text cells are quoted
+    as ``ingest._csv_cells`` does."""
     header = ["dataset", "user_id", "session_id", "row"] + [
         f"f{fid}" for fid in table.feature_ids]
     lines = [",".join(header)]
@@ -417,9 +420,11 @@ def export_table_csv(table: FeatureTable) -> str:
         blanks.setdefault(i, []).append(4 + j)
     # one row at a time through tolist(): Python floats repr like the
     # float64 cells, without holding the whole table as Python objects
-    rows = zip(table.user_ids, table.session_ids, table.X)
+    dataset_name, = _csv_cells([table.dataset_name])
+    rows = zip(_csv_cells(table.user_ids), _csv_cells(table.session_ids),
+               table.X)
     for i, (user_id, session_id, values) in enumerate(rows):
-        cells = [table.dataset_name, user_id, session_id, str(i),
+        cells = [dataset_name, user_id, session_id, str(i),
                  *map(repr, values.tolist())]
         for j in blanks.get(i, ()):
             cells[j] = ""

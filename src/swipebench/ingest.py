@@ -42,8 +42,11 @@ _CONVERSION_ERRORS = (ValueError, TypeError, OverflowError)
 
 
 def _read_text(path: Path) -> str:
+    """The file's text, without a UTF-8 byte-order mark and with its line
+    ends as they are, so a quoted CSV cell keeps a CR."""
     try:
-        return path.read_text(encoding="utf-8")
+        with path.open(encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
     except OSError as err:
         raise DataError(f"cannot read {path}: {err}") from None
     except UnicodeDecodeError as err:
@@ -253,7 +256,8 @@ def parse_canonical(text: str, source: str = "<string>",
             lines.linenos.append(lineno)
             rows.append(pick(obj))
     else:
-        reader = _csv_rows(csv.reader(io.StringIO(text)), source)
+        reader = _csv_rows(csv.reader(io.StringIO(text, newline="")),
+                           source)
         try:
             header = next(reader)
         except StopIteration:
@@ -325,6 +329,18 @@ def _json_strings(values: list) -> list[str]:
     return [enc[v] for v in values]
 
 
+def _csv_cells(values: list[str]) -> list[str]:
+    """Each text cell as csv.QUOTE_MINIMAL writes it: quoted, with its
+    quotes doubled, when it holds a comma, a quote, CR or LF; worked out
+    once per distinct value."""
+    def cell(v: str) -> str:
+        if any(c in v for c in ',"\r\n'):
+            return '"' + v.replace('"', '""') + '"'
+        return v
+    enc = {v: cell(v) for v in set(values)}
+    return [enc[v] for v in values]
+
+
 def _channel_cells(values: list[float], missing: str) -> list[str]:
     return [missing if v != v else repr(v) for v in values]
 
@@ -333,7 +349,8 @@ def write_canonical(dataset: Dataset, path: str | Path, fmt: str = "csv") -> Non
     """Write a dataset back out deterministically (users sorted, sessions and
     swipes in chronological order), column by column. A line's bytes are
     what ``json.dumps`` of its record, or the CSV cells with Python's float
-    repr and an empty cell for NaN, give."""
+    repr, an empty cell for NaN and text quoted as ``_csv_cells`` does,
+    give."""
     path = Path(path)
     swipes = [swipe for user_id in dataset.user_ids()
               for session in dataset.users[user_id].sessions
@@ -344,7 +361,8 @@ def write_canonical(dataset: Dataset, path: str | Path, fmt: str = "csv") -> Non
         c.tolist() for c in cols]
     phase = [PHASES[c] for c in phase]
     if fmt == "csv":
-        rows = zip(repeat(dataset.name), user, session, device, map(str, t),
+        rows = zip(repeat(*_csv_cells([dataset.name])), _csv_cells(user),
+                   _csv_cells(session), _csv_cells(device), map(str, t),
                    phase, map(repr, x), map(repr, y),
                    _channel_cells(pressure, ""), _channel_cells(area, ""))
         lines = [",".join(REQUIRED_FIELDS), *map(",".join, rows)]
@@ -442,7 +460,7 @@ def convert_raw(raw_path: str | Path, adapter: AdapterConfig,
     lines = _Lines()
     rows = []
     try:
-        fh = raw_path.open(newline="", encoding="utf-8")
+        fh = raw_path.open(newline="", encoding="utf-8-sig")
     except OSError as err:
         raise DataError(f"cannot read {raw_path}: {err}") from None
     with fh:

@@ -313,7 +313,8 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
 
     ``plan`` is this (user, repetition)'s sampling plan; it is built
     when absent. Returns a dict keyed by aggregation_key. Precondition
-    failures (too few sessions or attackers, no full window) and
+    failures (too few sessions or attackers, no full window, fewer than
+    two genuine training rows or windows for a one-class kind) and
     non-finite scores come back as skipped outcomes; real errors
     propagate.
     """
@@ -327,6 +328,10 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
 
     if isinstance(plan, str):
         return {k: skipped(plan) for k in keys}
+    # a one-class kind trains on the genuine rows alone and needs two
+    one_class = classifier_spec.is_one_class
+    if one_class and len(plan.train_rows) < 2:
+        return {k: skipped("too-few-train-rows") for k in keys}
 
     fit_rows = np.concatenate([plan.train_rows, plan.neg_rows])
     y = np.concatenate([np.ones(len(plan.train_rows)),
@@ -368,6 +373,8 @@ def evaluate_user_repetition(table: FeatureTable, user_id: str,
             def score(windows: np.ndarray) -> np.ndarray:
                 return stack_score(net, row_scores[windows])
         elif spec.method == "feed":
+            if one_class and vp.counts["n_agg_train_genuine"] < 2:
+                return skipped("too-few-train-windows")
             X_fit, defined_fit = concat(vp.fit)
             feed_model = train(eff_spec, X_fit, vp.fit_labels,
                                defined=defined_fit)

@@ -351,6 +351,17 @@ def test_matrix_emits_plots(tmp_path):
     assert (out_dir / "matrix_none-w1.png").exists()
 
 
+def test_matrix_plots_without_matplotlib_fails_before_the_run(
+        tmp_path, monkeypatch, capsys):
+    src = synth_file(tmp_path)
+    out_dir = tmp_path / "run"
+    cfg = write_doc(tmp_path, experiment_doc(src, out_dir))
+    monkeypatch.setitem(sys.modules, "matplotlib", None)
+    assert main(["matrix", "--config", str(cfg), "--plots"]) == EXIT_CONFIG
+    assert "needs matplotlib" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_matrix_partial_failures_exit_code(tmp_path, monkeypatch, capsys):
     src = synth_file(tmp_path)
     cfg = write_doc(tmp_path, experiment_doc(src, tmp_path / "run"))

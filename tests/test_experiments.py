@@ -1,6 +1,7 @@
 """Experiment config parsing and the grid runner."""
 
 import concurrent.futures
+import csv
 import json
 import math
 import multiprocessing
@@ -442,6 +443,21 @@ def test_matrix_csv_layout():
                     "fs1,12.5,10.0,11.25\n"
                     "fs2,,8.0,8.0\n"
                     "col_mean,12.5,9.0,\n")
+
+
+def test_matrix_csv_quotes_a_label_with_a_comma(tmp_path):
+    cfg = parse_config({
+        "dataset": {"synthetic": dict(SYNTH)},
+        "feature_set": [{"name": 'a,"b"', "ids": [1, 2, 3]}, "frank2013"],
+        "classifier": "knn",
+        "protocol": {"repetitions": 1},
+    })
+    write_report(run_matrix(cfg), tmp_path, ("csv",))
+    with open(tmp_path / "matrix_none-w1.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows] == [
+        "feature_set", 'a,"b"', "frank2013", "col_mean"]
+    assert {len(row) for row in rows} == {3}
 
 
 def test_aggregation_row_csv_layout():

@@ -1,6 +1,7 @@
 """Canonical format parsing, writing, and raw-export adapters."""
 
 import csv
+import io
 import json
 import math
 
@@ -10,6 +11,7 @@ import pytest
 from swipebench.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from swipebench.errors import (ConfigError, EmptyDataset,
                                MalformedRateExceeded, UnparseableHeader)
+from swipebench.features.extract import build_feature_table, export_table_csv
 from swipebench.ingest import (AdapterConfig, convert_raw, load_canonical,
                                parse_canonical, write_canonical)
 from swipebench.touchdata import assemble_dataset
@@ -139,6 +141,63 @@ def test_write_canonical_rejects_unknown_format(tmp_path):
     ds, _ = assemble_dataset("unit", records)
     with pytest.raises(ConfigError):
         write_canonical(ds, tmp_path / "x.bin", fmt="parquet")
+
+
+def test_text_cells_survive_a_jsonl_csv_jsonl_round_trip(tmp_path):
+    """Ids holding a comma, a quote, CR or LF are quoted in every CSV
+    writer, and read back unchanged."""
+    ids = {"user_id": "u,1", "session_id": 's"1"',
+           "device_model": 'Nexus 5, rev "2"\r\n'}
+    lines = [json_record(20 * i, phase=phase, x=float(i), **ids)
+             for i, phase in enumerate(("down", "move", "move", "up"))]
+    src = tmp_path / "in.jsonl"
+    src.write_text("\n".join(lines) + "\n")
+    ds, _ = load_canonical(src)
+    write_canonical(ds, tmp_path / "a.jsonl", fmt="jsonl")
+    write_canonical(ds, tmp_path / "mid.csv")
+    ds2, report = load_canonical(tmp_path / "mid.csv")
+    assert report.lines_malformed == 0
+    write_canonical(ds2, tmp_path / "b.jsonl", fmt="jsonl")
+    assert (tmp_path / "b.jsonl").read_bytes() == \
+        (tmp_path / "a.jsonl").read_bytes()
+
+    table = csv.DictReader(io.StringIO(
+        export_table_csv(build_feature_table(ds)), newline=""))
+    row, = table
+    assert (row["user_id"], row["session_id"]) == ("u,1", 's"1"')
+    assert len(row) == 4 + 149
+
+
+BOM = "\ufeff"
+
+
+def corpus_text(kind: str) -> str:
+    """One stroke of five events as canonical CSV, JSONL or a headerless
+    raw export in the layout of ADAPTER."""
+    if kind == "csv":
+        return "\n".join([HEADER] + stroke_lines(0, 5)) + "\n"
+    if kind == "jsonl":
+        return "\n".join(stroke_records(0, 5)) + "\n"
+    return "\n".join(raw_rows()) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["csv", "jsonl", "raw"])
+def test_a_byte_order_mark_is_ignored(tmp_path, kind):
+    conf = tmp_path / "vendor.conf"
+    conf.write_text(ADAPTER)
+    loaded = []
+    for name, prefix in (("plain", ""), ("bom", BOM)):
+        path = tmp_path / name
+        path.write_text(prefix + corpus_text(kind), encoding="utf-8")
+        if kind == "raw":
+            records, _ = convert_raw(path, AdapterConfig.load(conf))
+            ds, _ = assemble_dataset("vendor", records)
+        else:
+            ds, _ = load_canonical(path)
+        write_canonical(ds, tmp_path / f"{name}.out")
+        loaded.append((tmp_path / f"{name}.out").read_bytes())
+    assert loaded[0] == loaded[1]
+    assert BOM.encode() not in loaded[1]
 
 
 ADAPTER = """

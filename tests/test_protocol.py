@@ -404,6 +404,42 @@ def test_skip_no_genuine_train_windows():
     assert not ok.skipped
 
 
+@pytest.mark.parametrize("kind", ["oc_svm_rbf", "isolation_forest"])
+def test_one_class_skips_a_user_with_one_genuine_train_row(kind):
+    rng = np.random.default_rng(6)
+    # "a" trains on a single swipe; every other user is evaluated as usual
+    table = table_of({
+        "a": sessions_of(rng, "a", [1, 6]),
+        **{u: sessions_of(rng, u, [6, 6]) for u in "bcde"},
+    })
+    cells = run_experiment(table, ClassifierSpec(kind=kind),
+                           specs(("none", 1), ("mean", 3), ("feed", 2)),
+                           ProtocolConfig(repetitions=2))
+    for cell in cells.values():
+        assert cell.per_user["a"] == [None, None]
+        assert cell.skip_reasons == {"too-few-train-rows": 2}
+        assert cell.n_users_evaluated == 4
+
+
+@pytest.mark.parametrize("kind", ["oc_svm_rbf", "isolation_forest"])
+def test_one_class_feed_skips_a_user_with_one_genuine_train_window(kind):
+    rng = np.random.default_rng(7)
+    # a 5-swipe training session holds one stride-1 window of 5
+    table = table_of({
+        "a": sessions_of(rng, "a", [5, 6]),
+        **{u: sessions_of(rng, u, [6, 6]) for u in "bcde"},
+    })
+    res = evaluate_user_repetition(
+        table, "a", ClassifierSpec(kind=kind),
+        specs(("none", 1), ("feed", 5)), ProtocolConfig(), 0)
+    assert res["feed-w5"].skip_reason == "too-few-train-windows"
+    assert not res["none-w1"].skipped
+    # knn, a two-class kind, trains the feed model on the same windows
+    knn = evaluate_user_repetition(table, "a", KNN, specs(("feed", 5)),
+                                   ProtocolConfig(), 0)
+    assert not knn["feed-w5"].skipped
+
+
 def test_learned_aggregators_run(small_table):
     cfg = ProtocolConfig()
     for method in ("stacking", "feed"):
