@@ -17,14 +17,13 @@ input that cannot be read or an --out that cannot be written),
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import sys
 from dataclasses import replace
 
 from .errors import ConfigError, SwipebenchError
-from .experiments import (check_workers, emit_plots, load_config,
-                          make_output_dir, resolve_feature_set, run_matrix,
+from .experiments import (check_workers, load_config, make_output_dir,
+                          output_formats, resolve_feature_set, run_matrix,
                           write_report)
 from .features.extract import (build_feature_table, export_table_csv,
                                export_table_json)
@@ -75,8 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="report directory override")
         p.add_argument("--format", choices=("csv", "json", "both"))
         p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--plots", action="store_true",
-                       help="also render matrix/aggregation charts")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--users", type=int, default=10)
@@ -141,9 +138,6 @@ def _cmd_select(args) -> int:
 def _cmd_experiment(args, single_cell: bool) -> int:
     cfg = load_config(args.config)
     check_workers(args.workers)
-    if args.plots and importlib.util.find_spec("matplotlib") is None:
-        raise ConfigError(
-            "plot emission needs matplotlib (install the 'plots' extra)")
     if single_cell and (len(cfg.feature_sets) > 1 or len(cfg.classifiers) > 1):
         raise ConfigError(
             "'evaluate' runs a single feature_set x classifier cell; "
@@ -153,17 +147,13 @@ def _cmd_experiment(args, single_cell: bool) -> int:
     if args.out:
         cfg.output_dir = args.out
     if args.format:
-        cfg.formats = ("csv", "json") if args.format == "both" \
-            else (args.format,)
+        cfg.formats = output_formats(args.format)
     if not cfg.output_dir:
         raise ConfigError("no output directory (config output.dir or --out)")
     make_output_dir(cfg.output_dir)
 
     result = run_matrix(cfg, workers=args.workers)
-    written = write_report(result, cfg.output_dir, cfg.formats)
-    if args.plots:
-        written += emit_plots(result, cfg.output_dir)
-    for path in written:
+    for path in write_report(result, cfg.output_dir, cfg.formats):
         print(path)
     if result.n_failed_cells:
         print(f"{result.n_failed_cells} cell(s) failed", file=sys.stderr)

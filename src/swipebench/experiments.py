@@ -156,23 +156,26 @@ def parse_config(doc: dict) -> ExperimentConfig:
     protocol = doc.get("protocol", ProtocolConfig())
     output = read_object(doc.get("output", {}), {"dir": str, "format": str},
                          path="output")
-    fmt = output.get("format", "both")
-    if fmt == "both":
-        formats: tuple[str, ...] = FORMATS
-    elif fmt in FORMATS:
-        formats = (fmt,)
-    else:
-        raise ConfigError(f"unknown output.format {fmt!r}")
-
     return ExperimentConfig(
         dataset=dataset, feature_sets=feature_sets, classifiers=classifiers,
         aggregations=aggregations, protocol=protocol,
-        output_dir=output.get("dir"), formats=formats)
+        output_dir=output.get("dir"),
+        formats=output_formats(output.get("format", "both")))
+
+
+def output_formats(fmt: str) -> tuple[str, ...]:
+    """The report formats an ``output.format`` value (or ``--format``)
+    names: ``"csv"``, ``"json"`` or ``"both"``."""
+    if fmt == "both":
+        return FORMATS
+    if fmt in FORMATS:
+        return (fmt,)
+    raise ConfigError(f"unknown output.format {fmt!r}")
 
 
 def load_config(path) -> ExperimentConfig:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
@@ -403,48 +406,3 @@ def write_report(result: MatrixReport, out_dir, formats=FORMATS) -> list[Path]:
     for name, text in files.items():
         rewrite_text(out / name, text)
     return [out / name for name in files]
-
-
-def emit_plots(result: MatrixReport, out_dir) -> list[Path]:
-    """Optional static renderings (requires matplotlib)."""
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        raise ConfigError(
-            "plot emission needs matplotlib (install the 'plots' extra)")
-    out = make_output_dir(out_dir)
-    written = []
-
-    block = result.report["aggregation_row"]["mean_eer_percent"]
-    keys = sorted(block)
-    vals = [block[k] if block[k] is not None else float("nan") for k in keys]
-    fig, ax = plt.subplots(figsize=(8, 4))
-    ax.bar(keys, vals)
-    ax.set_ylabel("mean EER (%)")
-    ax.set_title("Aggregation comparison")
-    fig.tight_layout()
-    path = out / "aggregation_row.png"
-    fig.savefig(path)
-    plt.close(fig)
-    written.append(path)
-
-    for key, view in sorted(result.report["matrices"].items()):
-        fs = view["feature_sets"]
-        cols = view["classifiers"]
-        grid = [[view["cells"][f][c] if view["cells"][f][c] is not None
-                 else float("nan") for c in cols] for f in fs]
-        fig, ax = plt.subplots(
-            figsize=(1.2 * len(cols) + 3, 0.5 * len(fs) + 2))
-        im = ax.imshow(grid, aspect="auto")
-        ax.set_xticks(range(len(cols)), cols, rotation=45, ha="right")
-        ax.set_yticks(range(len(fs)), fs)
-        fig.colorbar(im, ax=ax, label="mean EER (%)")
-        ax.set_title(f"{key}")
-        fig.tight_layout()
-        path = out / f"matrix_{key}.png"
-        fig.savefig(path)
-        plt.close(fig)
-        written.append(path)
-    return written

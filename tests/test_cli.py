@@ -341,25 +341,22 @@ def test_matrix_grid_and_determinism(tmp_path):
         ["frank2013", "custom1"]
 
 
-def test_matrix_emits_plots(tmp_path):
-    pytest.importorskip("matplotlib")
+def test_matrix_format_overrides_the_config(tmp_path, capsys):
     src = synth_file(tmp_path)
-    out_dir = tmp_path / "run"
-    cfg = write_doc(tmp_path, experiment_doc(src, out_dir))
-    assert main(["matrix", "--config", str(cfg), "--plots"]) == EXIT_OK
-    assert (out_dir / "aggregation_row.png").stat().st_size > 0
-    assert (out_dir / "matrix_none-w1.png").exists()
-
-
-def test_matrix_plots_without_matplotlib_fails_before_the_run(
-        tmp_path, monkeypatch, capsys):
-    src = synth_file(tmp_path)
-    out_dir = tmp_path / "run"
-    cfg = write_doc(tmp_path, experiment_doc(src, out_dir))
-    monkeypatch.setitem(sys.modules, "matplotlib", None)
-    assert main(["matrix", "--config", str(cfg), "--plots"]) == EXIT_CONFIG
-    assert "needs matplotlib" in capsys.readouterr().err
-    assert not out_dir.exists()
+    doc = experiment_doc(src, tmp_path / "unused")
+    doc["output"]["format"] = "json"
+    cfg = write_doc(tmp_path, doc)
+    capsys.readouterr()
+    csv_names = ["aggregation_row.csv", "matrix_mean-w2.csv",
+                 "matrix_none-w1.csv"]
+    for fmt, names in (("csv", csv_names),
+                       ("both", sorted(csv_names + ["report.json"]))):
+        out_dir = tmp_path / fmt
+        assert main(["matrix", "--config", str(cfg), "--out", str(out_dir),
+                     "--format", fmt]) == EXIT_OK
+        assert sorted(p.name for p in out_dir.iterdir()) == names
+        printed = capsys.readouterr().out.split()
+        assert sorted(Path(p).name for p in printed) == names
 
 
 def test_matrix_partial_failures_exit_code(tmp_path, monkeypatch, capsys):

@@ -187,6 +187,17 @@ def test_load_config_file(tmp_path):
         load_config(bad)
 
 
+def test_load_config_skips_a_byte_order_mark(tmp_path):
+    text = json.dumps({"dataset": {"synthetic": dict(SYNTH)},
+                       "classifier": "knn",
+                       "feature_set": {"name": "café", "ids": [1, 2]}})
+    plain = tmp_path / "plain.json"
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_config(marked).echo() == load_config(plain).echo()
+
+
 def test_load_experiment_dataset_synthetic():
     data, report = load_experiment_dataset({"synthetic": dict(SYNTH)})
     assert data.n_users == 5
@@ -492,12 +503,3 @@ def test_write_report_over_longer_files_leaves_no_stale_tail(small_report,
     assert [p.name for p in rewritten] == [p.name for p in fresh]
     for new, ref in zip(rewritten, fresh):
         assert new.read_bytes() == ref.read_bytes(), new.name
-
-
-def test_emit_plots(small_report, tmp_path):
-    pytest.importorskip("matplotlib")
-    written = experiments.emit_plots(small_report, tmp_path)
-    assert sorted(p.name for p in written) == [
-        "aggregation_row.png", "matrix_mean-w3.png", "matrix_none-w1.png"]
-    for p in written:
-        assert p.stat().st_size > 0
