@@ -20,6 +20,7 @@ import numpy as np
 
 from .base import (ClassifierSpec, TrainedModel, min_max_scale,
                    register_model, squared_distances, training_inputs)
+from .neural import _sigmoid
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -125,10 +126,7 @@ def fit_platt_sigmoid(decision: np.ndarray,
 
     fval = objective(A, B)
     for _ in range(max_iter):
-        fApB = decision * A + B
-        pos = fApB >= 0
-        p = np.where(pos, np.exp(-fApB) / (1.0 + np.exp(-fApB)),
-                     1.0 / (1.0 + np.exp(fApB)))
+        p = _sigmoid(-(decision * A + B))
         q = 1.0 - p
         d1 = t - p
         d2 = p * q
@@ -226,10 +224,7 @@ class SvmModel(TrainedModel):
 
     def _score_std(self, Z: np.ndarray) -> np.ndarray:
         f = self.decision_values(Z)
-        fApB = f * self.platt_a + self.platt_b
-        return np.where(fApB >= 0,
-                        np.exp(-fApB) / (1.0 + np.exp(-fApB)),
-                        1.0 / (1.0 + np.exp(fApB)))
+        return _sigmoid(-(f * self.platt_a + self.platt_b))
 
 
 @register_model("oc_svm_rbf")

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (ConfigError, DataError, EmptyDataset,
                      MalformedRateExceeded, UnparseableHeader)
+from .spec import Spec
 from .touchdata import (MS_LIMIT, PHASE_CODES, PHASES, Dataset,
                         SegmentationCounts, TouchColumns, assemble_dataset,
                         gather)
@@ -54,17 +55,14 @@ def _read_text(path: Path) -> str:
                         f"({err.reason} at byte {err.start})") from None
 
 
-def _csv_rows(reader, source):
-    """The rows of a ``csv.reader``; a field over the csv module's size
-    limit, or a file that is not UTF-8 and is decoded as it is read,
-    raises DataError naming the source."""
+def _csv_rows(text: str, source, delimiter: str = ","):
+    """The rows of text read as CSV; a field over the csv module's size
+    limit raises DataError naming the source."""
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
     try:
         yield from reader
     except csv.Error as err:
         raise DataError(f"{source}:{reader.line_num}: {err}") from None
-    except UnicodeDecodeError as err:
-        raise DataError(f"cannot read {source}: not UTF-8 text "
-                        f"({err.reason})") from None
 
 
 @dataclass
@@ -111,6 +109,14 @@ class _Lines:
         self.total = 0
         self.linenos: list[int] = []
         self.faults: dict[int, str] = {}
+
+    def rows(self, reader, start: int):
+        """(line number, row) of each row of reader that has a non-blank
+        cell, counted in total; the first row is line start."""
+        for lineno, row in enumerate(reader, start=start):
+            if row and (row[0].strip() or any(c.strip() for c in row)):
+                self.total += 1
+                yield lineno, row
 
     def reject(self, lineno: int, err) -> None:
         self.faults.setdefault(lineno, str(err))
@@ -256,21 +262,13 @@ def parse_canonical(text: str, source: str = "<string>",
             lines.linenos.append(lineno)
             rows.append(pick(obj))
     else:
-        reader = _csv_rows(csv.reader(io.StringIO(text, newline="")),
-                           source)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataset(f"{source}: no records") from None
-        cols = [h.strip() for h in header]
+        reader = _csv_rows(text, source)
+        cols = [h.strip() for h in next(reader)]
         missing = [f for f in REQUIRED_FIELDS if f not in cols]
         if missing:
             raise UnparseableHeader(f"{source}: header lacks columns {missing}")
         pick = itemgetter(*[cols.index(f) for f in REQUIRED_FIELDS])
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not (row[0].strip() or any(c.strip() for c in row)):
-                continue
-            lines.total += 1
+        for lineno, row in lines.rows(reader, 2):
             if len(row) < len(cols):
                 lines.reject(lineno,
                              f"expected {len(cols)} fields, got {len(row)}")
@@ -382,10 +380,11 @@ def write_canonical(dataset: Dataset, path: str | Path, fmt: str = "csv") -> Non
 # Adapters for raw vendor exports.
 
 _TIME_SCALE = {"ms": 1.0, "s": 1000.0, "us": 1e-3, "ns": 1e-6}
+_NEEDED = ("user_id", "session_id", "t", "phase", "x", "y")
 
 
-@dataclass
-class AdapterConfig:
+@dataclass(frozen=True)
+class AdapterConfig(Spec):
     """Column mapping from one raw CSV layout onto the canonical schema."""
 
     dataset: str
@@ -396,10 +395,21 @@ class AdapterConfig:
     t_unit: str = "ms"
     device_constant: str | None = None
 
+    RULES = {
+        "columns": (lambda v: isinstance(v, dict)
+                    and all(c in v for c in _NEEDED),
+                    f"a map with entries for {', '.join(_NEEDED)}"),
+        "phase_map": (lambda v: isinstance(v, dict)
+                      and all(p in PHASES for p in v.values()),
+                      "a map onto down/move/up"),
+        "delimiter": (lambda v: isinstance(v, str) and len(v) == 1,
+                      "one character"),
+        "t_unit": (lambda v: isinstance(v, str) and v in _TIME_SCALE,
+                   f"one of {', '.join(_TIME_SCALE)}"),
+    }
+
     def __post_init__(self) -> None:
-        if len(self.delimiter) != 1:
-            raise ConfigError(
-                f"delimiter must be one character, got {self.delimiter!r}")
+        super().__post_init__()
         if not self.has_header:
             bad = [f"col.{fld} = {col}" for fld, col in self.columns.items()
                    if not str(col).isdecimal()]
@@ -420,18 +430,6 @@ class AdapterConfig:
             opts[key.strip()] = value.strip()
         if "dataset" not in opts:
             raise ConfigError(f"{path}: adapter must set dataset")
-        columns = {k[4:]: v for k, v in opts.items() if k.startswith("col.")}
-        phase_map = {k[6:]: v for k, v in opts.items() if k.startswith("phase.")}
-        needed = {"user_id", "session_id", "t", "phase", "x", "y"}
-        missing = needed - set(columns)
-        if missing:
-            raise ConfigError(f"{path}: adapter lacks col. entries for {sorted(missing)}")
-        bad = [v for v in phase_map.values() if v not in PHASES]
-        if bad:
-            raise ConfigError(f"{path}: phase map targets must be down/move/up, got {bad}")
-        t_unit = opts.get("t_unit", "ms")
-        if t_unit not in _TIME_SCALE:
-            raise ConfigError(f"{path}: unknown t_unit {t_unit!r}")
         has_header = opts.get("has_header", "true")
         if has_header.lower() not in ("true", "false"):
             raise ConfigError(
@@ -441,11 +439,13 @@ class AdapterConfig:
         try:
             return cls(
                 dataset=opts["dataset"],
-                columns=columns,
-                phase_map=phase_map,
+                columns={k[4:]: v for k, v in opts.items()
+                         if k.startswith("col.")},
+                phase_map={k[6:]: v for k, v in opts.items()
+                           if k.startswith("phase.")},
                 delimiter="\t" if delimiter == "\\t" else delimiter,
                 has_header=has_header.lower() == "true",
-                t_unit=t_unit,
+                t_unit=opts.get("t_unit", "ms"),
                 device_constant=opts.get("device_constant"),
             )
         except ConfigError as err:
@@ -458,35 +458,26 @@ def convert_raw(raw_path: str | Path, adapter: AdapterConfig,
     """Apply an adapter to a raw CSV export, yielding canonical columns."""
     raw_path = Path(raw_path)
     lines = _Lines()
+    reader = _csv_rows(_read_text(raw_path), raw_path, adapter.delimiter)
+    if adapter.has_header:
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise EmptyDataset(f"{raw_path}: empty file") from None
+        index: dict[str, int] = {}
+        for fld, col in adapter.columns.items():
+            if col not in header:
+                raise UnparseableHeader(
+                    f"{raw_path}: column {col!r} (for {fld}) not in header")
+            index[fld] = header.index(col)
+        start = 2
+    else:
+        index = {fld: int(col) for fld, col in adapter.columns.items()}
+        start = 1
     rows = []
-    try:
-        fh = raw_path.open(newline="", encoding="utf-8-sig")
-    except OSError as err:
-        raise DataError(f"cannot read {raw_path}: {err}") from None
-    with fh:
-        reader = _csv_rows(csv.reader(fh, delimiter=adapter.delimiter),
-                           raw_path)
-        if adapter.has_header:
-            try:
-                header = [h.strip() for h in next(reader)]
-            except StopIteration:
-                raise EmptyDataset(f"{raw_path}: empty file") from None
-            index: dict[str, int] = {}
-            for fld, col in adapter.columns.items():
-                if col not in header:
-                    raise UnparseableHeader(
-                        f"{raw_path}: column {col!r} (for {fld}) not in header")
-                index[fld] = header.index(col)
-            start = 2
-        else:
-            index = {fld: int(col) for fld, col in adapter.columns.items()}
-            start = 1
-        for lineno, row in enumerate(reader, start=start):
-            if not row or not (row[0].strip() or any(c.strip() for c in row)):
-                continue
-            lines.total += 1
-            lines.linenos.append(lineno)
-            rows.append(row)
+    for lineno, row in lines.rows(reader, start):
+        lines.linenos.append(lineno)
+        rows.append(row)
 
     def cells(fld: str) -> list[str]:
         """fld's stripped cell of every row; a row without one is

@@ -201,18 +201,6 @@ class Swipe:
         return self.stop - self.start
 
     @property
-    def user_id(self) -> str:
-        return self.columns.user_id[self.start]
-
-    @property
-    def session_id(self) -> str:
-        return self.columns.session_id[self.start]
-
-    @property
-    def device_model(self) -> str:
-        return self.columns.device_model[self.start]
-
-    @property
     def start_ms(self) -> int:
         return int(self.columns.t[self.start])
 

@@ -244,6 +244,7 @@ def synthetic_table(separability: float, seed: int):
         separability=separability, seed=seed)))
 
 
+@pytest.mark.slow
 def test_criterion_4_synthetic_end_to_end():
     t0 = time.monotonic()
     ensemble = ClassifierSpec(kind="ensemble")

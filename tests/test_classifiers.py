@@ -9,8 +9,8 @@ from swipebench.classifiers import (KINDS, ClassifierSpec, from_blob,
                                     to_blob, train)
 from swipebench.classifiers import base
 from swipebench.classifiers.base import ONE_CLASS_KINDS, Standardizer
-from swipebench.classifiers.svm import (OneClassSvmModel, gamma_value,
-                                        rbf_kernel, smo_solve,
+from swipebench.classifiers.svm import (OneClassSvmModel, fit_platt_sigmoid,
+                                        gamma_value, rbf_kernel, smo_solve,
                                         smo_solve_binary)
 from swipebench.errors import (ConfigError, DimensionMismatch,
                                SingleClassForBinarySpec, TooFewSamples)
@@ -171,6 +171,29 @@ def test_smo_solution_satisfies_kkt():
     up = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
     low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < C - 1e-12))
     assert neg_yg[up].max() - neg_yg[low].min() < 1e-3
+
+
+def test_platt_falls_back_to_in_sample_decision_values():
+    """With fewer genuine rows than platt_folds there is nothing to fold:
+    the sigmoid is fitted on the full machine's own decision values."""
+    rng = np.random.default_rng(113)
+    X, y = blob_data(rng, n_per=20, n_features=3, sep=2.0)
+    X, y = X[18:], y[18:]                   # 2 genuine rows, 20 impostors
+    spec = spec_for("svm_rbf", seed=4)
+    assert spec.params["platt_folds"] > int(y.sum())
+    model = train(spec, X, y)
+    scores = model.score(X)
+    assert np.isfinite(scores).all()
+    assert ((scores >= 0.0) & (scores <= 1.0)).all()
+
+    _, Z, y01 = base.training_inputs(spec, X, y, None)
+    K = rbf_kernel(Z, Z, gamma_value(spec.params["gamma"], Z))
+    ypm = np.where(y01 == 1, 1.0, -1.0)
+    alpha, b = smo_solve_binary(K, ypm, spec.params["C"],
+                                tol=spec.params["tol"],
+                                max_iter=spec.params["max_iter"])
+    dec = K @ (alpha * ypm) + b
+    assert (model.platt_a, model.platt_b) == fit_platt_sigmoid(dec, y01)
 
 
 def test_one_class_smo_solution_satisfies_kkt():

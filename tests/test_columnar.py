@@ -1,10 +1,11 @@
 """Columnar ingest and segmentation against the per-event references.
 
 Seeded fuzzed streams in all three formats (canonical CSV, canonical
-JSONL, a raw adapter export) go through the package and through the
-per-event parsers, segmentation and writer in ingest_oracles.py. Reports,
-segmentation counts, swipes, session order, feature tables and the
-canonical bytes written back must be identical.
+JSONL, a raw adapter export with and without a header row) go through
+the package and through the per-event parsers, segmentation and writer
+in ingest_oracles.py. Reports, segmentation counts, swipes, session
+order, feature tables and the canonical bytes written back must be
+identical.
 
 The references order a NaN channel against a number by input order
 (Python's sort finds neither smaller); the package sorts NaN after every
@@ -42,6 +43,23 @@ col.x = 6
 col.y = 7
 col.pressure = 8
 col.area = 9
+phase.0 = down
+phase.1 = up
+phase.2 = move
+"""
+# the same export with a header row, its columns mapped by name
+RAW_HEADER = "phone, user ,doc,time,action,orientation,x,y,pressure,area,finger"
+HEADER_ADAPTER = """
+dataset = vendor
+col.device_model = phone
+col.user_id = user
+col.session_id = doc
+col.t = time
+col.phase = action
+col.x = x
+col.y = y
+col.pressure = pressure
+col.area = area
 phase.0 = down
 phase.1 = up
 phase.2 = move
@@ -316,16 +334,20 @@ def assert_same(got, want, tmp_path) -> None:
             (tmp_path / f"want.{fmt}").read_bytes()
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl", "raw"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl", "raw", "raw-header"])
 @pytest.mark.parametrize("seed", range(N_SEEDS))
 def test_fuzzed_stream_matches_per_event_reference(tmp_path, fmt, seed):
     path = tmp_path / f"fuzz.{fmt}"
-    path.write_text(fuzz_text(seed, fmt))
+    text = fuzz_text(seed, fmt.removesuffix("-header"))
     adapter = None
-    if fmt == "raw":
+    if fmt.startswith("raw"):
+        conf_text = RAW_ADAPTER
+        if fmt == "raw-header":
+            text, conf_text = f"{RAW_HEADER}\n{text}", HEADER_ADAPTER
         conf = tmp_path / "vendor.conf"
-        conf.write_text(RAW_ADAPTER + ("t_unit = s\n" if seed % 3 == 0 else ""))
+        conf.write_text(conf_text + ("t_unit = s\n" if seed % 3 == 0 else ""))
         adapter = AdapterConfig.load(conf)
+    path.write_text(text)
     assert_same(outcome(lambda: load(path, adapter)),
                 outcome(lambda: o_load(path, adapter)), tmp_path)
     # at the default limit most streams fail on their malformed rate

@@ -288,12 +288,33 @@ def test_adapter_rejects_misread_settings(tmp_path, text, message):
     assert str(err.value) == f"{conf}: {message}"
 
 
+NEEDED_COLUMNS = {"user_id": "1", "session_id": "2", "t": "3", "phase": "4",
+                  "x": "6", "y": "7"}
+
+
 def test_adapter_checks_direct_construction():
     with pytest.raises(ConfigError, match="col.x = -2"):
-        AdapterConfig("d", {"x": "-2"}, {}, has_header=False)
+        AdapterConfig("d", dict(NEEDED_COLUMNS, x="-2"), {}, has_header=False)
     with pytest.raises(ConfigError, match="delimiter"):
-        AdapterConfig("d", {"x": "2"}, {}, delimiter="\t\t")
-    assert AdapterConfig("d", {"x": "-2"}, {}).columns == {"x": "-2"}
+        AdapterConfig("d", NEEDED_COLUMNS, {}, delimiter="\t\t")
+    columns = dict(NEEDED_COLUMNS, x="-2")
+    assert AdapterConfig("d", columns, {}).columns == columns
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"t_unit": "min"}, "t_unit must be one of ms, s, us, ns, got 'min'"),
+    ({"columns": {k: v for k, v in NEEDED_COLUMNS.items() if k != "phase"}},
+     "columns must be a map with entries for user_id, session_id, t, "
+     "phase, x, y, got {"),
+    ({"phase_map": {"0": "down", "7": "tap"}},
+     "phase_map must be a map onto down/move/up, got "
+     "{'0': 'down', '7': 'tap'}"),
+])
+def test_adapter_rules_hold_on_direct_construction(change, message):
+    kw = {"dataset": "d", "columns": NEEDED_COLUMNS, "phase_map": {}} | change
+    with pytest.raises(ConfigError) as err:
+        AdapterConfig(**kw)
+    assert str(err.value).startswith(message)
 
 
 @pytest.mark.parametrize("text, message", BAD_ADAPTERS)
@@ -305,6 +326,35 @@ def test_ingest_cli_bad_adapter_exits_2(tmp_path, capsys, text, message):
     rc, _, err = ingest_cli(tmp_path, capsys, raw, "--adapter", str(conf))
     assert rc == EXIT_CONFIG
     assert err == f"config error: {conf}: {message}\n"
+
+
+HEADER_ADAPTER = """
+dataset = vendor
+col.user_id = user
+col.session_id = doc
+col.t = time
+col.phase = action
+col.x = x
+col.y = y
+"""
+
+
+@pytest.mark.parametrize("raw_text, error, message", [
+    ("phone,user,doc,time,action,orientation,x\n" + "\n".join(raw_rows()),
+     UnparseableHeader, "column 'y' (for y) not in header"),
+    ("", EmptyDataset, "empty file"),
+], ids=["header-lacks-a-column", "empty-file"])
+def test_ingest_cli_raw_header_faults_exit_3(tmp_path, capsys, raw_text,
+                                             error, message):
+    conf = tmp_path / "vendor.conf"
+    conf.write_text(HEADER_ADAPTER)
+    raw = tmp_path / "raw.csv"
+    raw.write_text(raw_text)
+    with pytest.raises(error):
+        convert_raw(raw, AdapterConfig.load(conf))
+    rc, _, err = ingest_cli(tmp_path, capsys, raw, "--adapter", str(conf))
+    assert rc == EXIT_DATA
+    assert err == f"data error: {raw}: {message}\n"
 
 
 def bad_input_case(tmp_path, kind):
