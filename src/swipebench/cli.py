@@ -52,6 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", help="dataset name override")
     p.add_argument("--out", required=True, help="canonical output file")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p.set_defaults(run=_cmd_ingest)
 
     p = sub.add_parser("extract", help="canonical file -> feature matrix")
     p.add_argument("--input", required=True)
@@ -59,6 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="all | anova | study key | comma-separated ids")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(run=_cmd_extract)
 
     p = sub.add_parser("select", help="cross-dataset feature selection")
     p.add_argument("--inputs", required=True, nargs="+",
@@ -66,6 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-n", type=int, default=DEFAULT_TOP_N)
     p.add_argument("--min-votes", type=int, default=DEFAULT_MIN_VOTES)
     p.add_argument("--out", required=True, help="selection report JSON")
+    p.set_defaults(run=_cmd_select)
 
     for verb in ("evaluate", "matrix"):
         p = sub.add_parser(verb, help=f"run an experiment {verb}")
@@ -74,6 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="report directory override")
         p.add_argument("--format", choices=("csv", "json", "both"))
         p.add_argument("--workers", type=int, default=None)
+        p.set_defaults(run=_cmd_experiment)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--users", type=int, default=10)
@@ -84,6 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="synthetic")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p.set_defaults(run=_cmd_synth)
     return parser
 
 
@@ -135,10 +140,11 @@ def _cmd_select(args) -> int:
     return EXIT_OK
 
 
-def _cmd_experiment(args, single_cell: bool) -> int:
+def _cmd_experiment(args) -> int:
     cfg = load_config(args.config)
     check_workers(args.workers)
-    if single_cell and (len(cfg.feature_sets) > 1 or len(cfg.classifiers) > 1):
+    if args.verb == "evaluate" and (len(cfg.feature_sets) > 1
+                                    or len(cfg.classifiers) > 1):
         raise ConfigError(
             "'evaluate' runs a single feature_set x classifier cell; "
             "use 'matrix' for grids")
@@ -175,19 +181,7 @@ def _cmd_synth(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.verb == "ingest":
-            return _cmd_ingest(args)
-        if args.verb == "extract":
-            return _cmd_extract(args)
-        if args.verb == "select":
-            return _cmd_select(args)
-        if args.verb == "evaluate":
-            return _cmd_experiment(args, single_cell=True)
-        if args.verb == "matrix":
-            return _cmd_experiment(args, single_cell=False)
-        if args.verb == "synth":
-            return _cmd_synth(args)
-        raise ConfigError(f"unknown verb {args.verb!r}")
+        return args.run(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

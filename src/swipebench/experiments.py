@@ -53,12 +53,15 @@ FORMATS = ("csv", "json")
 
 
 def anova_default_ids() -> tuple[int, ...]:
-    """The shipped cross-dataset selection result (a data file produced
-    by the selection pipeline)."""
+    """The shipped cross-dataset selection: the ``selected`` ids of the
+    report that ``swipebench select`` wrote to ``data/anova125.json``."""
     text = resources.files("swipebench.data").joinpath(
         "anova125.json").read_text()
-    doc = json.loads(text)
-    return tuple(int(i) for i in doc["feature_ids"])
+    try:
+        return resolve_feature_ids(json.loads(text)["selected"])
+    except (ValueError, TypeError, KeyError, ConfigError) as err:
+        raise ConfigError("anova125.json is not a selection report with a "
+                          f"'selected' id list: {err}") from None
 
 
 def resolve_feature_set(ref, position: int = 0) -> tuple[str, tuple[int, ...]]:

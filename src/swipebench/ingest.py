@@ -381,6 +381,10 @@ def write_canonical(dataset: Dataset, path: str | Path, fmt: str = "csv") -> Non
 
 _TIME_SCALE = {"ms": 1.0, "s": 1000.0, "us": 1e-3, "ns": 1e-6}
 _NEEDED = ("user_id", "session_id", "t", "phase", "x", "y")
+_COLUMNS = ("user_id", "session_id", "device_model", "t", "phase", "x", "y",
+            "pressure", "area")
+_SETTINGS = frozenset({"dataset", "has_header", "delimiter", "t_unit",
+                       "device_constant"})
 
 
 @dataclass(frozen=True)
@@ -410,6 +414,11 @@ class AdapterConfig(Spec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        unknown = self.columns.keys() - _COLUMNS
+        if unknown:
+            raise ConfigError(
+                f"unknown key {', '.join(sorted('col.' + f for f in unknown))}"
+                f"; col. entries name one of {', '.join(_COLUMNS)}")
         if not self.has_header:
             bad = [f"col.{fld} = {col}" for fld, col in self.columns.items()
                    if not str(col).isdecimal()]
@@ -428,6 +437,11 @@ class AdapterConfig(Spec):
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             opts[key.strip()] = value.strip()
+        unknown = {k for k in opts
+                   if not k.startswith(("col.", "phase."))} - _SETTINGS
+        if unknown:
+            raise ConfigError(
+                f"{path}: unknown key {', '.join(sorted(unknown))}")
         if "dataset" not in opts:
             raise ConfigError(f"{path}: adapter must set dataset")
         has_header = opts.get("has_header", "true")

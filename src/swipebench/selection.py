@@ -125,61 +125,3 @@ def select_features(tables: list[FeatureTable], top_n: int = DEFAULT_TOP_N,
         selected=selected, top_n=top_n, min_votes=min_votes,
         datasets=tuple(t.dataset_name for t in tables),
         per_dataset_top=per_top, f_scores=f_all, excluded_undefined=excluded)
-
-
-def default_selection_document(top_n: int = DEFAULT_TOP_N,
-                               min_votes: int = DEFAULT_MIN_VOTES) -> dict:
-    """Build the shipped default feature-set document.
-
-    The vote runs over three generated datasets with distinct seeds and
-    population shapes, standing in for the three gated corpora. The
-    document records full provenance so the file can be regenerated with
-    ``python -m swipebench.selection``.
-    """
-    from .features.extract import build_feature_table
-    from .synthetic import SyntheticSpec, generate_synthetic
-
-    sources = [
-        SyntheticSpec(users=12, sessions_per_user=4, swipes_per_session=30,
-                      separability=2.0, seed=101, name="sel-a"),
-        SyntheticSpec(users=8, sessions_per_user=3, swipes_per_session=45,
-                      separability=1.5, seed=202, name="sel-b"),
-        SyntheticSpec(users=16, sessions_per_user=5, swipes_per_session=20,
-                      separability=2.5, seed=303, name="sel-c"),
-    ]
-    tables = [build_feature_table(generate_synthetic(s)) for s in sources]
-    result = select_features(tables, top_n=top_n, min_votes=min_votes)
-    return {
-        "feature_ids": list(result.selected),
-        "provenance": {
-            "method": "per-dataset ANOVA top-n vote",
-            "top_n": top_n,
-            "min_votes": min_votes,
-            "sources": [s.as_dict() for s in sources],
-            "regenerate": "python -m swipebench.selection",
-        },
-    }
-
-
-def _main() -> None:
-    import argparse
-    import json
-    from pathlib import Path
-
-    parser = argparse.ArgumentParser(
-        description="regenerate the shipped default feature set")
-    parser.add_argument("--out", default=None,
-                        help="output path (default: the packaged data file)")
-    parser.add_argument("--top-n", type=int, default=DEFAULT_TOP_N)
-    parser.add_argument("--min-votes", type=int, default=DEFAULT_MIN_VOTES)
-    args = parser.parse_args()
-    out = Path(args.out) if args.out else (
-        Path(__file__).parent / "data" / "anova125.json")
-    doc = default_selection_document(args.top_n, args.min_votes)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"{len(doc['feature_ids'])} features -> {out}")
-
-
-if __name__ == "__main__":
-    _main()

@@ -8,13 +8,16 @@ import math
 import numpy as np
 import pytest
 
+from ingest_oracles import o_convert_raw
 from swipebench.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from swipebench.errors import (ConfigError, EmptyDataset,
-                               MalformedRateExceeded, UnparseableHeader)
+                               MalformedRateExceeded, NoEligibleUsers,
+                               UnparseableHeader)
 from swipebench.features.extract import build_feature_table, export_table_csv
 from swipebench.ingest import (AdapterConfig, convert_raw, load_canonical,
                                parse_canonical, write_canonical)
-from swipebench.touchdata import assemble_dataset
+from swipebench.touchdata import (TouchColumns, assemble_dataset,
+                                  filter_eligible)
 
 HEADER = "dataset,user_id,session_id,device_model,t_ms,phase,x,y,pressure,area"
 
@@ -263,19 +266,27 @@ def test_adapter_validation(tmp_path):
         AdapterConfig.load(conf)
 
 
-BAD_ADAPTERS = [
+BAD_ADAPTERS = [    # each message is what follows the config's path
     pytest.param(ADAPTER + "delimiter = ;;\n",
-                 "delimiter must be one character, got ';;'",
+                 ": delimiter must be one character, got ';;'",
                  id="two-character-delimiter"),
     pytest.param(ADAPTER + "delimiter =\n",
-                 "delimiter must be one character, got ''",
+                 ": delimiter must be one character, got ''",
                  id="empty-delimiter"),
     pytest.param(ADAPTER.replace("col.user_id = 1\n", "col.user_id = -1\n"),
-                 "headerless adapter needs column indexes >= 0, "
+                 ": headerless adapter needs column indexes >= 0, "
                  "got col.user_id = -1", id="negative-column"),
     pytest.param(ADAPTER.replace("has_header = false", "has_header = no"),
-                 "has_header must be true or false, got 'no'",
+                 ": has_header must be true or false, got 'no'",
                  id="has-header-no"),
+    pytest.param(ADAPTER + "t_units = s\n", ": unknown key t_units",
+                 id="misspelt-setting"),
+    pytest.param(ADAPTER.replace("col.pressure", "col.presure"),
+                 ": unknown key col.presure; col. entries name one of "
+                 "user_id, session_id, device_model, t, phase, x, y, "
+                 "pressure, area", id="misspelt-column"),
+    pytest.param(ADAPTER + "t_unit s\n", ":17: expected key = value",
+                 id="line-without-equals"),
 ]
 
 
@@ -285,7 +296,7 @@ def test_adapter_rejects_misread_settings(tmp_path, text, message):
     conf.write_text(text)
     with pytest.raises(ConfigError) as err:
         AdapterConfig.load(conf)
-    assert str(err.value) == f"{conf}: {message}"
+    assert str(err.value) == f"{conf}{message}"
 
 
 NEEDED_COLUMNS = {"user_id": "1", "session_id": "2", "t": "3", "phase": "4",
@@ -309,6 +320,8 @@ def test_adapter_checks_direct_construction():
     ({"phase_map": {"0": "down", "7": "tap"}},
      "phase_map must be a map onto down/move/up, got "
      "{'0': 'down', '7': 'tap'}"),
+    ({"columns": dict(NEEDED_COLUMNS, presure="8")},
+     "unknown key col.presure; col. entries name one of "),
 ])
 def test_adapter_rules_hold_on_direct_construction(change, message):
     kw = {"dataset": "d", "columns": NEEDED_COLUMNS, "phase_map": {}} | change
@@ -325,7 +338,7 @@ def test_ingest_cli_bad_adapter_exits_2(tmp_path, capsys, text, message):
     raw.write_text("\n".join(raw_rows()) + "\n")
     rc, _, err = ingest_cli(tmp_path, capsys, raw, "--adapter", str(conf))
     assert rc == EXIT_CONFIG
-    assert err == f"config error: {conf}: {message}\n"
+    assert err == f"config error: {conf}{message}\n"
 
 
 HEADER_ADAPTER = """
@@ -434,6 +447,46 @@ def test_adapter_time_scaling(tmp_path):
     raw.write_text("\n".join(rows) + "\n")
     records, _ = convert_raw(raw, adapter)
     assert records.t.tolist() == [0, 500, 1000, 1500]
+
+
+@pytest.mark.parametrize("constant", [None, "phone7"])
+def test_raw_export_without_optional_columns(tmp_path, constant):
+    """Without col.device_model every row takes device_constant, or
+    "unknown" without one; without col.pressure and col.area both channels
+    are NaN, so evaluation drops those users for a missing channel."""
+    text = ADAPTER
+    for line in ("col.device_model = 0\n", "col.pressure = 8\n",
+                 "col.area = 9\n"):
+        text = text.replace(line, "")
+    if constant is not None:
+        text += f"device_constant = {constant}\n"
+    conf = tmp_path / "bare.conf"
+    conf.write_text(text)
+    adapter = AdapterConfig.load(conf)
+    raw = tmp_path / "raw.csv"
+    raw.write_text("".join(row.replace(",42,7,", f",{user},{session},") + "\n"
+                           for user in ("41", "42") for session in ("1", "2")
+                           for row in raw_rows()))
+    records, report = convert_raw(raw, adapter)
+    expected, _ = o_convert_raw(raw, adapter)
+    assert report.lines_malformed == 0 and len(records) == 20
+    assert list(map(repr, records.samples)) == list(map(repr, expected))
+    assert set(records.device_model) == {constant or "unknown"}
+    assert np.isnan(records.pressure).all() and np.isnan(records.area).all()
+
+    with pytest.raises(NoEligibleUsers):
+        filter_eligible(assemble_dataset(adapter.dataset, records)[0])
+    full = tmp_path / "full.conf"
+    full.write_text(ADAPTER)
+    complete, _ = convert_raw(raw, AdapterConfig.load(full))
+    complete = [s for s in complete.samples if s.user_id == "41"]
+    mixed = TouchColumns.of(complete + [s for s in records.samples
+                                        if s.user_id == "42"])
+    kept, counts = filter_eligible(assemble_dataset("vendor", mixed)[0])
+    assert list(kept.users) == ["41"]
+    assert counts == {"users_in": 2, "users_kept": 1,
+                      "dropped_few_sessions": 0,
+                      "dropped_missing_channels": 1}
 
 
 def test_packaged_touchalytics_adapter_parses():

@@ -3,16 +3,17 @@
 import json
 import re
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from oracles import oracle_anova_f
+from swipebench import experiments
+from swipebench.cli import EXIT_CONFIG, EXIT_OK, main
 from swipebench.errors import ConfigError, EmptyMatrix, SingleClass
 from swipebench.features.extract import FeatureTable
-from swipebench.selection import (anova_f_scores,
-                                  default_selection_document, rank_dataset,
-                                  select_features)
+from swipebench.selection import anova_f_scores, rank_dataset, select_features
 
 N_FIXTURES = 50
 
@@ -194,11 +195,56 @@ def test_selection_result_roundtrips_to_dict():
     assert set(d["per_dataset_top"]) == {"p", "q", "r"}
 
 
-def test_shipped_anova_set_is_what_selection_writes():
-    """The packaged ANOVA set is byte for byte what ``python -m
-    swipebench.selection`` writes, so a change to extraction or selection
-    that would move it shows here."""
+# the three synthetic datasets that the shipped ANOVA set is voted over,
+# with distinct seeds and population shapes; README gives these commands
+SELECTION_SOURCES = [
+    "--users 12 --sessions 4 --swipes 30 --separability 2 --seed 101 "
+    "--name sel-a",
+    "--users 8 --sessions 3 --swipes 45 --separability 1.5 --seed 202 "
+    "--name sel-b",
+    "--users 16 --sessions 5 --swipes 20 --separability 2.5 --seed 303 "
+    "--name sel-c",
+]
+
+
+def test_shipped_anova_set_is_what_selection_writes(tmp_path):
+    """The packaged ANOVA set is byte for byte the report that three
+    ``swipebench synth`` runs and one ``swipebench select`` write, so a
+    change to synthesis, extraction or selection that would move it shows
+    here."""
+    inputs = []
+    for args in SELECTION_SOURCES:
+        out = tmp_path / (args.split()[-1] + ".csv")
+        assert main(["synth", *args.split(), "--out", str(out)]) == EXIT_OK
+        inputs.append(str(out))
+    report = tmp_path / "anova125.json"
+    assert main(["select", "--inputs", *inputs,
+                 "--out", str(report)]) == EXIT_OK
     shipped = resources.files("swipebench.data").joinpath(
         "anova125.json").read_text()
-    doc = default_selection_document()
-    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == shipped
+    assert report.read_text() == shipped
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"feature_ids": [1, 2, 3],
+                "provenance": {"method": "per-dataset ANOVA top-n vote"}}),
+    "not json",
+    json.dumps({"selected": "all"}),
+    json.dumps([1, 2, 3]),
+], ids=["feature-ids-document", "not-json", "ids-not-a-list", "a-bare-list"])
+def test_a_packaged_file_that_is_not_a_report_is_a_config_error(
+        tmp_path, monkeypatch, capsys, text):
+    """Only the report ``swipebench select`` writes is read as the ANOVA
+    set; anything else in its place is a ConfigError naming the file, and
+    a matrix that asks for ANOVA exits 2 without a traceback."""
+    (tmp_path / "anova125.json").write_text(text)
+    monkeypatch.setattr(experiments, "resources",
+                        SimpleNamespace(files=lambda package: tmp_path))
+    with pytest.raises(ConfigError, match="anova125.json"):
+        experiments.anova_default_ids()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "dataset": {"synthetic": {"users": 3}}, "feature_set": "ANOVA",
+        "classifier": "knn", "output": {"dir": str(tmp_path / "out")}}))
+    assert main(["matrix", "--config", str(config)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: anova125.json ")
